@@ -1,0 +1,9 @@
+"""Make ``fbbench`` and the package under ``src/`` importable for the benchmark's tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
