@@ -15,6 +15,10 @@ torsional channels feel the two cables through
 
 and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0),
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
+
+The force law is written once, in ``_h_from_slope`` (lines on a leading axis):
+``h_of`` evaluates one line, ``make_pair_projection`` both lines as one (2, N)
+array for the modal right-hand side and ``cable_rhs_projection``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ __all__ = [
     "arc_length",
     "h_of",
     "pi_energy",
-    "f_pair",
+    "make_pair_projection",
     "cable_rhs_projection",
 ]
 
@@ -106,11 +110,11 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
 def _h_from_slope(
     u_x_nodal: np.ndarray, geometry: CableGeometry, weights: np.ndarray
 ) -> np.ndarray:
+    """h at the nodes from nodal slopes; each leading index is one hanger line."""
     total = u_x_nodal + geometry.sx
     xi = np.sqrt(1.0 + total * total)
-    elongation = float(weights @ xi)
-    amplitude = geometry.b * (geometry.L0 - elongation) - geometry.c * geometry.xi0
-    return amplitude * total / xi
+    stretch = geometry.b * (geometry.L0 - xi @ weights)
+    return (stretch[..., None] - geometry.c * geometry.xi0) * total / xi
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -142,22 +146,23 @@ def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> f
     return stretch_term + tension_term
 
 
-def f_pair(
-    w: np.ndarray,
-    th: np.ndarray,
-    ell: float,
-    geometry: CableGeometry,
-    grid: QuadratureGrid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal cable nonlinearities (f, f-bar) from the two hanger lines w +- l th."""
-    if geometry.b == 0.0 and geometry.c == 0.0:
-        zero = np.zeros(grid.n_nodes)
-        return zero, zero.copy()
-    wx = _slope(w, grid)
-    thx = _slope(th, grid)
-    h_plus = _h_from_slope(wx + ell * thx, geometry, grid.weights)
-    h_minus = _h_from_slope(wx - ell * thx, geometry, grid.weights)
-    return h_plus + h_minus, ell * (h_plus - h_minus)
+def make_pair_projection(geometry, grid, ell, n_w, n_t, scale_w=1.0, scale_t=1.0):
+    """Build v = [w, th] -> (scale_w (f, e_j')_0 for j <= n_w, scale_t (f-bar, e_j')_0 for j <= n_t).
+
+    One table product gives the slopes of both lines w +- l th as a (2, N)
+    array. f and f-bar / l are formed node by node before projecting, so
+    mirroring th (which swaps the lines) keeps f and negates f-bar exactly.
+    """
+    dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
+    slopes = np.concatenate([np.tile(dw, 2), np.hstack([ell * dt, -ell * dt])])
+    to_w = dw * (scale_w * grid.weights)
+    to_t = dt * (scale_t * ell * grid.weights)
+
+    def project(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        h = _h_from_slope((v @ slopes).reshape(2, -1), geometry, grid.weights)
+        return to_w @ (h[0] + h[1]), to_t @ (h[0] - h[1])
+
+    return project
 
 
 def cable_rhs_projection(
@@ -168,8 +173,5 @@ def cable_rhs_projection(
     grid: QuadratureGrid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project (f, e_j')_0 for j <= n_w and (f-bar, e_j')_0 for j <= n_t."""
-    n_w, n_t = len(w), len(th)
-    if geometry.b == 0.0 and geometry.c == 0.0:
-        return np.zeros(n_w), np.zeros(n_t)
-    f, fbar = f_pair(w, th, params.ell, geometry, grid)
-    return grid.dmodes[:n_w] @ (grid.weights * f), grid.dmodes[:n_t] @ (grid.weights * fbar)
+    project = make_pair_projection(geometry, grid, params.ell, len(w), len(th))
+    return project(np.concatenate([w, th]))

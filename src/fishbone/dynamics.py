@@ -8,8 +8,12 @@ For each vertical mode j <= n_w and torsional mode j <= n_t,
 
 with mu = delta + beta, eta = beta * Ustream; torsional couplings into vertical
 modes j > n_t are zero. The nondimensional system is the same code path with
-M = D = 1, L = pi. The cable projections (f, e_j')_0, (f-bar, e_j')_0 are
-recomputed on every call so the integrator sees the exact semi-discrete flow.
+M = D = 1, L = pi.
+
+On packed y = [w, wdot, th, thdot], ``linear_operator`` holds every linear term
+in A y + c; ``make_packed_rhs`` adds the cubic stretching term and the cable
+projections from ``cable.make_pair_projection``, recomputed on every call so
+the integrator sees the exact semi-discrete flow.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cable import CableGeometry, _h_from_slope
+from .cable import CableGeometry, make_pair_projection
 from .spectral import Basis, QuadratureGrid
 
 __all__ = [
@@ -26,6 +30,7 @@ __all__ = [
     "ModalState",
     "rhs",
     "piston_pressure",
+    "linear_operator",
     "make_packed_rhs",
     "g_load_projection",
 ]
@@ -121,44 +126,59 @@ def g_load_projection(params: ModelParams, n: int) -> np.ndarray:
     return params.M * params.g * np.sqrt(2.0 * params.L) * (1.0 - (-1.0) ** j) / (j * np.pi)
 
 
+def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """The linear part A y + c of the packed rhs, with 1/M and 3/(M l^2) folded in.
+
+    A holds bending, prestress, warping and torsion stiffness, both dampings
+    and the piston coupling on the common prefix j <= min(n_w, n_t); c holds
+    gravity. Row and column order is [w, wdot, th, thdot].
+    """
+    n_w, n_t = basis.n_w, basis.n_t
+    w, th = np.arange(n_w), 2 * n_w + np.arange(n_t)  # + n_w / + n_t: their rates
+    wc, thc = w[: min(n_w, n_t)], th[: min(n_w, n_t)]
+    k2w, k2t = basis.wavenumbers(n_w) ** 2, basis.wavenumbers(n_t) ** 2
+    inv_m, inv_it = 1.0 / params.M, 3.0 / (params.M * params.ell**2)
+    A = np.zeros((2 * n_w + 2 * n_t,) * 2)
+    A[w, w + n_w] = A[th, th + n_t] = 1.0
+    A[w + n_w, w] = -(params.D * k2w**2 - params.P * k2w) * inv_m
+    A[w + n_w, w + n_w] = -params.mu * inv_m
+    A[wc + n_w, thc] = -params.eta * inv_m
+    A[wc + n_w, thc + n_t] = -params.beta * params.Upsilon * inv_m
+    A[th + n_t, th] = -(params.eps * k2t**2 + params.kappa * k2t) * inv_it
+    A[th + n_t, th + n_t] = -params.zeta * inv_it
+    c = np.zeros(len(A))
+    c[w + n_w] = g_load_projection(params, n_w) * inv_m
+    return A, c
+
+
 def make_packed_rhs(
     params: ModelParams, geometry: CableGeometry, basis: Basis, grid: QuadratureGrid
 ):
-    """Build f(t, y) on packed vectors [w, wdot, th, thdot]; the hot path."""
+    """Build f(t, y) on packed vectors [w, wdot, th, thdot]; the hot path.
+
+    Each call returns a new array.
+    """
     n_w, n_t = basis.n_w, basis.n_t
-    n_c = min(n_w, n_t)  # common prefix carrying the wind coupling
+    A, c = linear_operator(params, basis)
+    acc_w, acc_t = slice(n_w, 2 * n_w), slice(2 * n_w + n_t, None)
+    displacements = np.r_[0:n_w, 2 * n_w : 2 * n_w + n_t]  # [w, th] inside y
     k2w = basis.wavenumbers(n_w) ** 2
-    k4w = k2w**2
-    k2t = basis.wavenumbers(n_t) ** 2
-    torsion_stiff = params.eps * k2t**2 + params.kappa * k2t
-    gproj = g_load_projection(params, n_w)
-    inv_m = 1.0 / params.M
-    inv_it = 3.0 / (params.M * params.ell**2)
-    mu, eta = params.mu, params.eta
-    beta_ups = params.beta * params.Upsilon
-    d_, s_, p_, ell = params.D, params.S, params.P, params.ell
+    stretch = params.S / params.M
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
-    dmodes_w = grid.dmodes[:n_w]
-    dmodes_t = grid.dmodes[:n_t]
-    sx, weights = geometry.sx, grid.weights
+    inv_it = 3.0 / (params.M * params.ell**2)
+    cable = make_pair_projection(geometry, grid, params.ell, n_w, n_t, 1.0 / params.M, inv_it)
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        w = y[:n_w]
-        wdot = y[n_w : 2 * n_w]
-        th = y[2 * n_w : 2 * n_w + n_t]
-        thdot = y[2 * n_w + n_t :]
-
-        acc_w = gproj - mu * wdot - (d_ * k4w + (s_ * (k2w @ (w * w)) - p_) * k2w) * w
-        acc_w[:n_c] -= beta_ups * thdot[:n_c] + eta * th[:n_c]
-        acc_t = -params.zeta * thdot - torsion_stiff * th
+        out = A @ y
+        out += c
+        if stretch:
+            k2w_w = k2w * y[:n_w]
+            out[acc_w] -= (stretch * (k2w_w @ y[:n_w])) * k2w_w
         if cables_on:
-            wx = w @ dmodes_w
-            thx = th @ dmodes_t
-            h_plus = _h_from_slope(wx + ell * thx, geometry, weights)
-            h_minus = _h_from_slope(wx - ell * thx, geometry, weights)
-            acc_w = acc_w + dmodes_w @ (weights * (h_plus + h_minus))
-            acc_t = acc_t + dmodes_t @ (weights * (ell * (h_plus - h_minus)))
-        return np.concatenate([wdot, acc_w * inv_m, thdot, acc_t * inv_it])
+            force_w, force_t = cable(y[displacements])
+            out[acc_w] += force_w
+            out[acc_t] += force_t
+        return out
 
     return packed_rhs
 

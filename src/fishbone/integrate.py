@@ -5,6 +5,8 @@ t_end and the sample cadence divides the step count, keeping the recorded
 times strictly uniform. The adaptive path is the Dormand-Prince 5(4) embedded
 pair with a PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain
 halving on rejection) and cubic Hermite dense output at the sample times.
+A blow-up raises one ``NonFiniteState``; the step loops run under an
+``np.errstate`` that keeps numpy's overflow warnings from coming first.
 """
 
 from __future__ import annotations
@@ -46,7 +48,10 @@ class StepUnderflow(IntegrationError):
 
 
 class NonFiniteState(IntegrationError):
-    """The state left the finite range; ``time`` is the first bad time."""
+    """The state left the finite range; ``time`` is the first bad time.
+
+    The message names the first non-finite entry, e.g. ``thdot_3`` (mode j = 3).
+    """
 
 
 @dataclass(frozen=True)
@@ -102,10 +107,6 @@ class Trajectory:
     def state(self, i: int) -> ModalState:
         return ModalState.unpack(self.data[i].copy(), self.n_w, self.n_t, float(self.times[i]))
 
-    @property
-    def states(self) -> list[ModalState]:
-        return [self.state(i) for i in range(len(self.times))]
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -125,32 +126,38 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
+_DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h (_DP_E @ k)
 
 
-def _check_finite(y: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteState(f"state became non-finite at t={t:.9g}", time=t)
+def _nonfinite(y: np.ndarray, t: float, n_w: int) -> NonFiniteState:
+    i, n_t = int(np.argmin(np.isfinite(y))), (y.size - 2 * n_w) // 2
+    for channel, start in (("thdot", 2 * n_w + n_t), ("th", 2 * n_w), ("wdot", n_w), ("w", 0)):
+        if i >= start:
+            message = f"state became non-finite at t={t:.9g}, first in {channel}_{i - start + 1}"
+            return NonFiniteState(message, time=t)
 
 
-def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig):
+def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
     # Nudge dt so the horizon is an integer number of steps and the sample
     # cadence divides it; both adjustments are < one cadence interval.
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     stride = 1 if cfg.sample_every is None else max(1, round(cfg.sample_every / cfg.dt))
     n_steps = stride * math.ceil(n_steps / stride)
     dt = cfg.t_end / n_steps
+    half, sixth = 0.5 * dt, dt / 6.0
 
     times = [t0]
     samples = [y0.copy()]
     y, t = y0.copy(), t0
     for i in range(1, n_steps + 1):
         k1 = f(t, y)
-        k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k2 = f(t + half, y + half * k1)
+        k3 = f(t + half, y + half * k2)
         k4 = f(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + k4 + 2.0 * (k2 + k3))
         t = t0 + i * dt
-        _check_finite(y, t)
+        if not np.isfinite(y).all():
+            raise _nonfinite(y, t, n_w)
         if i % stride == 0:
             times.append(t)
             samples.append(y)
@@ -167,7 +174,7 @@ def _hermite(theta: float, y0, f0, y1, f1, h: float):
     )
 
 
-def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig):
+def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
     cadence = cfg.sample_every if cfg.sample_every is not None else cfg.dt
     n_out = int(math.floor(cfg.t_end / cadence + 1e-9))
     out_times = t0 + cadence * np.arange(n_out + 1)
@@ -177,7 +184,8 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig):
     t_final = t0 + cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
     y, t, h = y0.copy(), t0, min(cfg.dt, cfg.t_end)
-    k1 = f(t, y)
+    k = np.empty((7, y0.size))  # stage derivatives; row 0 is f(t, y)
+    k[0] = f(t, y)
     err_prev = 1.0
     samples = [y0.copy()]
     next_out = 1
@@ -188,23 +196,21 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig):
             raise StepUnderflow(
                 f"step size {h:.3e} underflowed below {h_min:.3e} at t={t:.9g}", time=t
             )
-        ks = [k1]
         for i in range(1, 7):
-            ks.append(f(t + _DP_C[i] * h, y + h * (np.stack(ks, axis=1) @ _DP_A[i])))
-        kmat = np.stack(ks, axis=1)
-        y5 = y + h * (kmat @ _DP_B5)
-        _check_finite(y5, t + h)
-        y4 = y + h * (kmat @ _DP_B4)
-        scale = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean(((y5 - y4) / scale) ** 2)))
+            k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
+        y5 = y + h * (_DP_B5 @ k)
+        if not np.isfinite(y5).all():
+            raise _nonfinite(y5, t + h, n_w)
+        e = h * (_DP_E @ k) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+        err = math.sqrt(float(e @ e) / e.size)
 
         if err <= 1.0:
-            f_new = ks[6]  # FSAL: stage 7 is f(t + h, y5)
             while next_out < len(out_times) and out_times[next_out] <= t + h * (1 + 1e-12):
                 theta = min(1.0, max(0.0, (out_times[next_out] - t) / h))
-                samples.append(_hermite(theta, y, k1, y5, f_new, h))
+                samples.append(_hermite(theta, y, k[0], y5, k[6], h))
                 next_out += 1
-            y, t, k1 = y5, t + h, f_new
+            y, t = y5, t + h
+            k[0] = k[6]  # FSAL: stage 7 is f(t + h, y5)
             fac = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA if err > 0 else FAC_MAX
             h *= min(FAC_MAX, max(FAC_MIN, fac))
             err_prev = max(err, 1e-10)
@@ -234,8 +240,9 @@ def integrate(
     if grid is None:
         grid = make_grid(basis)
     f = make_packed_rhs(params, geometry, basis, grid)
-    if cfg.method == "rk4":
-        times, data, _ = _rk4_run(f, y0.pack(), y0.t, cfg)
-    else:
-        times, data = _adaptive_run(f, y0.pack(), y0.t, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.method == "rk4":
+            times, data, _ = _rk4_run(f, y0.pack(), y0.t, cfg, basis.n_w)
+        else:
+            times, data = _adaptive_run(f, y0.pack(), y0.t, cfg, basis.n_w)
     return Trajectory(times=times, data=data, n_w=basis.n_w, n_t=basis.n_t)

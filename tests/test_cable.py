@@ -7,7 +7,6 @@ from fishbone.cable import (
     arc_length,
     big_xi,
     cable_rhs_projection,
-    f_pair,
     h_of,
     make_geometry,
     pi_energy,
@@ -103,27 +102,9 @@ class TestForceDensity:
         geo = make_geometry(A, S0, 0.0, 0.0, basis, grid)
         rng = np.random.default_rng(5)
         w, th = rng.standard_normal(3), rng.standard_normal(2)
-        f, fbar = f_pair(w, th, 1.3, geo, grid)
-        assert not f.any() and not fbar.any()
+        assert not h_of(w, geo, grid).any()
         fw, ft = cable_rhs_projection(w, th, _Params(ell=1.3), geo, grid)
         assert not fw.any() and not ft.any()
-
-    def test_pair_reconstruction(self):
-        """(f +- f-bar/l)/2 recovers h on each hanger line."""
-        basis, grid, geo = default_setup()
-        rng = np.random.default_rng(2)
-        ell = 0.8
-        for _ in range(10):
-            w = 0.5 * rng.standard_normal(basis.n_w)
-            th = 0.5 * rng.standard_normal(basis.n_t)
-            f, fbar = f_pair(w, th, ell, geo, grid)
-            pad = np.zeros(basis.n_w - basis.n_t)
-            up = eval_modal(w + ell * np.concatenate([th, pad]), basis, grid)
-            down = eval_modal(w - ell * np.concatenate([th, pad]), basis, grid)
-            h_up = h_of(w + ell * np.concatenate([th, pad]), geo, grid)
-            h_down = h_of(w - ell * np.concatenate([th, pad]), geo, grid)
-            np.testing.assert_allclose((f + fbar / ell) / 2.0, h_up, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose((f - fbar / ell) / 2.0, h_down, rtol=1e-12, atol=1e-12)
 
     def test_fine_grid_projection_oracle(self):
         """Projections agree with a 10x-finer independent quadrature to 1e-6."""

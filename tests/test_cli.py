@@ -464,6 +464,7 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 2
         assert "sweep.beta" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_failed_cells_exit_three(self, tmp_path, capsys):
         """A sweep whose every cell blows up reports the failure time."""
         text = TOY.replace("integrator.t_end = 2", "integrator.t_end = 4") + "model.P = 10000\n"

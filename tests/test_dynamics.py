@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from fishbone.cable import make_geometry
+from fishbone.cable import h_of, make_geometry
 from fishbone.dynamics import (
     ModalState,
     ModelParams,
     g_load_projection,
+    linear_operator,
+    make_packed_rhs,
     piston_pressure,
     rhs,
 )
+from fishbone.linear import characteristic_roots
 from fishbone.spectral import Basis, eval_modal, make_grid
 
 
@@ -207,6 +210,27 @@ class TestRhs:
             np.testing.assert_array_equal(dm.thdot, -d.thdot)
             np.testing.assert_array_equal(dm.th, -d.th)
 
+    def test_cable_part_is_both_hanger_lines(self):
+        """The cable part of the rhs projects h(w + l th) +- h(w - l th), th zero-padded."""
+        n_w, n_t, M, ell = 5, 3, 2.5, 0.7
+        params, geo, basis, grid = cable_setup(n_w=n_w, n_t=n_t, M=M, ell=ell, delta=0.1)
+        bare = make_geometry(geo.a, geo.s0, 0.0, 0.0, basis, grid)
+        with_cables = make_packed_rhs(params, geo, basis, grid)
+        without = make_packed_rhs(params, bare, basis, grid)
+        rng = np.random.default_rng(9)
+        for _ in range(5):
+            state = random_state(rng, basis, scale=0.5)
+            y = state.pack()
+            part = with_cables(0.0, y) - without(0.0, y)
+            th = np.concatenate([state.th, np.zeros(n_w - n_t)])
+            h_up = h_of(state.w + ell * th, geo, grid)
+            h_down = h_of(state.w - ell * th, geo, grid)
+            f_w = grid.dmodes[:n_w] @ (grid.weights * (h_up + h_down)) / M
+            f_t = grid.dmodes[:n_t] @ (grid.weights * ell * (h_up - h_down)) * 3.0 / (M * ell**2)
+            expected = np.concatenate([np.zeros(n_w), f_w, np.zeros(n_t), f_t])
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(part, expected, rtol=0, atol=1e-12 * scale)
+
     def test_couplings_zero_padded(self):
         """Vertical modes beyond n_t receive no piston coupling."""
         params, geo, basis, grid = nodeck_setup(
@@ -219,6 +243,30 @@ class TestRhs:
         d = rhs(state, params, geo, basis, grid)
         assert d.wdot[2] == 0.0 and d.wdot[3] == 0.0
         assert d.wdot[0] != 0.0
+
+
+class TestLinearOperator:
+    def test_mode_blocks_match_characteristic_roots(self):
+        """Each mode's (w_j, w_j', th_j, th_j') block of A has the closed-form roots."""
+        params = ModelParams(
+            M=2.0, D=1.5, eps=0.8, kappa=0.3, ell=1.2, delta=0.2, zeta=0.15,
+            beta=0.1, Upsilon=0.6, Ustream=3.0, g=0.4, L=np.pi,
+        )
+        n_w, n_t = 5, 3
+        A, c = linear_operator(params, Basis(L=np.pi, n_w=n_w, n_t=n_t))
+        outside = np.ones(A.shape, dtype=bool)
+        for j in range(1, n_w + 1):
+            idx = [j - 1, n_w + j - 1]
+            if j <= n_t:
+                idx += [2 * n_w + j - 1, 2 * n_w + n_t + j - 1]
+            block = np.ix_(idx, idx)
+            outside[block] = False
+            expected = characteristic_roots(j, params)[: len(idx)]
+            np.testing.assert_allclose(
+                np.sort_complex(np.linalg.eigvals(A[block])), np.sort_complex(expected), rtol=1e-10
+            )
+        assert not A[outside].any()
+        np.testing.assert_allclose(c[n_w : 2 * n_w], g_load_projection(params, n_w) / params.M)
 
 
 class TestGLoadProjection:

@@ -1,5 +1,7 @@
 """Tests for fixed-step RK4 and the adaptive embedded 5(4) integrator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,8 +181,9 @@ class TestAdaptive:
             errs.append(np.abs(traj.data[-1] - ref).max())
         assert errs[1] < errs[0] / 10.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_state_reports_time(self):
-        """A blowup aborts with the first bad time identified."""
+        """A blowup aborts with the first bad time and entry named, and no numpy warning."""
         params, geo, basis, grid = flat_setup(g=1.0)
         blow = ModelParams(L=np.pi, P=200.0)
         y0 = ModalState(
@@ -191,6 +194,7 @@ class TestAdaptive:
             integrate(y0, blow, geo, basis, cfg)
         assert np.isfinite(info.value.time)
         assert isinstance(info.value, IntegrationError)
+        assert re.search(r"t=\S+, first in (w|wdot|th|thdot)_[1-9]\d*$", str(info.value))
 
     def test_step_underflow(self, monkeypatch):
         """A finite-time singularity collapses the step below the floor."""
