@@ -18,7 +18,8 @@ whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
 The force law is written once, in ``_h_from_slope`` (lines on a leading axis):
 ``h_of`` evaluates one line, ``make_pair_projection`` both lines as one (2, N)
-array for the modal right-hand side and ``cable_rhs_projection``.
+array and projects f and f-bar onto the mode slopes for the modal right-hand
+side.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "h_of",
     "pi_energy",
     "make_pair_projection",
-    "cable_rhs_projection",
 ]
 
 
@@ -164,14 +164,3 @@ def make_pair_projection(geometry, grid, ell, n_w, n_t, scale_w=1.0, scale_t=1.0
 
     return project
 
-
-def cable_rhs_projection(
-    w: np.ndarray,
-    th: np.ndarray,
-    params,
-    geometry: CableGeometry,
-    grid: QuadratureGrid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project (f, e_j')_0 for j <= n_w and (f-bar, e_j')_0 for j <= n_t."""
-    project = make_pair_projection(geometry, grid, params.ell, len(w), len(th))
-    return project(np.concatenate([w, th]))

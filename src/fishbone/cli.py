@@ -17,6 +17,10 @@ Configuration is flat ``section.key = value`` text (``#`` starts a comment):
     sweep.beta = 0,1e-3,1e-2
     sweep.U = -30,30
 
+The derivation rules live in ``resolve_config`` (``_MODEL_RULES`` for the
+model keys). ``preset_text`` is the one definition of the named Tacoma
+Narrows presets; ``experiments.figure_scenarios`` resolves its texts.
+
 Broadcast precedence for initial data: ``initial.all`` fills every channel,
 ``initial.<channel>.all`` overrides one channel, ``initial.<channel>.<mode>``
 overrides one entry — independent of file order. Unknown keys are rejected
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -46,6 +51,9 @@ from .dynamics import ModalState, ModelParams
 from .experiments import (
     DAMPING_RATE,
     GRAVITY,
+    TNB_N_T,
+    TNB_N_W,
+    TNB_S0,
     TNB_TABLE,
     WIND_COUPLING_RATE,
     WIND_SPEED,
@@ -89,7 +97,14 @@ _MODEL_FIELDS = (
     "Upsilon", "Ustream", "P", "S", "g", "L",
 )
 _TABLE_FIELDS = ("E", "Ec", "G", "I", "K", "J", "A", "Ac", "H", "f")
-_DERIVABLE_MODEL = {"D", "eps", "kappa", "S"}
+# model.<key> = derive: (keys the rule reads, rule). The rules read the
+# mechanical table plus L, which is always resolved from the basis.
+_MODEL_RULES = {
+    "D": (("E", "I"), operator.mul),
+    "eps": (("E", "J"), operator.mul),
+    "kappa": (("G", "K"), operator.mul),
+    "S": (("A", "E", "L"), derive_stretching),
+}
 
 
 class ConfigError(Exception):
@@ -148,12 +163,6 @@ def _pop_float(flat: dict[str, str], key: str, default: float | None) -> float |
 def _pop_int(flat: dict[str, str], key: str, default: int) -> int:
     raw = flat.pop(key, None)
     return default if raw is None else _to_int(key, raw)
-
-
-def _require_table(table: dict[str, float], needed: tuple[str, ...], key: str) -> None:
-    missing = [f"model.{name}" for name in needed if name not in table]
-    if missing:
-        raise ConfigError(key, "derive requires " + ", ".join(missing))
 
 
 @dataclass(frozen=True)
@@ -242,30 +251,22 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
             table[field] = value
 
     model_kwargs: dict[str, float] = {"L": basis.L}
+    known = {**table, "L": basis.L}
     for field in _MODEL_FIELDS:
-        if field == "L":
-            continue
-        raw = flat.pop(f"model.{field}", None)
+        key = f"model.{field}"
+        raw = flat.pop(key, None)  # model.L was taken with the basis
         if raw is None:
             continue
-        if raw == "derive":
-            key = f"model.{field}"
-            if field not in _DERIVABLE_MODEL:
-                raise ConfigError(key, "no derivation rule for this key")
-            if field == "D":
-                _require_table(table, ("E", "I"), key)
-                model_kwargs[field] = table["E"] * table["I"]
-            elif field == "eps":
-                _require_table(table, ("E", "J"), key)
-                model_kwargs[field] = table["E"] * table["J"]
-            elif field == "kappa":
-                _require_table(table, ("G", "K"), key)
-                model_kwargs[field] = table["G"] * table["K"]
-            else:  # S
-                _require_table(table, ("A", "E"), key)
-                model_kwargs[field] = derive_stretching(table["A"], table["E"], basis.L)
-        else:
-            model_kwargs[field] = _to_float(f"model.{field}", raw)
+        if raw != "derive":
+            model_kwargs[field] = _to_float(key, raw)
+            continue
+        if field not in _MODEL_RULES:
+            raise ConfigError(key, "no derivation rule for this key")
+        needed, rule = _MODEL_RULES[field]
+        missing = [f"model.{name}" for name in needed if name not in known]
+        if missing:
+            raise ConfigError(key, "derive requires " + ", ".join(missing))
+        model_kwargs[field] = rule(*(known[name] for name in needed))
     try:
         params = ModelParams(**model_kwargs)
     except ValueError as exc:
@@ -736,27 +737,30 @@ def run_sweep(config_path: str | Path) -> Path:
 
 
 def preset_text(name: str) -> str:
-    """Config text for a named preset scenario (Tacoma Narrows values)."""
+    """Config text for a named preset scenario (Tacoma Narrows values).
+
+    This is the only definition of the presets: ``experiments.tnb_preset``
+    and ``experiments.figure_scenarios`` resolve these texts. Each preset
+    switches effects on over the conservative ``tnb`` base; delta, zeta and
+    beta are per-unit-mass rates scaled by M (experiments module docstring).
+    """
     if name not in PRESETS:
         raise ConfigError(name, f"unknown preset; choose from {list(PRESETS)}")
     t = TNB_TABLE
-    # delta/zeta/beta are per-unit-mass rates scaled by M, matching
-    # figure_scenarios (see the experiments module docstring).
     damping = DAMPING_RATE * t["M"]
-    coupling = WIND_COUPLING_RATE * t["M"]
-    overrides = {
-        "tnb": {"beta": 0.0, "Ustream": 0.0, "Upsilon": 0.0, "delta": 0.0, "zeta": 0.0, "S": "derive"},
-        "free": {"beta": 0.0, "Ustream": 0.0, "Upsilon": t["ell"], "delta": 0.0, "zeta": 0.0, "S": 0.0},
-        "wind": {"beta": coupling, "Ustream": WIND_SPEED, "Upsilon": t["ell"], "delta": 0.0, "zeta": 0.0, "S": 0.0},
-        "wind_stretch": {"beta": coupling, "Ustream": WIND_SPEED, "Upsilon": t["ell"], "delta": 0.0, "zeta": 0.0, "S": "derive"},
-        "damped": {"beta": coupling, "Ustream": WIND_SPEED, "Upsilon": t["ell"], "delta": damping, "zeta": damping, "S": "derive"},
+    wind = {"beta": WIND_COUPLING_RATE * t["M"], "Ustream": WIND_SPEED, "Upsilon": t["ell"]}
+    switches = {
+        "tnb": {"S": "derive"},
+        "free": {"Upsilon": t["ell"]},
+        "wind": wind,
+        "wind_stretch": {**wind, "S": "derive"},
+        "damped": {**wind, "S": "derive", "delta": damping, "zeta": damping},
     }[name]
-    params = ModelParams(
-        M=t["M"], D=t["E"] * t["I"], eps=t["E"] * t["J"], kappa=t["G"] * t["K"],
-        ell=t["ell"], g=GRAVITY, L=t["L"],
-    )
-    basis = Basis(L=t["L"], n_w=10, n_t=4)
-    dt = default_timestep(params, basis)
+    model = {
+        "D": "derive", "eps": "derive", "kappa": "derive", "ell": t["ell"],
+        "delta": 0.0, "zeta": 0.0, "beta": 0.0, "Upsilon": 0.0, "Ustream": 0.0,
+        "P": 0.0, "S": 0.0, "g": GRAVITY, **switches,
+    }
 
     def field(value) -> str:
         return value if value == "derive" else _fmt(value)
@@ -766,38 +770,26 @@ def preset_text(name: str) -> str:
         f"meta.name = {name}",
         "meta.seed = 0",
         f"model.M = {_fmt(t['M'])}",
-        f"model.E = {_fmt(t['E'])}",
-        f"model.Ec = {_fmt(t['Ec'])}",
-        f"model.G = {_fmt(t['G'])}",
-        f"model.I = {_fmt(t['I'])}",
-        f"model.K = {_fmt(t['K'])}",
-        f"model.J = {_fmt(t['J'])}",
-        f"model.A = {_fmt(t['A'])}",
-        f"model.Ac = {_fmt(t['Ac'])}",
-        f"model.H = {_fmt(t['H'])}",
-        "model.D = derive",
-        "model.eps = derive",
-        "model.kappa = derive",
-        f"model.ell = {_fmt(t['ell'])}",
-        f"model.delta = {field(overrides['delta'])}",
-        f"model.zeta = {field(overrides['zeta'])}",
-        f"model.beta = {field(overrides['beta'])}",
-        f"model.Upsilon = {field(overrides['Upsilon'])}",
-        f"model.Ustream = {field(overrides['Ustream'])}",
-        "model.P = 0",
-        f"model.S = {field(overrides['S'])}",
-        f"model.g = {_fmt(GRAVITY)}",
+    ]
+    # the sag f only cross-checks a and H; no derive rule reads it
+    lines += [f"model.{key} = {_fmt(t[key])}" for key in _TABLE_FIELDS if key != "f"]
+    lines += [f"model.{key} = {field(model[key])}" for key in _MODEL_FIELDS if key in model]
+    lines += [
         "cable.a = derive",
-        "cable.s0 = 1",
+        f"cable.s0 = {_fmt(TNB_S0)}",
         "cable.b = derive",
         "cable.c = derive",
         f"cable.L0 = {_fmt(t['L0'])}",
         f"basis.L = {_fmt(t['L'])}",
-        "basis.n_w = 10",
-        "basis.n_t = 4",
+        f"basis.n_w = {TNB_N_W}",
+        f"basis.n_t = {TNB_N_T}",
         "integrator.method = rk4",
         "integrator.dt = derive",
         "integrator.t_end = 120",
+    ]
+    # Sample every 10 steps: the step is derived, so resolve the text so far.
+    dt = resolve_config(parse_config_text("\n".join(lines))).scenario.integrator.dt
+    lines += [
         f"integrator.sample_every = {_fmt(10.0 * dt)}",
         "initial.all = 0.003",
         "initial.w.9 = 3",

@@ -1,7 +1,10 @@
 """Tacoma Narrows preset, canonical scenarios, and the wind-speed sweep.
 
-The preset carries the published mechanical features of the Tacoma Narrows
-Bridge (SI units) and derives the model coefficients from them:
+This module holds the published mechanical features of the Tacoma Narrows
+Bridge (SI units) and the rates the scenarios use. The presets themselves are
+defined once, as config text, in ``cli.preset_text``; ``tnb_preset`` and
+``figure_scenarios`` resolve those texts, so the model coefficients come from
+the ``derive`` rules of ``cli.resolve_config``:
 
     D = E*I,  eps = E*J,  kappa = G*K,  S = A*E/(2L),
     a = M*g/(2H),  b = Ac*Ec/L0,  c = H.
@@ -18,7 +21,7 @@ The quoted damping and flow coefficients (delta, zeta, beta) are per-unit-mass
 rates with units 1/s: they are the numbers that multiply the velocities once
 the vertical equation is divided by M.  ModelParams stores the coefficients of
 the unscaled equations (the ones whose inertia terms are M w_tt and
-(M l^2/3) th_tt), so the scenario builders multiply each rate by M.  With the
+(M l^2/3) th_tt), so the presets multiply each rate by M.  With the
 bare values instead, the induced rates beta/M ~ 1e-6 1/s would leave every
 scenario indistinguishable from `free` over 120 s; under the rate reading the
 scenarios separate (wind grows the 2nd torsional envelope relative to `free`,
@@ -47,11 +50,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cable import CableGeometry, make_geometry
+from .cable import CableGeometry
 from .dynamics import ModalState, ModelParams
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
 from .linear import undamped_torsional_frequency
-from .spectral import Basis, displayed_to_modal, make_grid
+from .spectral import Basis
 
 __all__ = [
     "DAMPING_RATE",
@@ -144,7 +147,6 @@ class Scenario:
     basis: Basis
     initial: ModalState
     integrator: IntegratorConfig
-    outputs: tuple[str, ...] = ("w", "wdot", "th", "thdot")
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -154,93 +156,27 @@ class Scenario:
                 f"initial state retains ({self.initial.n_w}, {self.initial.n_t}) modes "
                 f"but the basis declares ({self.basis.n_w}, {self.basis.n_t})"
             )
-        known = {"w", "wdot", "th", "thdot"}
-        bad = [ch for ch in self.outputs if ch not in known]
-        if bad:
-            raise ValueError(f"unknown output channels {bad}; choose from {sorted(known)}")
 
     def run(self) -> Trajectory:
         return integrate(self.initial, self.params, self.geometry, self.basis, self.integrator)
 
 
+def _resolve_preset(name: str) -> Scenario:
+    # Imported here because cli imports this module at load time.
+    from .cli import parse_config_text, preset_text, resolve_config
+
+    return resolve_config(parse_config_text(preset_text(name))).scenario
+
+
 def tnb_preset() -> tuple[ModelParams, CableGeometry, Basis]:
-    """Tacoma Narrows parameters, cable geometry, and 10+4 mode basis."""
-    t = TNB_TABLE
-    params = ModelParams(
-        M=t["M"],
-        D=t["E"] * t["I"],
-        eps=t["E"] * t["J"],
-        kappa=t["G"] * t["K"],
-        ell=t["ell"],
-        S=derive_stretching(t["A"], t["E"], t["L"]),
-        g=GRAVITY,
-        L=t["L"],
-    )
-    basis = Basis(L=t["L"], n_w=TNB_N_W, n_t=TNB_N_T)
-    grid = make_grid(basis)
-    geometry = make_geometry(
-        a=derive_tension_parameter(t["M"], GRAVITY, t["H"]),
-        s0=TNB_S0,
-        b=derive_cable_stiffness(t["Ac"], t["Ec"], t["L0"]),
-        c=t["H"],
-        basis=basis,
-        grid=grid,
-    )
-    return params, geometry, basis
-
-
-def _excited_ninth_mode(basis: Basis) -> ModalState:
-    """Displayed amplitudes: 9th vertical mode 3 m, every other channel 1e-3 of it."""
-    main = 3.0
-    small = 1e-3 * main
-    w = np.full(basis.n_w, small)
-    w[8] = main
-    wdot = np.full(basis.n_w, small)
-    th = np.full(basis.n_t, small)
-    thdot = np.full(basis.n_t, small)
-    return ModalState(
-        displayed_to_modal(w, basis.L),
-        displayed_to_modal(wdot, basis.L),
-        displayed_to_modal(th, basis.L),
-        displayed_to_modal(thdot, basis.L),
-    )
+    """Tacoma Narrows parameters, cable geometry, and 10+4 mode basis (preset ``tnb``)."""
+    scenario = _resolve_preset("tnb")
+    return scenario.params, scenario.geometry, scenario.basis
 
 
 def figure_scenarios() -> dict[str, Scenario]:
-    """The four canonical 120 s Tacoma Narrows scenarios, keyed by name.
-
-    The damping/flow rates DAMPING_RATE and WIND_COUPLING_RATE are multiplied
-    by M here because ModelParams carries the unscaled coefficients (module
-    docstring has the full convention).
-    """
-    base_params, geometry, basis = tnb_preset()
-    M = base_params.M
-    free = replace(base_params, S=0.0, Upsilon=base_params.ell)
-    wind = replace(free, beta=WIND_COUPLING_RATE * M, Ustream=WIND_SPEED)
-    wind_stretch = replace(wind, S=base_params.S)
-    damped = replace(wind_stretch, delta=DAMPING_RATE * M, zeta=DAMPING_RATE * M)
-    initial = _excited_ninth_mode(basis)
-    variants = {
-        "free": free,
-        "wind": wind,
-        "wind_stretch": wind_stretch,
-        "damped": damped,
-    }
-    scenarios = {}
-    for name, params in variants.items():
-        dt = default_timestep(params, basis)
-        integrator = IntegratorConfig(
-            method="rk4", dt=dt, t_end=120.0, sample_every=10.0 * dt
-        )
-        scenarios[name] = Scenario(
-            name=name,
-            params=params,
-            geometry=geometry,
-            basis=basis,
-            initial=initial,
-            integrator=integrator,
-        )
-    return scenarios
+    """The four canonical 120 s Tacoma Narrows scenarios, keyed by name."""
+    return {name: _resolve_preset(name) for name in ("free", "wind", "wind_stretch", "damped")}
 
 
 def envelope_ratio(traj: Trajectory, mode: int = 2) -> float:
@@ -352,6 +288,6 @@ def wind_sweep(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_run_cell, cells))
-        except (OSError, PermissionError) as exc:  # no subprocess support: run serial
+        except OSError as exc:  # no subprocess support: run serial
             warnings.warn(f"parallel sweep unavailable ({exc}); running serially")
     return [_run_cell(cell) for cell in cells]

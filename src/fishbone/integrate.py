@@ -161,7 +161,7 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
         if i % stride == 0:
             times.append(t)
             samples.append(y)
-    return np.array(times), np.vstack(samples), dt
+    return np.array(times), np.vstack(samples)
 
 
 def _hermite(theta: float, y0, f0, y1, f1, h: float):
@@ -242,7 +242,7 @@ def integrate(
     f = make_packed_rhs(params, geometry, basis, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.method == "rk4":
-            times, data, _ = _rk4_run(f, y0.pack(), y0.t, cfg, basis.n_w)
+            times, data = _rk4_run(f, y0.pack(), y0.t, cfg, basis.n_w)
         else:
             times, data = _adaptive_run(f, y0.pack(), y0.t, cfg, basis.n_w)
     return Trajectory(times=times, data=data, n_w=basis.n_w, n_t=basis.n_t)

@@ -6,9 +6,9 @@ import pytest
 from fishbone.cable import (
     arc_length,
     big_xi,
-    cable_rhs_projection,
     h_of,
     make_geometry,
+    make_pair_projection,
     pi_energy,
 )
 from fishbone.spectral import Basis, eval_modal, make_grid
@@ -79,9 +79,7 @@ class TestForceDensity:
         """(f(0), e_j')_0 = -2 c a sqrt(2L) (1-(-1)^j)/(j pi)."""
         basis, grid, geo = default_setup(n_w=6, n_t=3)
         L = basis.L
-        fw, ft = cable_rhs_projection(
-            np.zeros(6), np.zeros(3), _Params(ell=1.0), geo, grid
-        )
+        fw, _ = make_pair_projection(geo, grid, 1.0, 6, 3)(np.zeros(9))
         j = np.arange(1, 7)
         exact = -2.0 * C * A * np.sqrt(2.0 * L) * (1.0 - (-1.0) ** j) / (j * np.pi)
         np.testing.assert_allclose(fw, exact, rtol=1e-10, atol=1e-12)
@@ -103,7 +101,7 @@ class TestForceDensity:
         rng = np.random.default_rng(5)
         w, th = rng.standard_normal(3), rng.standard_normal(2)
         assert not h_of(w, geo, grid).any()
-        fw, ft = cable_rhs_projection(w, th, _Params(ell=1.3), geo, grid)
+        fw, ft = make_pair_projection(geo, grid, 1.3, 3, 2)(np.concatenate([w, th]))
         assert not fw.any() and not ft.any()
 
     def test_fine_grid_projection_oracle(self):
@@ -112,23 +110,17 @@ class TestForceDensity:
         fine_basis = Basis(L=basis.L, n_w=50, n_t=3)
         fine_grid = make_grid(fine_basis)
         fine_geo = make_geometry(A, S0, B, C, fine_basis, fine_grid)
+        coarse = make_pair_projection(geo, grid, 1.1, 5, 3)
+        fine = make_pair_projection(fine_geo, fine_grid, 1.1, 5, 3)
         rng = np.random.default_rng(17)
-        params = _Params(ell=1.1)
         for _ in range(5):
             w = 0.4 * rng.standard_normal(5)
             th = 0.4 * rng.standard_normal(3)
-            fw, ft = cable_rhs_projection(w, th, params, geo, grid)
-            fw_ref, ft_ref = cable_rhs_projection(w, th, params, fine_geo, fine_grid)
+            fw, ft = coarse(np.concatenate([w, th]))
+            fw_ref, ft_ref = fine(np.concatenate([w, th]))
             scale = max(np.abs(fw_ref).max(), np.abs(ft_ref).max())
-            np.testing.assert_allclose(fw, fw_ref[:5], rtol=0, atol=1e-6 * scale)
-            np.testing.assert_allclose(ft, ft_ref[:3], rtol=0, atol=1e-6 * scale)
-
-
-class _Params:
-    """Minimal parameter stand-in carrying the half-width."""
-
-    def __init__(self, ell):
-        self.ell = ell
+            np.testing.assert_allclose(fw, fw_ref, rtol=0, atol=1e-6 * scale)
+            np.testing.assert_allclose(ft, ft_ref, rtol=0, atol=1e-6 * scale)
 
 
 class TestVariationalIdentity:

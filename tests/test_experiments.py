@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fishbone.cable import make_geometry
+from fishbone.cli import PRESETS, parse_config_text, preset_text, resolve_config
 from fishbone.dynamics import ModalState, ModelParams
 from fishbone.experiments import (
     DAMPING_RATE,
@@ -92,8 +93,8 @@ class TestDerivations:
 
 class TestPreset:
     def test_parameter_wiring(self):
-        """The preset derives every model coefficient from the feature table."""
-        params, geometry, basis = tnb_preset()
+        """Every preset derives its coefficients and cables from the feature table."""
+        params, _, _ = tnb_preset()
         t = TNB_TABLE
         assert params.M == t["M"] and params.L == t["L"] and params.ell == t["ell"]
         assert params.D == t["E"] * t["I"]
@@ -102,10 +103,16 @@ class TestPreset:
         assert params.S == derive_stretching(t["A"], t["E"], t["L"])
         assert params.g == GRAVITY
         assert params.delta == 0.0 and params.zeta == 0.0 and params.beta == 0.0
-        assert geometry.b == derive_cable_stiffness(t["Ac"], t["Ec"], t["L0"])
-        assert geometry.c == t["H"]
-        assert geometry.a == derive_tension_parameter(t["M"], GRAVITY, t["H"])
-        assert (basis.n_w, basis.n_t) == (10, 4)
+        cables = (
+            derive_tension_parameter(t["M"], GRAVITY, t["H"]),
+            derive_cable_stiffness(t["Ac"], t["Ec"], t["L0"]),
+            t["H"],
+        )
+        for name in PRESETS:
+            sc = resolve_config(parse_config_text(preset_text(name))).scenario
+            assert (sc.geometry.a, sc.geometry.b, sc.geometry.c) == cables, name
+            assert (sc.basis.n_w, sc.basis.n_t) == (10, 4), name
+            assert sc.integrator.dt == default_timestep(sc.params, sc.basis), name
 
     def test_default_timestep_rule(self):
         """dt is one two-hundredth of the stiffest retained period."""
@@ -181,23 +188,13 @@ class TestScenarios:
         np.testing.assert_array_equal(short.run().data, short.run().data)
 
     def test_validation(self):
-        """Scenario construction rejects bad names, modes, and channels."""
+        """Scenario construction rejects bad names and mode counts."""
         sc = toy_scenario()
         with pytest.raises(ValueError, match="nonempty"):
             Scenario("", sc.params, sc.geometry, sc.basis, sc.initial, sc.integrator)
         bad_state = ModalState(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match="modes"):
             Scenario("x", sc.params, sc.geometry, sc.basis, bad_state, sc.integrator)
-        with pytest.raises(ValueError, match="output channels"):
-            Scenario(
-                "x",
-                sc.params,
-                sc.geometry,
-                sc.basis,
-                sc.initial,
-                sc.integrator,
-                outputs=("w", "tilt"),
-            )
 
     def test_free_torsion_matches_closed_form_without_cables(self):
         """With cables removed the free scenario's twist is the exact oscillator."""
