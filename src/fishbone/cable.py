@@ -16,10 +16,14 @@ torsional channels feel the two cables through
 and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0),
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
-The force law is written once, in ``_h_from_slope`` (lines on a leading axis):
-``h_of`` evaluates one line, ``make_pair_projection`` both lines as one (2, N)
-array and projects f and f-bar onto the mode slopes for the modal right-hand
-side.
+The force law is written once, in ``_h_from_slope`` (lines on a leading axis).
+``make_pair_projection`` evaluates both lines as one (2, N) array and projects
+f and f-bar onto the mode slopes for the modal right-hand side. ``arc_length``,
+``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
+line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
+which reduce each row on its own, so a row of a stack gives the lone-vector
+result bit for bit (a BLAS matmul over the stack does not). Each call makes a
+few (k, nodes) temporaries, so callers bound k (``diagnostics.ROW_BLOCK``).
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ def make_geometry(
         L=basis.L,
         sx=sx,
         xi0=xi0,
-        L0=float(grid.weights @ xi0),
+        L0=float(np.vecdot(xi0, grid.weights)),  # arc_length(0) bit for bit
         int_abs_sx=float(grid.weights @ np.abs(sx)),
         # The rest slope peaks at the span ends, which Gauss nodes exclude, so
         # the supremum is taken in closed form rather than over the nodes.
@@ -113,36 +117,36 @@ def _h_from_slope(
     """h at the nodes from nodal slopes; each leading index is one hanger line."""
     total = u_x_nodal + geometry.sx
     xi = np.sqrt(1.0 + total * total)
-    stretch = geometry.b * (geometry.L0 - xi @ weights)
+    stretch = geometry.b * (geometry.L0 - np.vecdot(xi, weights))
     return (stretch[..., None] - geometry.c * geometry.xi0) * total / xi
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u.size > grid.dmodes.shape[0]:
+    n = u.shape[-1]
+    if n > grid.dmodes.shape[0]:
         raise ValueError(
-            f"modal vector of length {u.size} does not fit a grid built for "
+            f"modal vector of length {n} does not fit a grid built for "
             f"{grid.dmodes.shape[0]} modes"
         )
-    return u @ grid.dmodes[: u.size]
+    return np.vecmat(u, grid.dmodes[:n])
 
 
-def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float:
-    """Deformed cable arc length L(u) = int Xi(u)."""
-    return float(grid.weights @ big_xi(_slope(u, grid), geometry))
+def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:
+    """Deformed cable arc length L(u) = int Xi(u), one value per row of u."""
+    return np.vecdot(big_xi(_slope(u, grid), geometry), grid.weights)
 
 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
-    """Cable force density h(u) at the grid nodes (global pass, then nodal)."""
+    """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
     return _h_from_slope(_slope(u, grid), geometry, grid.weights)
 
 
-def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float:
-    """Cable energy Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi(u) - xi0)."""
+def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:
+    """Cable energy Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi(u) - xi0), per row of u."""
     xi = big_xi(_slope(u, grid), geometry)
-    elongation = float(grid.weights @ xi)
-    stretch_term = 0.5 * geometry.b * (elongation - geometry.L0) ** 2
-    tension_term = geometry.c * float(grid.weights @ (geometry.xi0 * (xi - geometry.xi0)))
+    stretch_term = 0.5 * geometry.b * (np.vecdot(xi, grid.weights) - geometry.L0) ** 2
+    tension_term = geometry.c * np.vecdot(geometry.xi0 * (xi - geometry.xi0), grid.weights)
     return stretch_term + tension_term
 
 

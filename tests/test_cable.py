@@ -11,6 +11,7 @@ from fishbone.cable import (
     make_pair_projection,
     pi_energy,
 )
+from fishbone.diagnostics import ROW_BLOCK
 from fishbone.spectral import Basis, eval_modal, make_grid
 
 A, S0, B, C = 0.2, 1.0, 1.0, 1.0
@@ -151,6 +152,28 @@ class TestVariationalIdentity:
             slope_norm = np.sqrt(float(grid.weights @ du**2))
             lhs = abs(arc_length(u, geo, grid) - arc_length(v, geo, grid))
             assert lhs <= np.sqrt(basis.L) * slope_norm + 1e-12
+
+
+class TestRowStacks:
+    def test_stack_equals_row_by_row(self):
+        """On a (k, n) stack each row's value equals the single-vector call bit for bit.
+
+        k = ROW_BLOCK + 1 hanger lines w +- l th of a 4+3 basis, th zero-padded,
+        so a call of more rows than a diagnostics block sees the same values.
+        """
+        basis, grid, geo = default_setup(n_w=4, n_t=3)
+        rng = np.random.default_rng(41)
+        ell, pairs = 1.3, ROW_BLOCK // 2 + 1
+        w = rng.standard_normal((pairs, 4))
+        th = np.zeros((pairs, 4))
+        th[:, :3] = rng.standard_normal((pairs, 3))
+        lines = np.stack([w + ell * th, w - ell * th], axis=1).reshape(-1, 4)[: ROW_BLOCK + 1]
+        assert lines.shape == (ROW_BLOCK + 1, 4)
+        for fn in (arc_length, h_of, pi_energy):
+            stacked = fn(lines, geo, grid)
+            rows = np.array([fn(u, geo, grid) for u in lines])
+            assert stacked.shape == rows.shape
+            np.testing.assert_array_equal(stacked, rows)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from fishbone.cli import (
     run_simulate,
     run_verify,
 )
-from fishbone.experiments import figure_scenarios
 from fishbone.spectral import displayed_to_modal
 
 TOY = """\
@@ -464,7 +463,6 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 2
         assert "sweep.beta" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_all_failed_cells_exit_three(self, tmp_path, capsys):
         """A sweep whose every cell blows up reports the failure time."""
         text = TOY.replace("integrator.t_end = 2", "integrator.t_end = 4") + "model.P = 10000\n"
@@ -500,24 +498,6 @@ class TestPresets:
             assert cfg.name == name
             assert (cfg.scenario.basis.n_w, cfg.scenario.basis.n_t) == (10, 4)
             assert cfg.scenario.integrator.t_end == 120.0
-
-    def test_scenario_presets_match_catalog(self):
-        """The four scenario presets resolve to the canonical parameters."""
-        scenarios = figure_scenarios()
-        for name, scenario in scenarios.items():
-            cfg = resolve_config(parse_config_text(preset_text(name)))
-            assert cfg.scenario.params == scenario.params
-            np.testing.assert_allclose(
-                cfg.scenario.initial.pack(), scenario.initial.pack(), rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                cfg.scenario.integrator.dt, scenario.integrator.dt, rtol=1e-12
-            )
-            np.testing.assert_allclose(
-                cfg.scenario.integrator.sample_every,
-                scenario.integrator.sample_every,
-                rtol=1e-12,
-            )
 
     def test_conservative_preset_keeps_cables_only(self):
         """The base preset has stretching derived but no wind or damping."""

