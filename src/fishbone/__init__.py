@@ -9,9 +9,9 @@ orthonormal sine basis sqrt(2/L) sin(j pi x / L).
 
 Modules
 -------
-spectral     basis, quadrature grid, modal transforms
+spectral     basis, quadrature grid with mode-shape tables, displayed amplitudes
 cable        cable-hanger nonlinearity h, f, f-bar and the cable energy Pi
-dynamics     model parameters, modal state, the ODE right-hand side
+dynamics     model parameters, per-mode coefficient table, the ODE right-hand side
 integrate    fixed-step RK4 and adaptive embedded RK45 integration
 linear       characteristic roots, closed-form solution, decay rates
 diagnostics  energy channels, identity residual, Lyapunov and lemma checks

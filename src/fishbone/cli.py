@@ -73,7 +73,7 @@ from .linear import (
     decay_rate,
     spectrum_report,
 )
-from .spectral import Basis, displayed_to_modal, make_grid
+from .spectral import Basis, displayed_to_modal, make_grid, modal_to_displayed
 
 __all__ = [
     "ConfigError",
@@ -477,7 +477,6 @@ def _open_csv(path: Path):
 
 def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis, channels) -> None:
     """Displayed-amplitude trajectory table: t, then one column per mode."""
-    scale = math.sqrt(2.0 / basis.L)
     blocks = {
         "w": traj.w, "wdot": traj.wdot, "th": traj.th, "thdot": traj.thdot,
     }
@@ -486,7 +485,7 @@ def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis, channels) -
     for channel in channels:
         block = blocks[channel]
         header += [f"{channel}_{j}" for j in range(1, block.shape[1] + 1)]
-        columns.append(scale * block)
+        columns.append(modal_to_displayed(block, basis.L))
     data = np.hstack(columns)
     with _open_csv(path) as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -8,7 +8,9 @@ bending = D||w||_2^2/2, ...), so the energy identity
 closes at any scale; at M = D = 1 the channels are the familiar nondimensional
 ones. Sobolev norms are modal sums (||w||_1^2 = sum (j pi/L)^2 w_j^2, etc.);
 inner products across the two channels run over the common mode prefix
-min(n_w, n_t), consistent with the zero-padding in the dynamics module.
+min(n_w, n_t), consistent with the zero-padding in the dynamics module. The
+deck weights are read from ``dynamics.mode_coefficients``, the table the
+right-hand side reads, so the energy and the RHS share one set of coefficients.
 
 The channels are written once, in ``_energy_rows`` over packed rows
 [w, wdot, th, thdot] (the ``Trajectory.data`` layout), which ``energies``,
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import cable as _cable
 from .cable import CableGeometry
-from .dynamics import ModalState, ModelParams, g_load_projection
+from .dynamics import ModalState, ModelParams, mode_coefficients
 from .integrate import Trajectory
 from .spectral import Basis, QuadratureGrid
 
@@ -83,33 +85,33 @@ def _blocks(count: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _deck_weights(params: ModelParams, basis: Basis, n_w: int, n_t: int):
+def _deck_weights(params: ModelParams, n_w: int, n_t: int):
     """Deck channel weights on packed rows: ``quadratic`` on row * row gives kinetic_w,
     bending, kinetic_th, warping, torsion, ||w||_1^2 and prestress; ``load`` on the row
     gives the load."""
     w, wdot = slice(0, n_w), slice(n_w, 2 * n_w)
     th, thdot = slice(2 * n_w, 2 * n_w + n_t), slice(2 * n_w + n_t, None)
-    k2w, k2t = basis.wavenumbers(n_w) ** 2, basis.wavenumbers(n_t) ** 2
+    co = mode_coefficients(params, n_w, n_t)
     quadratic, load = np.zeros((7, 2 * n_w + 2 * n_t)), np.zeros(2 * n_w + 2 * n_t)
     quadratic[0, wdot] = 0.5 * params.M
-    quadratic[1, w] = 0.5 * params.D * k2w**2
-    quadratic[2, thdot] = params.M * params.ell**2 / 6.0
-    quadratic[3, th] = 0.5 * params.eps * k2t**2
-    quadratic[4, th] = 0.5 * params.kappa * k2t
-    quadratic[5, w] = k2w
-    quadratic[6, w] = -0.5 * params.P * k2w
-    load[w] = -g_load_projection(params, n_w)
+    quadratic[1, w] = 0.5 * co.bending
+    quadratic[2, thdot] = 0.5 / co.inv_it
+    quadratic[3, th] = 0.5 * co.warping
+    quadratic[4, th] = 0.5 * co.torsion
+    quadratic[5, w] = co.k2
+    quadratic[6, w] = -0.5 * co.prestress
+    load[w] = -co.load
     quadratic.flags.writeable = load.flags.writeable = False  # shared by every caller
     return quadratic, load
 
 
-def _energy_rows(rows, n_w, n_t, params, basis, geometry=None, grid=None) -> EnergyBreakdown:
+def _energy_rows(rows, n_w, n_t, params, geometry=None, grid=None) -> EnergyBreakdown:
     """Energy channels of packed rows, one value per row in each field.
 
     The cable channel sums Pi over both hanger lines w +- l th (th zero-padded);
     it is zero without a geometry or with b = c = 0.
     """
-    quadratic, load = _deck_weights(params, basis, n_w, n_t)
+    quadratic, load = _deck_weights(params, n_w, n_t)
     channels = np.zeros((len(rows), 9))
     channels[:, :7] = np.matvec(quadratic, rows * rows)
     channels[:, 5] = 0.25 * params.S * channels[:, 5] ** 2  # ||w||_1^2 -> stretch
@@ -136,7 +138,7 @@ def energies(
     grid: QuadratureGrid,
 ) -> EnergyBreakdown:
     """All energy channels of a state, by modal sums plus cable quadrature."""
-    rows = _energy_rows(state.pack()[None], state.n_w, state.n_t, params, basis, geometry, grid)
+    rows = _energy_rows(state.pack()[None], state.n_w, state.n_t, params, geometry, grid)
     return EnergyBreakdown(*(float(value[0]) for value in vars(rows).values()))
 
 
@@ -148,7 +150,7 @@ def attach_energies(
     grid: QuadratureGrid,
 ) -> Trajectory:
     """Fill traj.diagnostics with E/Eplus/Efull series and the identity residual."""
-    rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, basis, geometry, grid)
+    rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
     if len(traj) >= 3:
         traj.diagnostics["residual"] = energy_identity_residual(
@@ -176,7 +178,7 @@ def energy_identity_residual(
     if "Efull" in traj.diagnostics and len(traj.diagnostics["Efull"]) == len(traj):
         efull = traj.diagnostics["Efull"]
     else:
-        efull = _energy_rows(traj.data, traj.n_w, traj.n_t, params, basis, geometry, grid).Efull
+        efull = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid).Efull
     nc = min(traj.n_w, traj.n_t)
     wdot, thdot, th = traj.wdot, traj.thdot, traj.th
     power = (  # the rate at which damping and wind drain Efull
@@ -228,16 +230,20 @@ def sandwich_constants(
     """
     mu, zeta, eta = params.mu, params.zeta, abs(params.eta)
     bu = abs(params.beta * params.Upsilon)
-    ell2 = params.ell**2
     coef_kin_w = nu
     coef_bend = nu + nu * mu + bu + eta
-    coef_kin_th = 3.0 * (nu + bu) / ell2
+    coef_kin_th = (nu + bu) * mode_coefficients(params, 1, 1).inv_it
     coef_warp = (nu + nu * zeta + eta) / params.eps
     cmax = max(coef_kin_w, coef_bend, coef_kin_th, coef_warp)
     cable_floor = 2.0 * geometry.c * geometry.int_xi0_sq
     remainder = cmax * cable_floor
     px = 0.0
     if params.P > 0.0:
+        if not params.S > 0.0:
+            raise ValueError(
+                f"the prestress P={params.P:g} is charged to the stretching energy, "
+                f"which needs S > 0, got S={params.S:g}"
+            )
         px = 2.0 * nu
         remainder += params.P**2 / (4.0 * params.S * nu)
     if params.g != 0.0:
@@ -414,5 +420,4 @@ def difference_energy(
         traj_a.times, traj_b.times, rtol=1e-12, atol=1e-12
     ):
         raise ValueError("trajectories are sampled on different time grids")
-    basis = Basis(params.L, traj_a.n_w, traj_a.n_t)
-    return _energy_rows(traj_a.data - traj_b.data, traj_a.n_w, traj_a.n_t, params, basis).E
+    return _energy_rows(traj_a.data - traj_b.data, traj_a.n_w, traj_a.n_t, params).E

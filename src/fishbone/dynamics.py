@@ -10,15 +10,20 @@ with mu = delta + beta, eta = beta * Ustream; torsional couplings into vertical
 modes j > n_t are zero. The nondimensional system is the same code path with
 M = D = 1, L = pi.
 
-On packed y = [w, wdot, th, thdot], ``linear_operator`` holds every linear term
-in A y + c; ``make_packed_rhs`` adds the cubic stretching term and the cable
+The per-mode linear coefficients (inverse inertias, stiffnesses and the
+gravity load) are written once, in ``mode_coefficients``; the RHS, the energy
+weights of ``diagnostics``, the closed form of ``linear`` and the default time
+step of ``experiments`` all read them from there. On packed
+y = [w, wdot, th, thdot], ``linear_operator`` holds every linear term in
+A y + c; ``make_packed_rhs`` adds the cubic stretching term and the cable
 projections from ``cable.make_pair_projection``, recomputed on every call so
 the integrator sees the exact semi-discrete flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +33,10 @@ from .spectral import Basis, QuadratureGrid
 __all__ = [
     "ModelParams",
     "ModalState",
-    "rhs",
-    "piston_pressure",
     "linear_operator",
     "make_packed_rhs",
     "g_load_projection",
+    "mode_coefficients",
 ]
 
 
@@ -126,6 +130,38 @@ def g_load_projection(params: ModelParams, n: int) -> np.ndarray:
     return params.M * params.g * np.sqrt(2.0 * params.L) * (1.0 - (-1.0) ** j) / (j * np.pi)
 
 
+class _ModeCoefficients(NamedTuple):
+    inv_m: float  # 1/M, the vertical inverse inertia
+    inv_it: float  # 3/(M l^2), the torsional inverse inertia
+    k2: np.ndarray  # (j pi/L)^2, j <= n_w
+    bending: np.ndarray  # D (j pi/L)^4, j <= n_w
+    prestress: np.ndarray  # P (j pi/L)^2, j <= n_w
+    warping: np.ndarray  # eps (j pi/L)^4, j <= n_t
+    torsion: np.ndarray  # kappa (j pi/L)^2, j <= n_t
+    load: np.ndarray  # (Mg, e_j)_0, j <= n_w
+
+
+def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficients:
+    """The per-mode linear coefficients of the modal ODEs, the only place they are written.
+
+    The vertical equation of mode j reads
+    w_j'' = inv_m [-(bending - prestress) w_j + load + ...] and the torsional one
+    th_j'' = inv_it [-(warping + torsion) th_j + ...].
+    """
+    k2 = (np.arange(1, max(n_w, n_t) + 1) * (np.pi / params.L)) ** 2
+    k2w, k2t = k2[:n_w], k2[:n_t]
+    return _ModeCoefficients(
+        inv_m=1.0 / params.M,
+        inv_it=3.0 / (params.M * params.ell**2),
+        k2=k2w,
+        bending=params.D * k2w**2,
+        prestress=params.P * k2w,
+        warping=params.eps * k2t**2,
+        torsion=params.kappa * k2t,
+        load=g_load_projection(params, n_w),
+    )
+
+
 def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """The linear part A y + c of the packed rhs, with 1/M and 3/(M l^2) folded in.
 
@@ -136,18 +172,17 @@ def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.n
     n_w, n_t = basis.n_w, basis.n_t
     w, th = np.arange(n_w), 2 * n_w + np.arange(n_t)  # + n_w / + n_t: their rates
     wc, thc = w[: min(n_w, n_t)], th[: min(n_w, n_t)]
-    k2w, k2t = basis.wavenumbers(n_w) ** 2, basis.wavenumbers(n_t) ** 2
-    inv_m, inv_it = 1.0 / params.M, 3.0 / (params.M * params.ell**2)
+    co = mode_coefficients(params, n_w, n_t)
     A = np.zeros((2 * n_w + 2 * n_t,) * 2)
     A[w, w + n_w] = A[th, th + n_t] = 1.0
-    A[w + n_w, w] = -(params.D * k2w**2 - params.P * k2w) * inv_m
-    A[w + n_w, w + n_w] = -params.mu * inv_m
-    A[wc + n_w, thc] = -params.eta * inv_m
-    A[wc + n_w, thc + n_t] = -params.beta * params.Upsilon * inv_m
-    A[th + n_t, th] = -(params.eps * k2t**2 + params.kappa * k2t) * inv_it
-    A[th + n_t, th + n_t] = -params.zeta * inv_it
+    A[w + n_w, w] = -(co.bending - co.prestress) * co.inv_m
+    A[w + n_w, w + n_w] = -params.mu * co.inv_m
+    A[wc + n_w, thc] = -params.eta * co.inv_m
+    A[wc + n_w, thc + n_t] = -params.beta * params.Upsilon * co.inv_m
+    A[th + n_t, th] = -(co.warping + co.torsion) * co.inv_it
+    A[th + n_t, th + n_t] = -params.zeta * co.inv_it
     c = np.zeros(len(A))
-    c[w + n_w] = g_load_projection(params, n_w) * inv_m
+    c[w + n_w] = co.load * co.inv_m
     return A, c
 
 
@@ -162,11 +197,11 @@ def make_packed_rhs(
     A, c = linear_operator(params, basis)
     acc_w, acc_t = slice(n_w, 2 * n_w), slice(2 * n_w + n_t, None)
     displacements = np.r_[0:n_w, 2 * n_w : 2 * n_w + n_t]  # [w, th] inside y
-    k2w = basis.wavenumbers(n_w) ** 2
+    co = mode_coefficients(params, n_w, n_t)
+    k2w = co.k2
     stretch = params.S / params.M
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
-    inv_it = 3.0 / (params.M * params.ell**2)
-    cable = make_pair_projection(geometry, grid, params.ell, n_w, n_t, 1.0 / params.M, inv_it)
+    cable = make_pair_projection(geometry, grid, params.ell, n_w, n_t, co.inv_m, co.inv_it)
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
         out = A @ y
@@ -182,45 +217,3 @@ def make_packed_rhs(
 
     return packed_rhs
 
-
-def rhs(
-    state: ModalState,
-    params: ModelParams,
-    geometry: CableGeometry,
-    basis: Basis,
-    grid: QuadratureGrid,
-) -> ModalState:
-    """Time derivative of the state: (w', w'', th', th'') as a ModalState."""
-    if state.n_w != basis.n_w or state.n_t != basis.n_t:
-        raise ValueError(
-            f"state with ({state.n_w}, {state.n_t}) modes does not match the "
-            f"({basis.n_w}, {basis.n_t})-mode basis"
-        )
-    dy = make_packed_rhs(params, geometry, basis, grid)(state.t, state.pack())
-    return ModalState.unpack(dy, basis.n_w, basis.n_t, state.t)
-
-
-def piston_pressure(
-    state: ModalState,
-    params: ModelParams,
-    basis: Basis,
-    grid: QuadratureGrid,
-    x: float,
-    Y: float,
-) -> float:
-    """First-order piston pressure -beta (w_t + Y th_t) - eta th at (x, Y).
-
-    Provided for output and inspection; the rhs uses the modal projection of
-    this surface pressure, not pointwise values.
-    """
-    if not 0.0 <= x <= basis.L:
-        raise ValueError(f"spanwise position must lie in [0, {basis.L}], got x={x}")
-    if abs(Y) > params.ell:
-        raise ValueError(f"chord coordinate must satisfy |Y| <= {params.ell}, got Y={Y}")
-    scale = np.sqrt(2.0 / basis.L)
-    shapes_w = scale * np.sin(basis.wavenumbers(state.n_w) * x)
-    shapes_t = scale * np.sin(basis.wavenumbers(state.n_t) * x)
-    w_t = float(shapes_w @ state.wdot)
-    th_t = float(shapes_t @ state.thdot)
-    th = float(shapes_t @ state.th)
-    return -params.beta * (w_t + Y * th_t) - params.eta * th

@@ -51,9 +51,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cable import CableGeometry
-from .dynamics import ModalState, ModelParams
+from .dynamics import ModalState, ModelParams, mode_coefficients
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
-from .linear import undamped_torsional_frequency
 from .spectral import Basis
 
 __all__ = [
@@ -129,11 +128,16 @@ def derive_stretching(A: float, E: float, L: float) -> float:
 def default_timestep(params: ModelParams, basis: Basis) -> float:
     """One two-hundredth of the shortest undamped linear period retained.
 
-    Resolves the stiffest mode: the larger of the highest vertical frequency
-    sqrt(D/M) (n_w pi/L)^2 and the highest torsional frequency.
+    Resolves the stiffest linear mode: the larger of the highest bending
+    frequency sqrt(D/M) (n_w pi/L)^2 and the highest torsional frequency.
+    Prestress, which softens the vertical modes, and the cables, which stiffen
+    them, are left out: at Tacoma Narrows with 10+4 modes the rule resolves
+    2.87 rad/s, while the cables linearised at the sagged rest state reach
+    4.98 rad/s, which the step still samples about 115 times per period.
     """
-    omega_w = math.sqrt(params.D / params.M) * (basis.n_w * np.pi / params.L) ** 2
-    omega_t = float(undamped_torsional_frequency(params, basis.n_t)[-1])
+    co = mode_coefficients(params, basis.n_w, basis.n_t)
+    omega_w = math.sqrt(co.bending[-1] * co.inv_m)
+    omega_t = math.sqrt((co.warping[-1] + co.torsion[-1]) * co.inv_it)
     return 2.0 * np.pi / max(omega_w, omega_t) / 200.0
 
 

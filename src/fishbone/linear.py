@@ -14,6 +14,8 @@ with the coefficient formulas transcribed verbatim below. Dimensional
 parameters are folded in by the substitutions mu -> mu/M, zeta -> zeta/M,
 eta -> eta/M, beta Upsilon -> beta Upsilon/M and j^4 pi^4/L^4 -> (D/M)(j pi/L)^4,
 eps -> eps/M, kappa -> kappa/M, which reduce to the identity at M = D = 1.
+The stiffnesses, inverse inertias and gravity load are read from
+``dynamics.mode_coefficients``, the table the right-hand side reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModalState, ModelParams
+from .dynamics import ModalState, ModelParams, mode_coefficients
 
 __all__ = [
     "OverdampedBranch",
@@ -59,52 +61,20 @@ class ConditioningWarning(UserWarning):
     """The particular-solution denominator is nearly singular."""
 
 
-@dataclass(frozen=True)
-class _Normalized:
-    """Per-mass normalized coefficients; identical to the raw ones at M = D = 1."""
-
-    mu: float
-    zeta: float
-    beta_ups: float
-    eta: float
-    g: float
-    ell: float
-    L: float
-    k4v: np.ndarray  # (D/M)(j pi/L)^4
-    k4t: np.ndarray  # (eps/M)(j pi/L)^4 + (kappa/M)(j pi/L)^2
-
-
-def _normalized(params: ModelParams, n: int) -> _Normalized:
-    k = np.arange(1, n + 1) * np.pi / params.L
-    m = params.M
-    return _Normalized(
-        mu=params.mu / m,
-        zeta=params.zeta / m,
-        beta_ups=params.beta * params.Upsilon / m,
-        eta=params.eta / m,
-        g=params.g,
-        ell=params.ell,
-        L=params.L,
-        k4v=(params.D / m) * k**4,
-        k4t=(params.eps / m) * k**4 + (params.kappa / m) * k**2,
-    )
-
-
 def characteristic_roots(j: int, params: ModelParams) -> np.ndarray:
     """Four roots of mode j's quartic: vertical pair first, torsional pair second."""
     if j < 1:
         raise ValueError(f"mode index must be at least 1, got {j}")
-    norm = _normalized(params, j)
-    k4v, k4t = norm.k4v[-1], norm.k4t[-1]
-    disc_v = np.sqrt(complex(norm.mu**2 - 4.0 * k4v))
-    about = norm.ell**2 / 3.0
-    disc_t = np.sqrt(complex(norm.zeta**2 - 4.0 * about * k4t))
+    co = mode_coefficients(params, j, j)
+    quadratics = (  # s^2 + damping s + stiffness, per unit inertia
+        (params.mu * co.inv_m, co.bending[-1] * co.inv_m),
+        (params.zeta * co.inv_it, (co.warping[-1] + co.torsion[-1]) * co.inv_it),
+    )
     return np.array(
         [
-            (-norm.mu + disc_v) / 2.0,
-            (-norm.mu - disc_v) / 2.0,
-            (-norm.zeta + disc_t) / (2.0 * about),
-            (-norm.zeta - disc_t) / (2.0 * about),
+            (-damping + sign * np.sqrt(complex(damping**2 - 4.0 * stiffness))) / 2.0
+            for damping, stiffness in quadratics
+            for sign in (1.0, -1.0)
         ]
     )
 
@@ -145,8 +115,8 @@ def decay_rate(params: ModelParams) -> float:
 
 def undamped_torsional_frequency(params: ModelParams, n: int) -> np.ndarray:
     """Undamped torsional frequencies (sqrt(3) j pi/(l L)) sqrt(eps j^2 pi^2/L^2 + kappa) / sqrt(M)."""
-    norm = _normalized(params, n)
-    return np.sqrt(3.0 * norm.k4t) / norm.ell
+    co = mode_coefficients(params, 1, n)
+    return np.sqrt((co.warping + co.torsion) * co.inv_it)
 
 
 @dataclass(frozen=True)
@@ -208,24 +178,26 @@ class LinearSolution:
 def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     """Exact solution of the linear system from y0 (hypotheses checked)."""
     n_w, n_t = y0.n_w, y0.n_t
-    norm = _normalized(params, n_w)
-    mu, zeta, ell = norm.mu, norm.zeta, norm.ell
+    co = mode_coefficients(params, n_w, n_w)  # per unit mass below, as in the paper's formulas
+    mu, zeta, ell = params.mu * co.inv_m, params.zeta * co.inv_m, params.ell
     ell2 = ell * ell
+    k4v, k4t = co.bending * co.inv_m, (co.warping + co.torsion) * co.inv_m
+    static = co.load / co.bending  # static deflection under gravity
 
     if not (mu > 0.0 and zeta > 0.0):
         raise OverdampedBranch(
             f"the closed form needs strictly positive damping, got mu={mu:g}, zeta={zeta:g}"
         )
-    omega_sq = 4.0 * norm.k4v - mu**2
-    gamma_sq = (4.0 * ell2 / 3.0) * norm.k4t - zeta**2
+    omega_sq = 4.0 * k4v - mu**2
+    gamma_sq = (4.0 * ell2 / 3.0) * k4t - zeta**2
     if omega_sq[0] <= 0.0:
         raise OverdampedBranch(
-            f"vertical branch overdamped: mu={mu:g} >= 2 sqrt(k4) = {2*np.sqrt(norm.k4v[0]):g}"
+            f"vertical branch overdamped: mu={mu:g} >= 2 sqrt(k4) = {2*np.sqrt(k4v[0]):g}"
         )
     if gamma_sq[0] <= 0.0:
         raise OverdampedBranch(
             f"torsional branch overdamped: zeta={zeta:g} >= "
-            f"{2*ell*np.sqrt(norm.k4t[0]/3):g}"
+            f"{2*ell*np.sqrt(k4t[0]/3):g}"
         )
     omega = np.sqrt(omega_sq)
     gamma = np.sqrt(gamma_sq)
@@ -243,12 +215,12 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     th1 = np.zeros(n_w)
     th0[:n_t] = y0.th
     th1[:n_t] = y0.thdot
-    bu, eta = norm.beta_ups, norm.eta
+    bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m
 
     # Particular-solution coefficients, Eqs. (A-B), transcribed verbatim.
-    p1 = 4.0 * ell2**2 * norm.k4v - 9.0 * gamma_sq - 6.0 * ell2 * zeta * mu + 9.0 * zeta**2
+    p1 = 4.0 * ell2**2 * k4v - 9.0 * gamma_sq - 6.0 * ell2 * zeta * mu + 9.0 * zeta**2
     den = p1**2 + 36.0 * gamma_sq * (ell2 * mu - 3.0 * zeta) ** 2
-    lead = (4.0 * ell2**2 * norm.k4v) ** 2
+    lead = (4.0 * ell2**2 * k4v) ** 2
     if np.any(den < CONDITIONING_RTOL * lead):
         worst = int(np.argmin(den / lead))
         warnings.warn(
@@ -276,9 +248,6 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         - 4.0 * ell2 * (3.0 * zeta * th0 + 2.0 * ell2 * th1) * eta
     )
     big_b = (2.0 * ell2 / den) * b_num
-
-    j = np.arange(1, n_w + 1)
-    static = norm.g * np.sqrt(2.0 * norm.L) * (1.0 - (-1.0) ** j) / (j * np.pi) / norm.k4v
 
     # Homogeneous coefficients, Eqs. (c1-c2).
     c2 = y0.w - big_b - static

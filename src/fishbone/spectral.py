@@ -3,6 +3,10 @@
 Mode j has shape e_j(x) = sqrt(2/L) sin(j pi x / L), so the modal coefficient
 c_j and the displayed (plotted) amplitude c-bar_j = sqrt(2/L) c_j are distinct
 quantities; ``displayed_to_modal``/``modal_to_displayed`` convert between them.
+The grid caches every mode's values and first two derivatives at the nodes:
+the nodal values of a modal vector c are ``c @ grid.modes[:len(c)]`` (``dmodes``
+and ``d2modes`` for the derivatives), and the projections (v, e_j)_0 of nodal
+values v are ``grid.modes[:n] @ (grid.weights * v)``.
 The quadrature is composite Gauss-Legendre rather than a mode-count-matched
 rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
@@ -19,8 +23,6 @@ __all__ = [
     "Basis",
     "QuadratureGrid",
     "make_grid",
-    "eval_modal",
-    "project",
     "displayed_to_modal",
     "modal_to_displayed",
 ]
@@ -98,39 +100,6 @@ def make_grid(basis: Basis) -> QuadratureGrid:
     for arr in (nodes, weights, modes, dmodes, d2modes):
         arr.setflags(write=False)
     return QuadratureGrid(nodes, weights, panels, modes, dmodes, d2modes)
-
-
-def eval_modal(
-    coeffs: np.ndarray, basis: Basis, grid: QuadratureGrid, deriv_order: int = 0
-) -> np.ndarray:
-    """Evaluate sum_j coeffs_j (d/dx)^deriv e_j at every grid node."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size > basis.max_modes:
-        raise ValueError(
-            f"coefficient vector of length {coeffs.size} does not fit a basis "
-            f"with {basis.max_modes} retained modes"
-        )
-    if deriv_order == 0:
-        table = grid.modes
-    elif deriv_order == 1:
-        table = grid.dmodes
-    elif deriv_order == 2:
-        table = grid.d2modes
-    else:
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {deriv_order}")
-    return coeffs @ table[: coeffs.size]
-
-
-def project(values: np.ndarray, basis: Basis, grid: QuadratureGrid, n: int) -> np.ndarray:
-    """Return the L2 projections (values, e_j)_0 for j = 1..n via quadrature."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.nodes.shape:
-        raise ValueError(
-            f"expected {grid.n_nodes} nodal values, got shape {values.shape}"
-        )
-    if not 1 <= n <= basis.max_modes:
-        raise ValueError(f"mode count {n} exceeds the {basis.max_modes} retained modes")
-    return grid.modes[:n] @ (grid.weights * values)
 
 
 def displayed_to_modal(amplitude: float | np.ndarray, L: float):

@@ -18,7 +18,7 @@ from fishbone.diagnostics import (
     random_states,
     sandwich_constants,
 )
-from fishbone.dynamics import ModalState, ModelParams, g_load_projection
+from fishbone.dynamics import ModalState, ModelParams, g_load_projection, linear_operator
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.spectral import Basis, make_grid
 
@@ -232,6 +232,37 @@ class TestEnergyIdentity:
         for key in ("E", "Eplus", "Efull"):
             np.testing.assert_array_equal(traj.diagnostics[key], [getattr(e, key) for e in single])
 
+    def test_energy_rate_matches_linear_operator(self):
+        """Along f = A y + c the energy drains at the identity's power, state by state.
+
+        Without cables and stretching Efull is quadratic plus linear, so the central
+        difference [Efull(y + h f) - Efull(y - h f)] / 2h is its exact rate along f.
+        """
+        params, geo, basis, grid = cable_setup(
+            n_w=5, n_t=3, L=2.5, a=0.0, b=0.0, c=0.0,
+            M=1.7, D=2.3, ell=1.4, eps=0.6, kappa=0.45, P=0.35, g=0.8,
+            delta=0.21, zeta=0.13, beta=0.07, Upsilon=0.9, Ustream=2.6,
+        )
+        A, c = linear_operator(params, basis)
+        n_w, n_t, h = basis.n_w, basis.n_t, 0.5
+
+        def efull(y):
+            return energies(ModalState.unpack(y, n_w, n_t), params, geo, basis, grid).Efull
+
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            y = rng.standard_normal(len(A))
+            f = A @ y + c
+            rate = (efull(y + h * f) - efull(y - h * f)) / (2.0 * h)
+            s = ModalState.unpack(y, n_w, n_t)
+            power = (
+                params.mu * (s.wdot @ s.wdot)
+                + params.zeta * (s.thdot @ s.thdot)
+                + params.beta * params.Upsilon * (s.thdot @ s.wdot[:n_t])
+                + params.eta * (s.th @ s.wdot[:n_t])
+            )
+            assert rate == pytest.approx(-power, rel=1e-9)
+
 
 class TestLyapunov:
     def test_sandwich_bounds(self):
@@ -260,6 +291,12 @@ class TestLyapunov:
             slack = 1e-9 * max(1.0, abs(v), abs(ep))
             assert c0 * ep - c2 <= v + slack
             assert v <= c1 * ep + c2 + slack
+
+    def test_prestress_needs_stretching(self):
+        """With P > 0 the sandwich charges prestress to the stretching energy, so S = 0 is refused."""
+        params, geo, basis, grid = cable_setup(P=0.5, S=0.0, delta=0.1, zeta=0.1)
+        with pytest.raises(ValueError, match=r"needs S > 0"):
+            sandwich_constants(params, geo, 0.02)
 
     def test_nu_must_be_positive(self):
         """The Lyapunov perturbation parameter must be positive."""

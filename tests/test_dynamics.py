@@ -1,4 +1,4 @@
-"""Tests for the modal right-hand side, parameters, and piston pressure."""
+"""Tests for the modal right-hand side, the parameters and the coefficient table."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,10 @@ from fishbone.dynamics import (
     g_load_projection,
     linear_operator,
     make_packed_rhs,
-    piston_pressure,
-    rhs,
+    mode_coefficients,
 )
 from fishbone.linear import characteristic_roots
-from fishbone.spectral import Basis, eval_modal, make_grid
+from fishbone.spectral import Basis, make_grid
 
 
 def nodeck_setup(n_w=3, n_t=2, L=np.pi, **params):
@@ -29,6 +28,12 @@ def cable_setup(n_w=3, n_t=2, L=np.pi, a=0.2, b=1.0, c=1.0, **params):
     grid = make_grid(basis)
     geometry = make_geometry(a, 1.0, b, c, basis, grid)
     return ModelParams(L=L, **params), geometry, basis, grid
+
+
+def unpacked_rhs(state, params, geometry, basis, grid):
+    """The packed RHS at one state, unpacked into its four channels."""
+    dy = make_packed_rhs(params, geometry, basis, grid)(0.0, state.pack())
+    return ModalState.unpack(dy, basis.n_w, basis.n_t)
 
 
 def random_state(rng, basis, scale=1.0):
@@ -95,7 +100,7 @@ class TestRhs:
     def test_zero_state_unloaded_equilibrium(self):
         """Zero state with g = 0 and no cables has zero derivative."""
         params, geo, basis, grid = nodeck_setup()
-        d = rhs(ModalState.zero(basis), params, geo, basis, grid)
+        d = unpacked_rhs(ModalState.zero(basis), params, geo, basis, grid)
         assert not d.pack().any()
 
     def test_rest_state_balances_gravity(self):
@@ -105,7 +110,7 @@ class TestRhs:
         grid = make_grid(basis)
         geo = make_geometry(M * g / (2.0 * H), 1.0, 0.0, H, basis, grid)
         params = ModelParams(M=M, D=3.0e10, eps=1.0e12, kappa=5.0e5, ell=6.0, g=g, L=853.44)
-        d = rhs(ModalState.zero(basis), params, geo, basis, grid)
+        d = unpacked_rhs(ModalState.zero(basis), params, geo, basis, grid)
         scale = np.abs(g_load_projection(params, basis.n_w)).max() / M
         assert np.abs(d.pack()).max() < 1e-9 * scale
 
@@ -116,7 +121,7 @@ class TestRhs:
         )
         rng = np.random.default_rng(1)
         state = random_state(rng, basis)
-        d = rhs(state, params, geo, basis, grid)
+        d = unpacked_rhs(state, params, geo, basis, grid)
         j = np.arange(1, basis.n_w + 1)
         gravity = params.g * np.sqrt(2.0 * np.pi) * (1.0 - (-1.0) ** j) / (j * np.pi)
         coupled = np.zeros(basis.n_w)
@@ -138,22 +143,15 @@ class TestRhs:
         state = ModalState(
             rng.standard_normal(5), np.zeros(5), np.zeros(2), np.zeros(2)
         )
-        d_with = rhs(state, params, geo, basis, grid)
-        d_without = rhs(state, base, geo, basis, grid)
+        d_with = unpacked_rhs(state, params, geo, basis, grid)
+        d_without = unpacked_rhs(state, base, geo, basis, grid)
         k = basis.wavenumbers(5)
-        slope = eval_modal(state.w, basis, grid, 1)
+        slope = state.w @ grid.dmodes[: basis.n_w]
         norm_sq = float(grid.weights @ slope**2)
         expected = -(params.S * norm_sq - params.P) * k**2 * state.w
         np.testing.assert_allclose(
             d_with.wdot - d_without.wdot, expected, rtol=1e-9, atol=1e-12
         )
-
-    def test_dimension_mismatch(self):
-        """A state sized for another basis is refused."""
-        params, geo, basis, grid = nodeck_setup()
-        bad = ModalState(np.zeros(4), np.zeros(4), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError):
-            rhs(bad, params, geo, basis, grid)
 
     def test_linearity_without_cables(self):
         """With b = c = 0, S = 0 the rhs minus the g load is linear."""
@@ -168,8 +166,8 @@ class TestRhs:
             scaled = ModalState(
                 alpha * state.w, alpha * state.wdot, alpha * state.th, alpha * state.thdot
             )
-            lhs = rhs(scaled, params, geo, basis, grid).pack() - load
-            ref = alpha * (rhs(state, params, geo, basis, grid).pack() - load)
+            lhs = unpacked_rhs(scaled, params, geo, basis, grid).pack() - load
+            ref = alpha * (unpacked_rhs(state, params, geo, basis, grid).pack() - load)
             np.testing.assert_allclose(lhs, ref, rtol=1e-12, atol=1e-12)
 
     def test_torsional_block_decouples_without_cables(self):
@@ -185,8 +183,8 @@ class TestRhs:
             state.th,
             state.thdot,
         )
-        d0 = rhs(state, params, geo, basis, grid)
-        d1 = rhs(perturbed, params, geo, basis, grid)
+        d0 = unpacked_rhs(state, params, geo, basis, grid)
+        d1 = unpacked_rhs(perturbed, params, geo, basis, grid)
         np.testing.assert_array_equal(d0.thdot, d1.thdot)
         np.testing.assert_array_equal(d0.th, d1.th)
 
@@ -203,8 +201,8 @@ class TestRhs:
         for _ in range(5):
             state = random_state(rng, basis, scale=0.5)
             mirrored = ModalState(state.w, state.wdot, -state.th, -state.thdot)
-            d = rhs(state, params, geo, basis, grid)
-            dm = rhs(mirrored, mirrored_params, geo, basis, grid)
+            d = unpacked_rhs(state, params, geo, basis, grid)
+            dm = unpacked_rhs(mirrored, mirrored_params, geo, basis, grid)
             np.testing.assert_array_equal(dm.wdot, d.wdot)
             np.testing.assert_array_equal(dm.w, d.w)
             np.testing.assert_array_equal(dm.thdot, -d.thdot)
@@ -240,7 +238,7 @@ class TestRhs:
         state = ModalState(
             np.zeros(4), np.zeros(4), rng.standard_normal(2), rng.standard_normal(2)
         )
-        d = rhs(state, params, geo, basis, grid)
+        d = unpacked_rhs(state, params, geo, basis, grid)
         assert d.wdot[2] == 0.0 and d.wdot[3] == 0.0
         assert d.wdot[0] != 0.0
 
@@ -269,6 +267,23 @@ class TestLinearOperator:
         np.testing.assert_allclose(c[n_w : 2 * n_w], g_load_projection(params, n_w) / params.M)
 
 
+class TestModeCoefficients:
+    def test_formulas(self):
+        """Each field of the table is the coefficient its comment names, mode by mode."""
+        params = ModelParams(M=2.0, D=1.5, eps=0.8, kappa=0.3, ell=1.2, P=0.7, g=0.4, L=2.5)
+        co = mode_coefficients(params, 5, 3)
+        kw, kt = np.arange(1, 6) * np.pi / 2.5, np.arange(1, 4) * np.pi / 2.5
+        assert co.inv_m == pytest.approx(0.5, rel=1e-15)
+        assert co.inv_it == pytest.approx(3.0 / (2.0 * 1.44), rel=1e-15)
+        expected = {
+            "k2": kw**2, "bending": 1.5 * kw**4, "prestress": 0.7 * kw**2,
+            "warping": 0.8 * kt**4, "torsion": 0.3 * kt**2,
+            "load": g_load_projection(params, 5),
+        }
+        for name, value in expected.items():
+            np.testing.assert_allclose(getattr(co, name), value, rtol=1e-14, err_msg=name)
+
+
 class TestGLoadProjection:
     def test_formula(self):
         """(Mg, e_j)_0 = M g sqrt(2L) (1-(-1)^j)/(j pi), zero for even j."""
@@ -278,47 +293,6 @@ class TestGLoadProjection:
         expected = 3.0 * 2.0 * np.sqrt(10.0) * (1.0 - (-1.0) ** j) / (j * np.pi)
         np.testing.assert_allclose(proj, expected, rtol=1e-15)
         assert proj[1] == 0.0 and proj[3] == 0.0
-
-
-class TestPistonPressure:
-    def test_static_unforced_is_zero(self):
-        """All velocities zero and eta = 0 gives zero pressure."""
-        params, geo, basis, grid = nodeck_setup(beta=0.4, Upsilon=0.2)
-        state = ModalState(np.ones(3), np.zeros(3), np.ones(2), np.zeros(2))
-        assert piston_pressure(state, params, basis, grid, 1.0, 0.1) == 0.0
-
-    def test_pure_plunge(self):
-        """theta = 0 reduces the pressure to -beta w_t(x)."""
-        params, geo, basis, grid = nodeck_setup(beta=0.4, Upsilon=0.2, Ustream=3.0)
-        rng = np.random.default_rng(8)
-        wdot = rng.standard_normal(3)
-        state = ModalState(np.zeros(3), wdot, np.zeros(2), np.zeros(2))
-        x = 0.9
-        shapes = np.sqrt(2.0 / np.pi) * np.sin(np.arange(1, 4) * x)
-        expected = -params.beta * float(shapes @ wdot)
-        for Y in (-0.5, 0.0, 1.0):
-            assert piston_pressure(state, params, basis, grid, x, Y) == pytest.approx(
-                expected, rel=1e-14
-            )
-
-    def test_pure_mode2_twist_rate(self):
-        """A pure mode-2 twist rate at Y = ell gives -beta ell thdot_2 e_2(x)."""
-        params, geo, basis, grid = nodeck_setup(beta=0.25, ell=1.3)
-        state = ModalState(np.zeros(3), np.zeros(3), np.zeros(2), np.array([0.0, 0.7]))
-        x = 1.1
-        expected = -0.25 * 1.3 * 0.7 * np.sqrt(2.0 / np.pi) * np.sin(2.0 * x)
-        assert piston_pressure(state, params, basis, grid, x, 1.3) == pytest.approx(
-            expected, rel=1e-14
-        )
-
-    def test_domain_guards(self):
-        """Points off the deck are rejected."""
-        params, geo, basis, grid = nodeck_setup(ell=1.0)
-        state = ModalState.zero(basis)
-        with pytest.raises(ValueError):
-            piston_pressure(state, params, basis, grid, -0.1, 0.0)
-        with pytest.raises(ValueError):
-            piston_pressure(state, params, basis, grid, 1.0, 1.5)
 
 
 if __name__ == "__main__":

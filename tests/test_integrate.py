@@ -57,6 +57,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
 
+    def test_dimension_mismatch(self):
+        """A state sized for another basis is refused."""
+        params, geo, basis, grid = flat_setup()
+        bad = ModalState(np.zeros(4), np.zeros(4), np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"\(4, 2\) modes does not match the \(3, 2\)"):
+            integrate(bad, params, geo, basis, IntegratorConfig(dt=1e-2, t_end=0.1), grid)
+
 
 class TestTrajectoryShape:
     def test_zero_initial_data_stays_zero(self):

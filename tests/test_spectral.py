@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from fishbone.spectral import (
-    Basis,
-    displayed_to_modal,
-    eval_modal,
-    make_grid,
-    modal_to_displayed,
-    project,
-)
+from fishbone.spectral import Basis, displayed_to_modal, make_grid, modal_to_displayed
 
 
 class TestBasis:
@@ -89,19 +82,19 @@ class TestQuadratureGrid:
 
 class TestEvalProject:
     def test_round_trip(self):
-        """project recovers the coefficients of a modal expansion."""
+        """Projecting nodal values recovers the coefficients of a modal expansion."""
         rng = np.random.default_rng(7)
         basis = Basis(L=1.7, n_w=7, n_t=4)
         grid = make_grid(basis)
         for _ in range(20):
             coeffs = rng.standard_normal(7)
-            values = eval_modal(coeffs, basis, grid)
+            values = coeffs @ grid.modes[:7]
             np.testing.assert_allclose(
-                project(values, basis, grid, 7), coeffs, rtol=1e-12, atol=1e-12
+                grid.modes[:7] @ (grid.weights * values), coeffs, rtol=1e-12, atol=1e-12
             )
 
     def test_eval_derivative_orders(self):
-        """deriv_order selects the function, slope, or curvature tables."""
+        """The mode tables give the function, slope and curvature of an expansion."""
         basis = Basis(L=np.pi, n_w=3, n_t=2)
         grid = make_grid(basis)
         coeffs = np.array([1.0, -0.5, 0.25])
@@ -111,16 +104,9 @@ class TestEvalProject:
         direct = scale * sum(c * np.sin(kj * x) for c, kj in zip(coeffs, k))
         slope = scale * sum(c * kj * np.cos(kj * x) for c, kj in zip(coeffs, k))
         curve = -scale * sum(c * kj**2 * np.sin(kj * x) for c, kj in zip(coeffs, k))
-        np.testing.assert_allclose(eval_modal(coeffs, basis, grid, 0), direct, atol=1e-12)
-        np.testing.assert_allclose(eval_modal(coeffs, basis, grid, 1), slope, atol=1e-12)
-        np.testing.assert_allclose(eval_modal(coeffs, basis, grid, 2), curve, atol=1e-11)
-
-    def test_eval_rejects_bad_order(self):
-        """Derivative orders beyond 2 are refused."""
-        basis = Basis(L=np.pi, n_w=2, n_t=2)
-        grid = make_grid(basis)
-        with pytest.raises(ValueError):
-            eval_modal(np.zeros(2), basis, grid, 3)
+        np.testing.assert_allclose(coeffs @ grid.modes[:3], direct, atol=1e-12)
+        np.testing.assert_allclose(coeffs @ grid.dmodes[:3], slope, atol=1e-12)
+        np.testing.assert_allclose(coeffs @ grid.d2modes[:3], curve, atol=1e-11)
 
     def test_project_known_series(self):
         """Projecting x(L-x) reproduces its analytic sine coefficients."""
@@ -128,17 +114,10 @@ class TestEvalProject:
         grid = make_grid(basis)
         L = basis.L
         values = grid.nodes * (L - grid.nodes)
-        coeffs = project(values, basis, grid, 9)
+        coeffs = grid.modes[:9] @ (grid.weights * values)
         j = np.arange(1, 10)
         exact = np.where(j % 2 == 1, np.sqrt(L / 2.0) * 8.0 * L**2 / (j**3 * np.pi**3), 0.0)
         np.testing.assert_allclose(coeffs, exact, rtol=1e-10, atol=1e-12)
-
-    def test_project_mode_count_guard(self):
-        """Asking for more modes than retained is an error."""
-        basis = Basis(L=1.0, n_w=3, n_t=2)
-        grid = make_grid(basis)
-        with pytest.raises(ValueError):
-            project(np.zeros(grid.n_nodes), basis, grid, 4)
 
 
 class TestAmplitudeConversion:
@@ -156,7 +135,7 @@ class TestAmplitudeConversion:
         grid = make_grid(basis)
         coeffs = np.zeros(9)
         coeffs[8] = displayed_to_modal(3.0, basis.L)
-        values = eval_modal(coeffs, basis, grid)
+        values = coeffs @ grid.modes[:9]
         assert abs(np.max(np.abs(values)) - 3.0) < 1e-3
 
 
