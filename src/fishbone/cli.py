@@ -17,9 +17,13 @@ Configuration is flat ``section.key = value`` text (``#`` starts a comment):
     sweep.beta = 0,1e-3,1e-2
     sweep.U = -30,30
 
-The derivation rules live in ``resolve_config`` (``_MODEL_RULES`` for the
-model keys). ``preset_text`` is the one definition of the named Tacoma
-Narrows presets; ``experiments.figure_scenarios`` resolves its texts.
+The schema is two tables. ``_KEYS`` maps every key to its kind and default
+(the ``model.*`` and ``integrator.*`` defaults are those of ``ModelParams``
+and ``IntegratorConfig``); ``resolve_config`` parses by it and
+``manifest_text`` writes in its order. ``_DERIVE`` maps each of the eight
+derivable keys to the keys its rule reads and the rule. Every number must be
+finite. ``preset_text`` is the one definition of the named Tacoma Narrows
+presets; ``experiments.figure_scenarios`` resolves its texts.
 
 Broadcast precedence for initial data: ``initial.all`` fills every channel,
 ``initial.<channel>.all`` overrides one channel, ``initial.<channel>.<mode>``
@@ -28,7 +32,7 @@ with their full path. Trajectory CSVs hold displayed amplitudes (the modal
 coefficients times sqrt(2/L)), one column per retained mode and channel.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric/analysis failure,
-4 verification failure. FISHBONE_THREADS caps sweep workers.
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -37,9 +41,8 @@ import argparse
 import csv
 import math
 import operator
-import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,19 +95,57 @@ __all__ = [
 PRESETS = ("tnb", "free", "wind", "wind_stretch", "damped")
 CHANNELS = ("w", "wdot", "th", "thdot")
 
-_MODEL_FIELDS = (
-    "M", "D", "eps", "kappa", "ell", "delta", "zeta", "beta",
-    "Upsilon", "Ustream", "P", "S", "g", "L",
-)
+# The mechanical table: model keys that only feed derive rules.
 _TABLE_FIELDS = ("E", "Ec", "G", "I", "K", "J", "A", "Ac", "H", "f")
-# model.<key> = derive: (keys the rule reads, rule). The rules read the
-# mechanical table plus L, which is always resolved from the basis.
-_MODEL_RULES = {
-    "D": (("E", "I"), operator.mul),
-    "eps": (("E", "J"), operator.mul),
-    "kappa": (("G", "K"), operator.mul),
-    "S": (("A", "E", "L"), derive_stretching),
+_TABLE_KEYS = tuple(f"model.{name}" for name in _TABLE_FIELDS)
+
+# key -> (kind, default). A kind is str, Path, int or float, or (kind,) for a
+# comma-separated list; None means unset. The order is the manifest's order.
+_KEYS: dict[str, tuple] = {
+    "meta.name": (str, "run"),
+    "meta.version": (str, None),  # recorded on write; any value accepted on read
+    "meta.seed": (int, 0),
+    **{f"model.{f.name}": (float, f.default) for f in fields(ModelParams)},
+    **{key: (float, None) for key in _TABLE_KEYS},
+    "cable.a": (float, 0.0),
+    "cable.s0": (float, 1.0),
+    "cable.b": (float, 0.0),
+    "cable.c": (float, 0.0),
+    "cable.L0": (float, None),
+    "basis.L": (float, math.pi),
+    "basis.n_w": (int, 10),
+    "basis.n_t": (int, 4),
+    **{
+        f"integrator.{f.name}": (str if f.name == "method" else float, f.default)
+        for f in fields(IntegratorConfig)
+    },
+    "initial.all": (float, 0.0),  # initial.<channel>.<mode|all> are read with it
+    "output.directory": (Path, Path("out")),
+    "output.channels": ((str,), CHANNELS),
+    "output.cadence": (float, None),
+    "sweep.beta": ((float,), ()),
+    "sweep.U": ((float,), ()),
+    "sweep.mode": (int, 2),
+    "sweep.decay_below": (float, 0.5),
+    "sweep.growth_above": (float, 2.0),
 }
+# Sections resolved into one dataclass whose fields are the section's keys.
+_SECTIONS = {"model": ModelParams, "basis": Basis, "integrator": IntegratorConfig}
+# Keys resolved into a SimConfig field of another name.
+_SIM_FIELDS = {
+    "meta.name": "name",
+    "meta.seed": "seed",
+    "output.directory": "output_dir",
+    "output.channels": "channels",
+    "sweep.beta": "sweep_betas",
+    "sweep.U": "sweep_speeds",
+    "sweep.mode": "sweep_mode",
+    "sweep.decay_below": "decay_below",
+    "sweep.growth_above": "growth_above",
+}
+# Keys a manifest leaves out: the aliases of basis.L and integrator.sample_every,
+# and the inputs of derive rules, whose results it records.
+_UNRECORDED = {"model.L", "output.cadence", "cable.L0", *_TABLE_KEYS}
 
 
 class ConfigError(Exception):
@@ -113,6 +154,41 @@ class ConfigError(Exception):
     def __init__(self, key: str, message: str) -> None:
         self.key = key
         super().__init__(f"{key}: {message}")
+
+
+def _tension(H: float, M: float, g: float) -> float:
+    """a = M g / (2H); without gravity there is no sag to derive it from."""
+    if not g > 0.0:
+        raise ValueError("model.g > 0")
+    return derive_tension_parameter(M, g, H)
+
+
+def _cable_stiffness(Ac: float, Ec: float, L0: float | None, a: float, basis: Basis) -> float:
+    """b = Ac Ec / L0, with L0 the arc length of the rest shape when cable.L0 is unset.
+
+    The hanger datum s0 shifts the shape rigidly, so the arc length does not read it.
+    """
+    if L0 is None:
+        if not a > 0.0:
+            raise ValueError("cable.L0 or cable.a > 0")
+        L0 = make_geometry(a, 1.0, 0.0, 0.0, basis, make_grid(basis)).L0
+    return derive_cable_stiffness(Ac, Ec, L0)
+
+
+# key = derive: (keys the rule reads, rule), applied in this order, so cable.b
+# reads the cable.a derived above it. "model" and "basis" read the resolved
+# section. Every mechanical-table key a rule reads must be set, and a rule
+# raises ValueError naming any other condition it needs.
+_DERIVE = {
+    "model.D": (("model.E", "model.I"), operator.mul),
+    "model.eps": (("model.E", "model.J"), operator.mul),
+    "model.kappa": (("model.G", "model.K"), operator.mul),
+    "model.S": (("model.A", "model.E", "basis.L"), derive_stretching),
+    "cable.a": (("model.H", "model.M", "model.g"), _tension),
+    "cable.c": (("model.H",), float),
+    "cable.b": (("model.Ac", "model.Ec", "cable.L0", "cable.a", "basis"), _cable_stiffness),
+    "integrator.dt": (("model", "basis"), default_timestep),
+}
 
 
 def _fmt(x: float) -> str:
@@ -130,10 +206,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw_line.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not (equals and key and value):
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {raw_line.strip()!r}")
         if key in flat:
             raise ConfigError(key, "duplicate key")
@@ -141,28 +215,29 @@ def parse_config_text(text: str) -> dict[str, str]:
     return flat
 
 
-def _to_float(key: str, raw: str) -> float:
+def _parse(key: str, raw: str, kind):
+    """The raw text of a key as its kind (see ``_KEYS``); floats must be finite."""
+    if isinstance(kind, tuple):
+        return tuple(_parse(key, part.strip(), kind[0]) for part in raw.split(",") if part.strip())
+    if kind in (str, Path):
+        return kind(raw)
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(key, f"expected a number, got {raw!r}") from None
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ConfigError(key, f"expected {expected}, got {raw!r}")
+    return value
 
 
-def _to_int(key: str, raw: str) -> int:
+def _build(section: str, values: dict):
+    """A section's dataclass from the resolved values of its keys."""
+    cls = _SECTIONS[section]
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-
-
-def _pop_float(flat: dict[str, str], key: str, default: float | None) -> float | None:
-    raw = flat.pop(key, None)
-    return default if raw is None else _to_float(key, raw)
-
-
-def _pop_int(flat: dict[str, str], key: str, default: int) -> int:
-    raw = flat.pop(key, None)
-    return default if raw is None else _to_int(key, raw)
+        return cls(**{f.name: values[f"{section}.{f.name}"] for f in fields(cls)})
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -175,234 +250,105 @@ class SimConfig:
     output_dir: Path
     channels: tuple[str, ...]
     initial_displayed: dict[str, np.ndarray]
-    sweep_betas: tuple[float, ...] = ()
-    sweep_speeds: tuple[float, ...] = ()
-    sweep_mode: int = 2
-    decay_below: float = 0.5
-    growth_above: float = 2.0
+    sweep_betas: tuple[float, ...]
+    sweep_speeds: tuple[float, ...]
+    sweep_mode: int
+    decay_below: float
+    growth_above: float
 
 
 def _resolve_initial(
-    flat: dict[str, str], basis: Basis
+    entries: dict[str, str], broadcast: float, basis: Basis
 ) -> dict[str, np.ndarray]:
-    """Displayed-amplitude vectors per channel from the sparse initial section."""
-    sizes = {"w": basis.n_w, "wdot": basis.n_w, "th": basis.n_t, "thdot": basis.n_t}
-    broadcast_all: float | None = None
-    channel_all: dict[str, float] = {}
-    entries: dict[tuple[str, int], float] = {}
-    for key in [k for k in flat if k.startswith("initial.")]:
-        raw = flat.pop(key)
+    """Displayed-amplitude vectors per channel from ``initial.all`` and the sparse entries."""
+    sizes = (basis.n_w, basis.n_w, basis.n_t, basis.n_t)
+    displayed = {channel: np.full(size, broadcast) for channel, size in zip(CHANNELS, sizes)}
+    # channel broadcasts first, so that a per-mode entry wins in any file order
+    for key in sorted(entries, key=lambda key: not key.endswith(".all")):
         parts = key.split(".")
-        if key == "initial.all":
-            broadcast_all = _to_float(key, raw)
-            continue
-        if len(parts) != 3 or parts[1] not in sizes:
+        if len(parts) != 3 or parts[1] not in displayed:
             raise ConfigError(key, "unknown configuration key")
-        channel = parts[1]
+        vec = displayed[parts[1]]
         if parts[2] == "all":
-            channel_all[channel] = _to_float(key, raw)
+            vec[:] = _parse(key, entries[key], float)
             continue
-        mode = _to_int(key, parts[2])
-        if not 1 <= mode <= sizes[channel]:
-            raise ConfigError(key, f"mode out of range 1..{sizes[channel]}")
-        entries[(channel, mode)] = _to_float(key, raw)
-    displayed = {}
-    for channel, size in sizes.items():
-        vec = np.full(size, broadcast_all if broadcast_all is not None else 0.0)
-        if channel in channel_all:
-            vec[:] = channel_all[channel]
-        for (ch, mode), value in entries.items():
-            if ch == channel:
-                vec[mode - 1] = value
-        displayed[channel] = vec
+        mode = _parse(key, parts[2], int)
+        if not 1 <= mode <= vec.size:
+            raise ConfigError(key, f"mode out of range 1..{vec.size}")
+        vec[mode - 1] = _parse(key, entries[key], float)
     return displayed
 
 
 def resolve_config(flat: dict[str, str]) -> SimConfig:
     """Typed, derived, validated SimConfig from a flat key-value mapping."""
-    flat = dict(flat)
-
-    name = flat.pop("meta.name", "run")
-    flat.pop("meta.version", None)  # recorded on write; any value accepted on read
-    seed = _pop_int(flat, "meta.seed", 0)
-
-    # basis (resolved first: L feeds the model and initial-data conversion)
-    basis_L = _pop_float(flat, "basis.L", None)
-    model_L = flat.pop("model.L", None)
-    if model_L is not None:
-        model_L_val = _to_float("model.L", model_L)
-        if basis_L is not None and not math.isclose(basis_L, model_L_val, rel_tol=1e-12):
-            raise ConfigError("model.L", f"conflicts with basis.L = {_fmt(basis_L)}")
-        basis_L = model_L_val
-    if basis_L is None:
-        basis_L = math.pi
-    n_w = _pop_int(flat, "basis.n_w", 10)
-    n_t = _pop_int(flat, "basis.n_t", 4)
-    try:
-        basis = Basis(L=basis_L, n_w=n_w, n_t=n_t)
-    except ValueError as exc:
-        raise ConfigError("basis", str(exc)) from None
-
-    # raw mechanical-table keys, available to the derive rules
-    table: dict[str, float] = {}
-    for field in _TABLE_FIELDS:
-        value = _pop_float(flat, f"model.{field}", None)
-        if value is not None:
-            table[field] = value
-
-    model_kwargs: dict[str, float] = {"L": basis.L}
-    known = {**table, "L": basis.L}
-    for field in _MODEL_FIELDS:
-        key = f"model.{field}"
-        raw = flat.pop(key, None)  # model.L was taken with the basis
-        if raw is None:
-            continue
-        if raw != "derive":
-            model_kwargs[field] = _to_float(key, raw)
-            continue
-        if field not in _MODEL_RULES:
+    values = {key: default for key, (_, default) in _KEYS.items()}
+    initial: dict[str, str] = {}
+    for key, raw in flat.items():
+        if key not in _KEYS:
+            if not key.startswith("initial."):
+                raise ConfigError(key, "unknown configuration key")
+            initial[key] = raw
+        elif raw != "derive":
+            values[key] = _parse(key, raw, _KEYS[key][0])
+        elif key not in _DERIVE:
             raise ConfigError(key, "no derivation rule for this key")
-        needed, rule = _MODEL_RULES[field]
-        missing = [f"model.{name}" for name in needed if name not in known]
-        if missing:
-            raise ConfigError(key, "derive requires " + ", ".join(missing))
-        model_kwargs[field] = rule(*(known[name] for name in needed))
-    try:
-        params = ModelParams(**model_kwargs)
-    except ValueError as exc:
-        raise ConfigError("model", str(exc)) from None
 
-    # cable section
-    s0 = _pop_float(flat, "cable.s0", 1.0)
-    table_L0 = _pop_float(flat, "cable.L0", None)
-    raw_a = flat.pop("cable.a", None)
-    raw_b = flat.pop("cable.b", None)
-    raw_c = flat.pop("cable.c", None)
-    if raw_a == "derive":
-        if "H" not in table:
-            raise ConfigError("cable.a", "derive requires model.H")
-        if params.g <= 0.0:
-            raise ConfigError("cable.a", "derive requires model.g > 0")
-        a = derive_tension_parameter(params.M, params.g, table["H"])
-    else:
-        a = None if raw_a is None else _to_float("cable.a", raw_a)
-    c = None
-    if raw_c == "derive":
-        if "H" not in table:
-            raise ConfigError("cable.c", "derive requires model.H")
-        c = table["H"]
-    elif raw_c is not None:
-        c = _to_float("cable.c", raw_c)
-    grid = make_grid(basis)
-    b = None
-    if raw_b == "derive":
-        missing = [k for k in ("Ac", "Ec") if k not in table]
-        if missing:
-            raise ConfigError("cable.b", "derive requires " + ", ".join(f"model.{k}" for k in missing))
-        if table_L0 is not None:
-            rest_length = table_L0
-        else:
-            if a is None or a <= 0.0:
-                raise ConfigError("cable.b", "derive without cable.L0 requires cable.a > 0")
-            rest_length = make_geometry(a, s0 or 1.0, 0.0, 0.0, basis, grid).L0
-        b = derive_cable_stiffness(table["Ac"], table["Ec"], rest_length)
-    elif raw_b is not None:
-        b = _to_float("cable.b", raw_b)
-    b = 0.0 if b is None else b
-    c = 0.0 if c is None else c
-    if a is None:
-        if b > 0.0 or c > 0.0:
-            raise ConfigError("cable.a", "required when cable stiffnesses are nonzero")
-        a = 0.0
+    span = values["basis.L"]
+    if "model.L" in flat:  # an alias of basis.L
+        if "basis.L" in flat and not math.isclose(span, values["model.L"], rel_tol=1e-12):
+            raise ConfigError("model.L", f"conflicts with basis.L = {_fmt(span)}")
+        values["basis.L"] = values["model.L"]
+    values["model.L"] = values["basis.L"]
+    if "output.cadence" in flat:  # an alias of integrator.sample_every
+        if "integrator.sample_every" in flat:
+            raise ConfigError("output.cadence", "conflicts with integrator.sample_every")
+        values["integrator.sample_every"] = values["output.cadence"]
+    basis = _build("basis", values)
+
+    for key, (reads, rule) in _DERIVE.items():
+        if flat.get(key) != "derive":
+            continue
+        args = [_build(name, values) if name in _SECTIONS else values[name] for name in reads]
+        try:
+            missing = [name for name in reads if name in _TABLE_KEYS and values[name] is None]
+            if missing:
+                raise ValueError(", ".join(missing))
+            values[key] = rule(*args)
+        except ValueError as exc:
+            raise ConfigError(key, f"derive requires {exc}") from None
+        if not math.isfinite(values[key]):
+            raise ConfigError(key, f"derived value {values[key]} is not finite")
+
+    params = _build("model", values)
+    a, b, c = values["cable.a"], values["cable.b"], values["cable.c"]
+    if "cable.a" not in flat and (b > 0.0 or c > 0.0):
+        raise ConfigError("cable.a", "required when cable stiffnesses are nonzero")
     try:
         geometry = make_geometry(
-            a, s0, b, c, basis, grid, allow_flat=(b == 0.0 and c == 0.0)
+            a, values["cable.s0"], b, c, basis, make_grid(basis),
+            allow_flat=(b == 0.0 and c == 0.0),
         )
     except ValueError as exc:
         raise ConfigError("cable", str(exc)) from None
-
-    # integrator section (output.cadence is an alias for sample_every)
-    method = flat.pop("integrator.method", "rk4")
+    method = values["integrator.method"]
     if method not in ("rk4", "adaptive45"):
         raise ConfigError("integrator.method", f"expected rk4 or adaptive45, got {method!r}")
-    raw_dt = flat.pop("integrator.dt", None)
-    if raw_dt == "derive":
-        dt = default_timestep(params, basis)
-    else:
-        dt = 1e-3 if raw_dt is None else _to_float("integrator.dt", raw_dt)
-    rtol = _pop_float(flat, "integrator.rtol", 1e-8)
-    atol = _pop_float(flat, "integrator.atol", 1e-10)
-    t_end = _pop_float(flat, "integrator.t_end", 10.0)
-    sample_every = _pop_float(flat, "integrator.sample_every", None)
-    cadence = _pop_float(flat, "output.cadence", None)
-    if cadence is not None:
-        if sample_every is not None:
-            raise ConfigError("output.cadence", "conflicts with integrator.sample_every")
-        sample_every = cadence
-    try:
-        integrator = IntegratorConfig(
-            method=method, dt=dt, rtol=rtol, atol=atol, t_end=t_end, sample_every=sample_every
-        )
-    except ValueError as exc:
-        raise ConfigError("integrator", str(exc)) from None
+    integrator = _build("integrator", values)
 
-    # initial data (displayed amplitudes -> modal coefficients)
-    displayed = _resolve_initial(flat, basis)
-    initial = ModalState(
-        displayed_to_modal(displayed["w"], basis.L),
-        displayed_to_modal(displayed["wdot"], basis.L),
-        displayed_to_modal(displayed["th"], basis.L),
-        displayed_to_modal(displayed["thdot"], basis.L),
-    )
-
-    # output section
-    output_dir = Path(flat.pop("output.directory", "out"))
-    raw_channels = flat.pop("output.channels", ",".join(CHANNELS))
-    requested = [part.strip() for part in raw_channels.split(",") if part.strip()]
+    displayed = _resolve_initial(initial, values["initial.all"], basis)
+    requested = values["output.channels"]
     bad = [ch for ch in requested if ch not in CHANNELS]
     if bad:
-        raise ConfigError("output.channels", f"unknown channel(s) {bad}; choose from {list(CHANNELS)}")
-    channels = tuple(ch for ch in CHANNELS if ch in requested)
-    if not channels:
+        message = f"unknown channel(s) {bad}; choose from {list(CHANNELS)}"
+        raise ConfigError("output.channels", message)
+    values["output.channels"] = tuple(ch for ch in CHANNELS if ch in requested)
+    if not values["output.channels"]:
         raise ConfigError("output.channels", "at least one channel required")
 
-    # sweep section
-    def _pop_list(key: str) -> tuple[float, ...]:
-        raw = flat.pop(key, None)
-        if raw is None:
-            return ()
-        return tuple(_to_float(key, part.strip()) for part in raw.split(",") if part.strip())
-
-    sweep_betas = _pop_list("sweep.beta")
-    sweep_speeds = _pop_list("sweep.U")
-    sweep_mode = _pop_int(flat, "sweep.mode", 2)
-    decay_below = _pop_float(flat, "sweep.decay_below", 0.5)
-    growth_above = _pop_float(flat, "sweep.growth_above", 2.0)
-
-    if flat:
-        raise ConfigError(next(iter(flat)), "unknown configuration key")
-
-    scenario = Scenario(
-        name=name,
-        params=params,
-        geometry=geometry,
-        basis=basis,
-        initial=initial,
-        integrator=integrator,
-    )
-    return SimConfig(
-        name=name,
-        seed=seed,
-        scenario=scenario,
-        output_dir=output_dir,
-        channels=channels,
-        initial_displayed=displayed,
-        sweep_betas=sweep_betas,
-        sweep_speeds=sweep_speeds,
-        sweep_mode=sweep_mode,
-        decay_below=decay_below,
-        growth_above=growth_above,
-    )
+    initial_state = ModalState(*(displayed_to_modal(displayed[ch], basis.L) for ch in CHANNELS))
+    scenario = Scenario(values["meta.name"], params, geometry, basis, initial_state, integrator)
+    settings = {name: values[key] for key, name in _SIM_FIELDS.items()}
+    return SimConfig(scenario=scenario, initial_displayed=displayed, **settings)
 
 
 def load_config(path: str | Path) -> SimConfig:
@@ -417,54 +363,39 @@ def load_config(path: str | Path) -> SimConfig:
 # ---------------------------------------------------------------- manifest
 
 
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_text(item) for item in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def manifest_text(cfg: SimConfig) -> str:
-    """Canonical resolved-config echo; itself a valid config, no timestamps."""
-    p = cfg.scenario.params
-    geo = cfg.scenario.geometry
-    basis = cfg.scenario.basis
-    it = cfg.scenario.integrator
-    lines = [
-        "# resolved fishbone configuration (re-runnable; derived keys are literals)",
-        f"meta.name = {cfg.name}",
-        f"meta.version = {__version__}",
-        f"meta.seed = {cfg.seed}",
-    ]
-    for field in _MODEL_FIELDS:
-        if field != "L":
-            lines.append(f"model.{field} = {_fmt(getattr(p, field))}")
-    lines += [
-        f"cable.a = {_fmt(geo.a)}",
-        f"cable.s0 = {_fmt(geo.s0)}",
-        f"cable.b = {_fmt(geo.b)}",
-        f"cable.c = {_fmt(geo.c)}",
-        f"basis.L = {_fmt(basis.L)}",
-        f"basis.n_w = {basis.n_w}",
-        f"basis.n_t = {basis.n_t}",
-        f"integrator.method = {it.method}",
-        f"integrator.dt = {_fmt(it.dt)}",
-        f"integrator.rtol = {_fmt(it.rtol)}",
-        f"integrator.atol = {_fmt(it.atol)}",
-        f"integrator.t_end = {_fmt(it.t_end)}",
-    ]
-    if it.sample_every is not None:
-        lines.append(f"integrator.sample_every = {_fmt(it.sample_every)}")
-    for channel in CHANNELS:
-        vec = cfg.initial_displayed[channel]
-        for j, value in enumerate(vec, start=1):
-            if value != 0.0:
-                lines.append(f"initial.{channel}.{j} = {_fmt(value)}")
-    lines += [
-        f"output.directory = {cfg.output_dir}",
-        f"output.channels = {','.join(cfg.channels)}",
-    ]
-    if cfg.sweep_betas:
-        lines.append("sweep.beta = " + ",".join(_fmt(v) for v in cfg.sweep_betas))
-    if cfg.sweep_speeds:
-        lines.append("sweep.U = " + ",".join(_fmt(v) for v in cfg.sweep_speeds))
-    if cfg.sweep_betas or cfg.sweep_speeds:
-        lines.append(f"sweep.mode = {cfg.sweep_mode}")
-        lines.append(f"sweep.decay_below = {_fmt(cfg.decay_below)}")
-        lines.append(f"sweep.growth_above = {_fmt(cfg.growth_above)}")
+    """Canonical resolved-config echo; itself a valid config, no timestamps.
+
+    Every key of ``_KEYS`` but the ``_UNRECORDED`` ones is written, in table
+    order, as the resolved value of the field it fills; unset keys are left
+    out, and the sweep section unless a grid is set. ``initial.all`` stands
+    for the nonzero entries of the displayed initial data.
+    """
+    s = cfg.scenario
+    owners = {"model": s.params, "cable": s.geometry, "basis": s.basis, "integrator": s.integrator}
+    swept = bool(cfg.sweep_betas or cfg.sweep_speeds)
+    lines = ["# resolved fishbone configuration (re-runnable; derived keys are literals)"]
+    for key in _KEYS:
+        section, name = key.split(".")
+        if key in _UNRECORDED or (section == "sweep" and not swept):
+            continue
+        if key == "initial.all":
+            lines += [
+                f"initial.{ch}.{j} = {_fmt(x)}"
+                for ch in CHANNELS for j, x in enumerate(cfg.initial_displayed[ch], start=1) if x
+            ]
+            continue
+        owner = cfg if key in _SIM_FIELDS else owners.get(section)
+        value = __version__ if key == "meta.version" else getattr(owner, _SIM_FIELDS.get(key, name))
+        if value is None or isinstance(value, tuple) and not value:
+            continue  # unset, or the one sweep grid not given
+        lines.append(f"{key} = {_text(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -477,38 +408,28 @@ def _open_csv(path: Path):
 
 def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis, channels) -> None:
     """Displayed-amplitude trajectory table: t, then one column per mode."""
-    blocks = {
-        "w": traj.w, "wdot": traj.wdot, "th": traj.th, "thdot": traj.thdot,
-    }
     header = ["t"]
     columns = []
     for channel in channels:
-        block = blocks[channel]
+        block = getattr(traj, channel)
         header += [f"{channel}_{j}" for j in range(1, block.shape[1] + 1)]
         columns.append(modal_to_displayed(block, basis.L))
     data = np.hstack(columns)
     with _open_csv(path) as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for i in range(len(traj)):
-            writer.writerow([_fmt(traj.times[i])] + [_fmt(v) for v in data[i]])
+        writer.writerows([_fmt(t), *map(_fmt, row)] for t, row in zip(traj.times, data))
 
 
 def write_energy_csv(path: Path, traj: Trajectory) -> None:
     """Energy table t, E, Eplus, Efull, residual from attached diagnostics."""
-    n = len(traj)
-    nan = np.full(n, math.nan)
-    e = traj.diagnostics.get("E", nan)
-    eplus = traj.diagnostics.get("Eplus", nan)
-    efull = traj.diagnostics.get("Efull", nan)
-    residual = traj.diagnostics.get("residual", nan)
+    names = ("E", "Eplus", "Efull", "residual")
+    nan = np.full(len(traj), math.nan)
+    columns = [traj.times, *(traj.diagnostics.get(name, nan) for name in names)]
     with _open_csv(path) as f:
         writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t", "E", "Eplus", "Efull", "residual"])
-        for i in range(n):
-            writer.writerow(
-                [_fmt(traj.times[i]), _fmt(e[i]), _fmt(eplus[i]), _fmt(efull[i]), _fmt(residual[i])]
-            )
+        writer.writerow(["t", *names])
+        writer.writerows([_fmt(value) for value in row] for row in zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -698,10 +619,6 @@ def run_sweep(config_path: str | Path) -> Path:
         raise ConfigError("sweep.beta", "missing required key")
     if not cfg.sweep_speeds:
         raise ConfigError("sweep.U", "missing required key")
-    workers = None
-    raw = os.environ.get("FISHBONE_THREADS")
-    if raw is not None:
-        workers = _to_int("FISHBONE_THREADS", raw)
     rows = wind_sweep(
         cfg.sweep_betas,
         cfg.sweep_speeds,
@@ -709,7 +626,6 @@ def run_sweep(config_path: str | Path) -> Path:
         mode=cfg.sweep_mode,
         decay_below=cfg.decay_below,
         growth_above=cfg.growth_above,
-        workers=workers,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / "sweep.csv"
@@ -772,7 +688,9 @@ def preset_text(name: str) -> str:
     ]
     # the sag f only cross-checks a and H; no derive rule reads it
     lines += [f"model.{key} = {_fmt(t[key])}" for key in _TABLE_FIELDS if key != "f"]
-    lines += [f"model.{key} = {field(model[key])}" for key in _MODEL_FIELDS if key in model]
+    lines += [
+        f"model.{f.name} = {field(model[f.name])}" for f in fields(ModelParams) if f.name in model
+    ]
     lines += [
         "cable.a = derive",
         f"cable.s0 = {_fmt(TNB_S0)}",

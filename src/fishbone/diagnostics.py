@@ -30,7 +30,7 @@ import numpy as np
 
 from . import cable as _cable
 from .cable import CableGeometry
-from .dynamics import ModalState, ModelParams, mode_coefficients
+from .dynamics import ModalState, ModelParams, check_span, mode_coefficients
 from .integrate import Trajectory
 from .spectral import Basis, QuadratureGrid
 
@@ -138,6 +138,7 @@ def energies(
     grid: QuadratureGrid,
 ) -> EnergyBreakdown:
     """All energy channels of a state, by modal sums plus cable quadrature."""
+    check_span(params, basis)
     rows = _energy_rows(state.pack()[None], state.n_w, state.n_t, params, geometry, grid)
     return EnergyBreakdown(*(float(value[0]) for value in vars(rows).values()))
 
@@ -150,6 +151,7 @@ def attach_energies(
     grid: QuadratureGrid,
 ) -> Trajectory:
     """Fill traj.diagnostics with E/Eplus/Efull series and the identity residual."""
+    check_span(params, basis)
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
     if len(traj) >= 3:
@@ -173,6 +175,7 @@ def energy_identity_residual(
     time integrals by composite trapezoid on the samples; the returned series
     is R(t) / max(|Efull(0)|, 1).
     """
+    check_span(params, basis)
     if len(traj) < 3:
         raise ValueError(f"need at least 3 samples for the residual, got {len(traj)}")
     if "Efull" in traj.diagnostics and len(traj.diagnostics["Efull"]) == len(traj):

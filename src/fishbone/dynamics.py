@@ -33,6 +33,7 @@ from .spectral import Basis, QuadratureGrid
 __all__ = [
     "ModelParams",
     "ModalState",
+    "check_span",
     "linear_operator",
     "make_packed_rhs",
     "g_load_projection",
@@ -162,6 +163,15 @@ def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficie
     )
 
 
+def check_span(params: ModelParams, basis: Basis) -> None:
+    """Refuse a model and a basis on different spans.
+
+    The wavenumbers read params.L, the grid and the cables basis.L.
+    """
+    if params.L != basis.L:
+        raise ValueError(f"span mismatch: ModelParams.L = {params.L}, Basis.L = {basis.L}")
+
+
 def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """The linear part A y + c of the packed rhs, with 1/M and 3/(M l^2) folded in.
 
@@ -169,6 +179,7 @@ def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.n
     and the piston coupling on the common prefix j <= min(n_w, n_t); c holds
     gravity. Row and column order is [w, wdot, th, thdot].
     """
+    check_span(params, basis)
     n_w, n_t = basis.n_w, basis.n_t
     w, th = np.arange(n_w), 2 * n_w + np.arange(n_t)  # + n_w / + n_t: their rates
     wc, thc = w[: min(n_w, n_t)], th[: min(n_w, n_t)]

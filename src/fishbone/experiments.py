@@ -4,7 +4,7 @@ This module holds the published mechanical features of the Tacoma Narrows
 Bridge (SI units) and the rates the scenarios use. The presets themselves are
 defined once, as config text, in ``cli.preset_text``; ``tnb_preset`` and
 ``figure_scenarios`` resolve those texts, so the model coefficients come from
-the ``derive`` rules of ``cli.resolve_config``:
+the ``derive`` table of ``cli`` (``_DERIVE``):
 
     D = E*I,  eps = E*J,  kappa = G*K,  S = A*E/(2L),
     a = M*g/(2H),  b = Ac*Ec/L0,  c = H.

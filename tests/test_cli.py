@@ -97,6 +97,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="model.M.*abc"):
             resolve_config({"model.M": "abc"})
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("initial.w.1", "nan"), ("initial.all", "1e400"), ("basis.L", "inf"),
+         ("integrator.t_end", "inf"), ("sweep.U", "2,-inf")],
+    )
+    def test_non_finite_rejected(self, key, raw):
+        """NaN and infinite numbers are config errors that name the key."""
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            resolve_config({key: raw})
+
     def test_span_conflict(self):
         """model.L and basis.L must agree when both are given."""
         with pytest.raises(ConfigError, match="conflicts"):
@@ -470,16 +480,6 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 3
         assert "integration failed at t =" in capsys.readouterr().err
 
-    def test_thread_cap_parsed(self, tmp_path, monkeypatch, capsys):
-        """FISHBONE_THREADS caps workers; junk values are config errors."""
-        out = tmp_path / "out"
-        path = write_cfg(tmp_path, TOY + "sweep.beta = 1e-3\nsweep.U = 2\n", outdir=out)
-        monkeypatch.setenv("FISHBONE_THREADS", "1")
-        assert main(["sweep", str(path)]) == 0
-        monkeypatch.setenv("FISHBONE_THREADS", "abc")
-        assert main(["sweep", str(path)]) == 2
-        assert "FISHBONE_THREADS" in capsys.readouterr().err
-
     def test_duplicate_grid_values_warn(self, tmp_path):
         """Duplicate grid entries carry the library warning through the CLI."""
         out = tmp_path / "out"
@@ -526,6 +526,17 @@ class TestExitCodes:
         assert main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "modle.M" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["initial.w.1 = nan", "initial.all = 1e400", "basis.L = inf", "integrator.t_end = inf"],
+    )
+    def test_non_finite_value_exits_two(self, tmp_path, capsys, line):
+        """A non-finite number stops simulate with exit 2 before any run."""
+        path = write_cfg(tmp_path, line + "\n")
+        assert main(["simulate", str(path)]) == 2
+        assert f"config error: {line.split()[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         """An unreadable config path is a configuration error."""

@@ -141,6 +141,17 @@ class TestEnergyBreakdown:
         assert energies(state, params, geo, basis, grid).cable == 0.0
 
 
+    def test_span_mismatch_rejected(self):
+        """energies and attach_energies refuse a model on another span than the basis."""
+        _, geo, basis, grid = cable_setup(L=2.0)
+        state = ModalState.zero(basis)
+        traj = Trajectory(np.zeros(3), np.zeros((3, 14)), basis.n_w, basis.n_t)
+        with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
+            energies(state, ModelParams(), geo, basis, grid)
+        with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
+            attach_energies(traj, ModelParams(), geo, basis, grid)
+
+
 class TestEnergyIdentity:
     def test_conservative_residual_equals_drift(self):
         """With zero damping and wind the residual is the relative energy drift."""

@@ -267,6 +267,13 @@ class TestLinearOperator:
         np.testing.assert_allclose(c[n_w : 2 * n_w], g_load_projection(params, n_w) / params.M)
 
 
+    def test_span_mismatch_rejected(self):
+        """A basis on another span than the model is refused, not mixed into A."""
+        _, geometry, basis, grid = cable_setup(L=2.0)
+        with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
+            make_packed_rhs(ModelParams(), geometry, basis, grid)
+
+
 class TestModeCoefficients:
     def test_formulas(self):
         """Each field of the table is the coefficient its comment names, mode by mode."""
