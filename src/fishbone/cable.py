@@ -1,8 +1,9 @@
 """Cable-hanger nonlinearity: rest shape, elongation, restoring force, energy.
 
 Two parabolic cables at rest height s(x) = -(a/2)x^2 + (aL/2)x + s0 hang the
-deck through rigid hangers. A deflection u of the hanger attachment line
-changes the cable arc length from L0 = int sqrt(1 + s_x^2) to
+deck through rigid hangers; ``make_geometry`` takes a = 0, the straight
+cable, only when it is slack (b = c = 0). A deflection u of the hanger
+attachment line changes the cable arc length from L0 = int sqrt(1 + s_x^2) to
 L(u) = int Xi(u), Xi(u) = sqrt(1 + (u_x + s_x)^2), and the cable answers with
 the nodal force density
 
@@ -59,7 +60,6 @@ class CableGeometry:
     s0: float
     b: float
     c: float
-    L: float
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
     L0: float = 0.0
@@ -75,10 +75,9 @@ def make_geometry(
     c: float,
     basis: Basis,
     grid: QuadratureGrid,
-    allow_flat: bool = False,
 ) -> CableGeometry:
-    """Build a CableGeometry on a grid; allow_flat permits the straight cable a=0."""
-    if a < 0.0 or (a == 0.0 and not allow_flat):
+    """Build a CableGeometry on a grid; a straight cable (a = 0) must be slack (b = c = 0)."""
+    if a < 0.0 or (a == 0.0 and (b != 0.0 or c != 0.0)):
         raise ValueError(f"tension parameter must be positive, got a={a}")
     if not s0 > 0.0:
         raise ValueError(f"hanger length must be positive, got s0={s0}")
@@ -93,7 +92,6 @@ def make_geometry(
         s0=s0,
         b=b,
         c=c,
-        L=basis.L,
         sx=sx,
         xi0=xi0,
         L0=float(np.vecdot(xi0, grid.weights)),  # arc_length(0) bit for bit

@@ -3,7 +3,7 @@
 Configuration is flat ``section.key = value`` text (``#`` starts a comment):
 
     meta.name = wind                 # run label
-    model.M = 7198                   # any ModelParams field ...
+    model.M = 7198                   # any ModelParams field but L ...
     model.E = 2.1e11                 # ... plus raw mechanical-table keys
     model.D = derive                 # derive: D = E*I
     cable.a = derive                 # derive: a = M*g/(2H)
@@ -17,13 +17,14 @@ Configuration is flat ``section.key = value`` text (``#`` starts a comment):
     sweep.beta = 0,1e-3,1e-2
     sweep.U = -30,30
 
-The schema is two tables. ``_KEYS`` maps every key to its kind and default
-(the ``model.*`` and ``integrator.*`` defaults are those of ``ModelParams``
-and ``IntegratorConfig``); ``resolve_config`` parses by it and
-``manifest_text`` writes in its order. ``_DERIVE`` maps each of the eight
-derivable keys to the keys its rule reads and the rule. Every number must be
-finite. ``preset_text`` is the one definition of the named Tacoma Narrows
-presets; ``experiments.figure_scenarios`` resolves its texts.
+The schema is two tables. ``_KEYS`` maps every key, one per setting, to its
+kind and default (those of ``ModelParams`` and ``IntegratorConfig`` for
+``model.*`` and ``integrator.*``; the span is ``basis.L`` alone);
+``resolve_config`` parses by it and ``manifest_text`` writes in its order.
+``_DERIVE`` maps each of the eight derivable keys to the keys its rule reads
+and the rule. Every number must be finite, and a swept mode within
+1..basis.n_t. ``preset_text`` is the one definition of the named Tacoma
+Narrows presets; ``experiments.figure_scenarios`` resolves its texts.
 
 Broadcast precedence for initial data: ``initial.all`` fills every channel,
 ``initial.<channel>.all`` overrides one channel, ``initial.<channel>.<mode>``
@@ -48,12 +49,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cable import CableGeometry, make_geometry
+from .cable import make_geometry
 from .diagnostics import attach_energies, format_report, lemma_suite
 from .dynamics import ModalState, ModelParams
 from .experiments import (
     DAMPING_RATE,
+    DECAY_BELOW,
     GRAVITY,
+    GROWTH_ABOVE,
+    SWEEP_MODE,
     TNB_N_T,
     TNB_N_W,
     TNB_S0,
@@ -105,7 +109,7 @@ _KEYS: dict[str, tuple] = {
     "meta.name": (str, "run"),
     "meta.version": (str, None),  # recorded on write; any value accepted on read
     "meta.seed": (int, 0),
-    **{f"model.{f.name}": (float, f.default) for f in fields(ModelParams)},
+    **{f"model.{f.name}": (float, f.default) for f in fields(ModelParams) if f.name != "L"},
     **{key: (float, None) for key in _TABLE_KEYS},
     "cable.a": (float, 0.0),
     "cable.s0": (float, 1.0),
@@ -122,12 +126,11 @@ _KEYS: dict[str, tuple] = {
     "initial.all": (float, 0.0),  # initial.<channel>.<mode|all> are read with it
     "output.directory": (Path, Path("out")),
     "output.channels": ((str,), CHANNELS),
-    "output.cadence": (float, None),
     "sweep.beta": ((float,), ()),
     "sweep.U": ((float,), ()),
-    "sweep.mode": (int, 2),
-    "sweep.decay_below": (float, 0.5),
-    "sweep.growth_above": (float, 2.0),
+    "sweep.mode": (int, SWEEP_MODE),
+    "sweep.decay_below": (float, DECAY_BELOW),
+    "sweep.growth_above": (float, GROWTH_ABOVE),
 }
 # Sections resolved into one dataclass whose fields are the section's keys.
 _SECTIONS = {"model": ModelParams, "basis": Basis, "integrator": IntegratorConfig}
@@ -143,9 +146,8 @@ _SIM_FIELDS = {
     "sweep.decay_below": "decay_below",
     "sweep.growth_above": "growth_above",
 }
-# Keys a manifest leaves out: the aliases of basis.L and integrator.sample_every,
-# and the inputs of derive rules, whose results it records.
-_UNRECORDED = {"model.L", "output.cadence", "cable.L0", *_TABLE_KEYS}
+# Keys a manifest leaves out: the inputs of derive rules, whose results it records.
+_UNRECORDED = {"cable.L0", *_TABLE_KEYS}
 
 
 class ConfigError(Exception):
@@ -293,17 +295,12 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
         elif key not in _DERIVE:
             raise ConfigError(key, "no derivation rule for this key")
 
-    span = values["basis.L"]
-    if "model.L" in flat:  # an alias of basis.L
-        if "basis.L" in flat and not math.isclose(span, values["model.L"], rel_tol=1e-12):
-            raise ConfigError("model.L", f"conflicts with basis.L = {_fmt(span)}")
-        values["basis.L"] = values["model.L"]
-    values["model.L"] = values["basis.L"]
-    if "output.cadence" in flat:  # an alias of integrator.sample_every
-        if "integrator.sample_every" in flat:
-            raise ConfigError("output.cadence", "conflicts with integrator.sample_every")
-        values["integrator.sample_every"] = values["output.cadence"]
+    values["model.L"] = values["basis.L"]  # the span has one key, basis.L
     basis = _build("basis", values)
+    # A run without a sweep never reads the default mode, so n_t = 1 stays valid.
+    sweeps = "sweep.mode" in flat or values["sweep.beta"] or values["sweep.U"]
+    if sweeps and not 1 <= values["sweep.mode"] <= basis.n_t:
+        raise ConfigError("sweep.mode", f"torsional mode out of range 1..{basis.n_t}")
 
     for key, (reads, rule) in _DERIVE.items():
         if flat.get(key) != "derive":
@@ -324,10 +321,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
     if "cable.a" not in flat and (b > 0.0 or c > 0.0):
         raise ConfigError("cable.a", "required when cable stiffnesses are nonzero")
     try:
-        geometry = make_geometry(
-            a, values["cable.s0"], b, c, basis, make_grid(basis),
-            allow_flat=(b == 0.0 and c == 0.0),
-        )
+        geometry = make_geometry(a, values["cable.s0"], b, c, basis, make_grid(basis))
     except ValueError as exc:
         raise ConfigError("cable", str(exc)) from None
     method = values["integrator.method"]
@@ -466,18 +460,6 @@ def run_simulate(config_path: str | Path) -> OutputBundle:
     return bundle
 
 
-def _linearized(cfg: SimConfig) -> tuple[ModelParams, CableGeometry]:
-    """Drop the nonlinear terms: S = P = 0 and a slack (b = c = 0) cable."""
-    scenario = cfg.scenario
-    params = replace(scenario.params, S=0.0, P=0.0)
-    grid = make_grid(scenario.basis)
-    geometry = make_geometry(
-        scenario.geometry.a, scenario.geometry.s0, 0.0, 0.0,
-        scenario.basis, grid, allow_flat=True,
-    )
-    return params, geometry
-
-
 def run_linear(
     config_path: str | Path, linearize: bool = False, csv_path: str | Path | None = None
 ) -> None:
@@ -485,17 +467,15 @@ def run_linear(
     cfg = load_config(config_path)
     scenario = cfg.scenario
     params, geometry = scenario.params, scenario.geometry
-    nonlinear = (
-        geometry.b > 0.0 or geometry.c > 0.0 or params.S > 0.0 or params.P > 0.0
-    )
-    if nonlinear:
+    if geometry.b > 0.0 or geometry.c > 0.0 or params.S > 0.0 or params.P > 0.0:
         if not linearize:
             raise ConfigError(
                 "model",
                 "nonlinear configuration (cable b/c, S, or P nonzero); "
                 "pass --linearize to analyze the linearization",
             )
-        params, geometry = _linearized(cfg)
+        # The spectrum and closed form read ModelParams only, so they leave the cables out.
+        params = replace(params, S=0.0, P=0.0)
 
     basis = scenario.basis
     n_modes = basis.max_modes
@@ -589,7 +569,7 @@ def run_verify(seed: int = 0, samples: int = 1000) -> int:
     )
     basis_l = Basis(L=math.pi, n_w=3, n_t=2)
     grid_l = make_grid(basis_l)
-    geometry_l = make_geometry(0.0, 1.0, 0.0, 0.0, basis_l, grid_l, allow_flat=True)
+    geometry_l = make_geometry(0.0, 1.0, 0.0, 0.0, basis_l, grid_l)
     y0_l = ModalState(
         w=[0.2, -0.1, 0.05], wdot=[0.0, 0.05, -0.02], th=[0.1, -0.04], thdot=[0.02, 0.01]
     )

@@ -35,9 +35,11 @@ torsional mode, the historically dangerous one:
 
     r = max|th_2| over [5T/6, T] / max|th_2| over [0, T/6]
 
-with r < decay_below -> "decay", r > growth_above -> "growth", else "neutral".
+with r < DECAY_BELOW -> "decay", r > GROWTH_ABOVE -> "growth", else "neutral".
 The thresholds (0.5, 2.0) are classification conventions of this package, not
-measured constants, and both are keyword-configurable.
+measured constants. They and SWEEP_MODE = 2 are written once, here, as the
+defaults of ``envelope_ratio``, ``classify_ratio``, ``wind_sweep`` and the
+``sweep.*`` config keys.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ from .spectral import Basis
 
 __all__ = [
     "DAMPING_RATE",
+    "DECAY_BELOW",
     "GRAVITY",
+    "GROWTH_ABOVE",
+    "SWEEP_MODE",
     "TNB_TABLE",
     "WIND_COUPLING_RATE",
     "WIND_SPEED",
@@ -102,6 +107,7 @@ TNB_S0 = 1.0
 
 SWEEP_BETA_RANGE = (1e-5, 1e-2)
 SWEEP_SPEED_LIMIT = 30.0
+SWEEP_MODE, DECAY_BELOW, GROWTH_ABOVE = 2, 0.5, 2.0
 
 # Per-unit-mass rates (1/s) used by the canonical scenarios; see the module
 # docstring for the scaling convention.
@@ -183,7 +189,7 @@ def figure_scenarios() -> dict[str, Scenario]:
     return {name: _resolve_preset(name) for name in ("free", "wind", "wind_stretch", "damped")}
 
 
-def envelope_ratio(traj: Trajectory, mode: int = 2) -> float:
+def envelope_ratio(traj: Trajectory, mode: int = SWEEP_MODE) -> float:
     """Late-to-early ratio of max|th_mode| over [5T/6, T] vs [0, T/6]."""
     if not 1 <= mode <= traj.n_t:
         raise ValueError(f"torsional mode {mode} not retained (n_t = {traj.n_t})")
@@ -198,7 +204,9 @@ def envelope_ratio(traj: Trajectory, mode: int = 2) -> float:
     return tail / head
 
 
-def classify_ratio(ratio: float, decay_below: float = 0.5, growth_above: float = 2.0) -> str:
+def classify_ratio(
+    ratio: float, decay_below: float = DECAY_BELOW, growth_above: float = GROWTH_ABOVE
+) -> str:
     if ratio < decay_below:
         return "decay"
     if ratio > growth_above:
@@ -250,9 +258,9 @@ def wind_sweep(
     U_grid,
     base: Scenario,
     *,
-    mode: int = 2,
-    decay_below: float = 0.5,
-    growth_above: float = 2.0,
+    mode: int = SWEEP_MODE,
+    decay_below: float = DECAY_BELOW,
+    growth_above: float = GROWTH_ABOVE,
     workers: int | None = None,
 ) -> list[SweepRow]:
     """Classify the torsional end behavior on a (beta, U) grid.
@@ -263,8 +271,10 @@ def wind_sweep(
     outer, U inner) regardless of worker count; failed cells are marked and
     do not abort the sweep. beta = 0 is a meaningful unforced baseline and
     does not warn; values off the studied ranges beta in [1e-5, 1e-2],
-    |U| <= 30 do.
+    |U| <= 30 do. A mode that the basis does not retain raises ValueError.
     """
+    if not 1 <= mode <= base.basis.n_t:
+        raise ValueError(f"torsional mode {mode} not retained (n_t = {base.basis.n_t})")
     betas = _dedup(list(beta_grid), "beta")
     speeds = _dedup(list(U_grid), "U")
     if not betas or not speeds:

@@ -16,6 +16,8 @@ eta -> eta/M, beta Upsilon -> beta Upsilon/M and j^4 pi^4/L^4 -> (D/M)(j pi/L)^4
 eps -> eps/M, kappa -> kappa/M, which reduce to the identity at M = D = 1.
 The stiffnesses, inverse inertias and gravity load are read from
 ``dynamics.mode_coefficients``, the table the right-hand side reads.
+``LinearSolution.sample`` evaluates w, th and their first time derivatives
+in the row layout of a ``Trajectory``.
 """
 
 from __future__ import annotations
@@ -138,7 +140,8 @@ class LinearSolution:
     th_sin: np.ndarray  # torsional sine/cosine amplitudes, length n_t
     th_cos: np.ndarray
 
-    def _blocks(self, times: np.ndarray):
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """Rows [w, wdot, th, thdot] at the given times, Trajectory layout."""
         t = np.atleast_1d(np.asarray(times, dtype=float))[None, :]
         sigma = 3.0 * self.zeta / (2.0 * self.ell**2)
         omega_t = 3.0 * self.gamma_j[:, None] / (2.0 * self.ell**2)
@@ -148,27 +151,15 @@ class LinearSolution:
             s, c = np.sin(freq * t), np.cos(freq * t)
             val = envelope * (ps * s + pc * c)
             d1 = envelope * ((-decay * ps - freq * pc) * s + (freq * ps - decay * pc) * c)
-            qs, qc = -decay * ps - freq * pc, freq * ps - decay * pc
-            d2 = envelope * ((-decay * qs - freq * qc) * s + (freq * qs - decay * qc) * c)
-            return val, d1, d2
+            return val, d1
 
-        hom, hom1, hom2 = osc(
+        hom, hom1 = osc(
             0.5 * self.mu, 0.5 * self.omega_j[:, None], self.c1_j[:, None], self.c2_j[:, None]
         )
-        par, par1, par2 = osc(sigma, omega_t, self.A_j[:, None], self.B_j[:, None])
+        par, par1 = osc(sigma, omega_t, self.A_j[:, None], self.B_j[:, None])
         w = hom + par + self.static_j[:, None]
-        th, th1, th2 = osc(
-            sigma,
-            omega_t[: self.n_t],
-            self.th_sin[:, None],
-            self.th_cos[:, None],
-        )
-        return w, hom1 + par1, hom2 + par2, th, th1, th2
-
-    def sample(self, times: np.ndarray) -> np.ndarray:
-        """Rows [w, wdot, th, thdot] at the given times, Trajectory layout."""
-        w, wdot, _, th, thdot, _ = self._blocks(times)
-        return np.hstack([w.T, wdot.T, th.T, thdot.T])
+        th, th1 = osc(sigma, omega_t[: self.n_t], self.th_sin[:, None], self.th_cos[:, None])
+        return np.hstack([w.T, (hom1 + par1).T, th.T, th1.T])
 
     def state_at(self, t: float) -> ModalState:
         row = self.sample(np.array([t]))[0]

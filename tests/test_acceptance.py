@@ -136,7 +136,7 @@ class TestClosedFormOracle:
             except (OverdampedBranch, ResonantCase, ConditioningWarning):
                 continue
             grid = make_grid(basis)
-            flat = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid, allow_flat=True)
+            flat = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
             cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=0.05)
             traj = integrate(y0, params, flat, basis, cfg, grid)
             numeric = np.hstack([traj.w, traj.wdot, traj.th, traj.thdot])
@@ -290,7 +290,7 @@ class TestLinearStability:
         params, scenario = self.linear_bridge()
         basis = scenario.basis
         grid = make_grid(basis)
-        flat = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid, allow_flat=True)
+        flat = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
         y0 = ModalState(
             np.zeros(basis.n_w),
             np.zeros(basis.n_w),

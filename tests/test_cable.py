@@ -51,12 +51,12 @@ class TestGeometry:
         assert abs(pi_energy(zero, geo, grid)) < 1e-12
 
     def test_flat_cable_requires_opt_in(self):
-        """a = 0 needs allow_flat; tension with a flat cable is contradictory."""
+        """a = 0 needs a slack cable; tension with a flat cable is contradictory."""
         basis = Basis(L=np.pi, n_w=2, n_t=2)
         grid = make_grid(basis)
         with pytest.raises(ValueError):
             make_geometry(0.0, S0, B, C, basis, grid)
-        geo = make_geometry(0.0, S0, 0.0, 0.0, basis, grid, allow_flat=True)
+        geo = make_geometry(0.0, S0, 0.0, 0.0, basis, grid)
         assert geo.L0 == pytest.approx(np.pi)
 
     def test_negative_stiffness_rejected(self):

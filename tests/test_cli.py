@@ -107,12 +107,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
             resolve_config({key: raw})
 
-    def test_span_conflict(self):
-        """model.L and basis.L must agree when both are given."""
-        with pytest.raises(ConfigError, match="conflicts"):
-            resolve_config({"model.L": "4", "basis.L": "3"})
-        cfg = resolve_config({"model.L": "3", "basis.L": "3"})
-        assert cfg.scenario.params.L == 3.0
+    @pytest.mark.parametrize("key", ["model.L", "output.cadence"])
+    def test_one_spelling_per_setting(self, key):
+        """The span is basis.L alone and the cadence integrator.sample_every alone."""
+        with pytest.raises(ConfigError, match=f"{key}: unknown configuration key"):
+            resolve_config({key: "3"})
+        assert resolve_config({"basis.L": "3"}).scenario.params.L == 3.0
 
     def test_section_validation_propagates(self):
         """Bad basis, model, and integrator values surface as config errors."""
@@ -135,13 +135,6 @@ class TestParsing:
         assert cfg.scenario.integrator.t_end == 10.0
         assert cfg.channels == ("w", "wdot", "th", "thdot")
         assert np.all(cfg.scenario.initial.pack() == 0.0)
-
-    def test_cadence_alias(self):
-        """output.cadence is integrator.sample_every, and they must not clash."""
-        cfg = resolve_config({"output.cadence": "0.5"})
-        assert cfg.scenario.integrator.sample_every == 0.5
-        with pytest.raises(ConfigError, match="conflicts"):
-            resolve_config({"output.cadence": "0.5", "integrator.sample_every": "0.5"})
 
     def test_channel_selection(self):
         """Channels are validated and reported in canonical order."""
@@ -472,6 +465,14 @@ class TestSweepCommand:
         path = write_cfg(tmp_path, TOY)
         assert main(["sweep", str(path)]) == 2
         assert "sweep.beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_unretained_mode_exits_two(self, tmp_path, capsys, mode):
+        """A sweep mode outside 1..basis.n_t exits 2 before any cell runs."""
+        path = write_cfg(tmp_path, TOY + f"sweep.beta = 1e-3\nsweep.U = 2\nsweep.mode = {mode}\n")
+        assert main(["sweep", str(path)]) == 2
+        assert "config error: sweep.mode" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_all_failed_cells_exit_three(self, tmp_path, capsys):
         """A sweep whose every cell blows up reports the failure time."""

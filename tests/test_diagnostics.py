@@ -27,7 +27,7 @@ def cable_setup(n_w=4, n_t=3, L=np.pi, a=0.2, b=1.0, c=1.0, **over):
     params = ModelParams(L=L, **over)
     basis = Basis(L=L, n_w=n_w, n_t=n_t)
     grid = make_grid(basis)
-    geo = make_geometry(a, 1.0, b, c, basis, grid, allow_flat=(a == 0.0))
+    geo = make_geometry(a, 1.0, b, c, basis, grid)
     return params, geo, basis, grid
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fishbone import experiments
 from fishbone.cable import make_geometry
 from fishbone.cli import PRESETS, parse_config_text, preset_text, resolve_config
 from fishbone.dynamics import ModalState, ModelParams
@@ -324,6 +325,17 @@ class TestWindSweep:
         """Empty grids are an error, not an empty result."""
         with pytest.raises(ValueError, match="nonempty"):
             wind_sweep([], [2.0], toy_scenario(), workers=1)
+
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_unretained_mode_rejected_before_any_cell(self, monkeypatch, mode):
+        """A mode outside 1..n_t raises before any cell is integrated."""
+
+        def integrate_nothing(*args, **kwargs):
+            raise AssertionError("a cell was integrated")
+
+        monkeypatch.setattr(experiments, "integrate", integrate_nothing)
+        with pytest.raises(ValueError, match="not retained"):
+            wind_sweep([1e-3], [2.0], toy_scenario(), mode=mode, workers=1)
 
     def test_failed_cell_is_marked_not_fatal(self):
         """A blowup cell is classified 'failed' and the sweep continues."""

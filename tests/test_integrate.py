@@ -24,7 +24,7 @@ from fishbone.spectral import Basis, make_grid
 def flat_setup(n_w=3, n_t=2, L=np.pi, **params):
     basis = Basis(L=L, n_w=n_w, n_t=n_t)
     grid = make_grid(basis)
-    geometry = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid, allow_flat=True)
+    geometry = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
     return ModelParams(L=L, **params), geometry, basis, grid
 
 

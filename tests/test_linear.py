@@ -336,7 +336,7 @@ class TestClosedFormODEResidual:
         params = make_params(M=1.5, D=0.8)
         basis = Basis(L=params.L, n_w=3, n_t=2)
         grid = make_grid(basis)
-        geo = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid, allow_flat=True)
+        geo = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
         y0 = ModalState(
             np.array([0.3, -0.1, 0.05]),
             np.array([0.0, 0.2, 0.0]),

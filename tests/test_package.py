@@ -1,7 +1,9 @@
 """Package tooling: every module's exports resolve, and the benchmark's tracer fits the package."""
 
 import importlib
+import json
 import pkgutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,12 +21,15 @@ def test_all_names_resolve(name):
     assert not missing, f"fishbone.{name}.__all__ names missing objects: {missing}"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
     """The benchmark's tracer wraps package attributes by name; each must exist and come back.
 
     Without this test, a refactor that renames one of them fails only the benchmark's traced run.
     """
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
     from fbbench.spans import Tracer
 
     owners = [importlib.import_module(f"fishbone.{name}") for name in MODULES]
@@ -43,3 +48,36 @@ def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
     for owner, attrs in zip(owners, before):
         changed = [name for name, value in vars(owner).items() if attrs.get(name) is not value]
         assert not changed, f"{owner.__name__}: not restored: {changed}"
+
+
+def test_bench_traced_sweep_round_derives_every_layer(monkeypatch, tmp_path):
+    """The benchmark's traced sweep run, cut to 2 s of model time, yields every per-layer metric.
+
+    It reads RHS spans under RK4 steps, the first RK4 integration and the 1-D states each RHS
+    call sees, so a sweep that stops calling ``integrate`` per cell fails here first. The
+    workload's own check is left out: its wind-over-free comparison needs the full 120 s.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from fbbench import layers
+    from fbbench.pace import Pace
+    from fbbench.spans import Tracer
+    from fbbench.workloads import Sweep
+
+    workload = Sweep(seed=1, workdir=tmp_path)
+    workload.setup()
+    for name in ("base", "mirrored"):
+        scenario = getattr(workload, name)
+        setattr(workload, name, replace(scenario, integrator=replace(scenario.integrator, t_end=2.0)))
+    baseline = workload.run_round(Pace(enabled=False)).wall_s
+    tracer = Tracer()
+    tracer.install()
+    try:
+        rnd = workload.run_round(Pace(enabled=False))
+    finally:
+        tracer.uninstall()
+    pooled = workload.run_round(Pace(enabled=False), pooled=True)
+    rnd.outputs["parallel_efficiency"] = baseline / (workload.workers * pooled.wall_s)
+    metrics = layers.derive(tracer, rnd, rnd.wall_s, baseline, workload)
+    names = {layer["name"] for layer in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert not names - set(metrics), f"per-layer metrics not derived: {sorted(names - set(metrics))}"
+    assert metrics["integrate.rk4_steps"] > 0 and metrics["dynamics.rhs_calls"] > 0

@@ -53,12 +53,15 @@ class TestQuadratureGrid:
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-10)
 
     def test_derivative_tables(self):
-        """First/second derivative tables match the analytic mode derivatives."""
+        """The mode, slope and curvature tables match the analytic mode shapes."""
         basis = Basis(L=3.0, n_w=5, n_t=5)
         grid = make_grid(basis)
         k = basis.wavenumbers()
         scale = np.sqrt(2.0 / basis.L)
         for j in range(5):
+            np.testing.assert_allclose(
+                grid.modes[j], scale * np.sin(k[j] * grid.nodes), rtol=1e-13, atol=1e-13
+            )
             np.testing.assert_allclose(
                 grid.dmodes[j],
                 scale * k[j] * np.cos(k[j] * grid.nodes),
@@ -69,7 +72,7 @@ class TestQuadratureGrid:
                 grid.d2modes[j],
                 -scale * k[j] ** 2 * np.sin(k[j] * grid.nodes),
                 rtol=1e-13,
-                atol=1e-10,
+                atol=1e-11,
             )
 
     def test_polynomial_exactness(self):
@@ -92,21 +95,6 @@ class TestEvalProject:
             np.testing.assert_allclose(
                 grid.modes[:7] @ (grid.weights * values), coeffs, rtol=1e-12, atol=1e-12
             )
-
-    def test_eval_derivative_orders(self):
-        """The mode tables give the function, slope and curvature of an expansion."""
-        basis = Basis(L=np.pi, n_w=3, n_t=2)
-        grid = make_grid(basis)
-        coeffs = np.array([1.0, -0.5, 0.25])
-        k = basis.wavenumbers(3)
-        scale = np.sqrt(2.0 / np.pi)
-        x = grid.nodes
-        direct = scale * sum(c * np.sin(kj * x) for c, kj in zip(coeffs, k))
-        slope = scale * sum(c * kj * np.cos(kj * x) for c, kj in zip(coeffs, k))
-        curve = -scale * sum(c * kj**2 * np.sin(kj * x) for c, kj in zip(coeffs, k))
-        np.testing.assert_allclose(coeffs @ grid.modes[:3], direct, atol=1e-12)
-        np.testing.assert_allclose(coeffs @ grid.dmodes[:3], slope, atol=1e-12)
-        np.testing.assert_allclose(coeffs @ grid.d2modes[:3], curve, atol=1e-11)
 
     def test_project_known_series(self):
         """Projecting x(L-x) reproduces its analytic sine coefficients."""
