@@ -96,6 +96,21 @@ class TestEvalProject:
                 grid.modes[:7] @ (grid.weights * values), coeffs, rtol=1e-12, atol=1e-12
             )
 
+    def test_eval_derivative_orders(self):
+        """The mode tables give the function, slope and curvature of an expansion."""
+        basis = Basis(L=np.pi, n_w=3, n_t=2)
+        grid = make_grid(basis)
+        coeffs = np.array([1.0, -0.5, 0.25])
+        k = basis.wavenumbers(3)
+        scale = np.sqrt(2.0 / np.pi)
+        x = grid.nodes
+        direct = scale * sum(c * np.sin(kj * x) for c, kj in zip(coeffs, k))
+        slope = scale * sum(c * kj * np.cos(kj * x) for c, kj in zip(coeffs, k))
+        curve = -scale * sum(c * kj**2 * np.sin(kj * x) for c, kj in zip(coeffs, k))
+        np.testing.assert_allclose(coeffs @ grid.modes[:3], direct, atol=1e-12)
+        np.testing.assert_allclose(coeffs @ grid.dmodes[:3], slope, atol=1e-12)
+        np.testing.assert_allclose(coeffs @ grid.d2modes[:3], curve, atol=1e-11)
+
     def test_project_known_series(self):
         """Projecting x(L-x) reproduces its analytic sine coefficients."""
         basis = Basis(L=2.2, n_w=9, n_t=2)
