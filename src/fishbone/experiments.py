@@ -4,10 +4,12 @@ This module holds the published mechanical features of the Tacoma Narrows
 Bridge (SI units) and the rates the scenarios use. The presets themselves are
 defined once, as config text, in ``cli.preset_text``; ``tnb_preset`` and
 ``figure_scenarios`` resolve those texts, so the model coefficients come from
-the ``derive`` table of ``cli`` (``_DERIVE``):
+the ``derive`` table of ``cli`` (``_DERIVE``), where each formula is written:
 
     D = E*I,  eps = E*J,  kappa = G*K,  S = A*E/(2L),
     a = M*g/(2H),  b = Ac*Ec/L0,  c = H.
+
+The table's sag f is read by no rule; it cross-checks a and H (a L^2/8 = f).
 
 Four canonical 120 s scenarios excite the 9th vertical mode at 3 m (all other
 channels 1e-3 of that) and differ in which effects are switched on:
@@ -55,6 +57,7 @@ import numpy as np
 from .cable import CableGeometry
 from .dynamics import ModalState, ModelParams, mode_coefficients
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
+from .linear import undamped_torsional_frequency
 from .spectral import Basis
 
 __all__ = [
@@ -68,9 +71,6 @@ __all__ = [
     "WIND_SPEED",
     "Scenario",
     "SweepRow",
-    "derive_tension_parameter",
-    "derive_cable_stiffness",
-    "derive_stretching",
     "default_timestep",
     "tnb_preset",
     "figure_scenarios",
@@ -100,10 +100,6 @@ TNB_TABLE: dict[str, float] = {
 }
 TNB_N_W = 10
 TNB_N_T = 4
-# The hanger datum s0 shifts the cable rest shape rigidly; every force and
-# energy term depends on the shape only through its slope, so any positive
-# value gives identical dynamics.
-TNB_S0 = 1.0
 
 SWEEP_BETA_RANGE = (1e-5, 1e-2)
 SWEEP_SPEED_LIMIT = 30.0
@@ -116,21 +112,6 @@ WIND_COUPLING_RATE = 1e-2
 WIND_SPEED = 30.0
 
 
-def derive_tension_parameter(M: float, g: float, H: float) -> float:
-    """Cable tension parameter a = M g / (2 H)."""
-    return M * g / (2.0 * H)
-
-
-def derive_cable_stiffness(Ac: float, Ec: float, L0: float) -> float:
-    """Cable axial stiffness b = Ac Ec / L0."""
-    return Ac * Ec / L0
-
-
-def derive_stretching(A: float, E: float, L: float) -> float:
-    """Stretching strength S = A E / (2 L)."""
-    return A * E / (2.0 * L)
-
-
 def default_timestep(params: ModelParams, basis: Basis) -> float:
     """One two-hundredth of the shortest undamped linear period retained.
 
@@ -141,9 +122,9 @@ def default_timestep(params: ModelParams, basis: Basis) -> float:
     2.87 rad/s, while the cables linearised at the sagged rest state reach
     4.98 rad/s, which the step still samples about 115 times per period.
     """
-    co = mode_coefficients(params, basis.n_w, basis.n_t)
+    co = mode_coefficients(params, basis.n_w, 0)
     omega_w = math.sqrt(co.bending[-1] * co.inv_m)
-    omega_t = math.sqrt((co.warping[-1] + co.torsion[-1]) * co.inv_it)
+    omega_t = float(undamped_torsional_frequency(params, basis.n_t)[-1])
     return 2.0 * np.pi / max(omega_w, omega_t) / 200.0
 
 

@@ -5,6 +5,8 @@ t_end and the sample cadence divides the step count, keeping the recorded
 times strictly uniform. The adaptive path is the Dormand-Prince 5(4) embedded
 pair with a PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain
 halving on rejection) and cubic Hermite dense output at the sample times.
+``sample_times`` is the one sample clock of both paths; the closed-form
+export of the CLI samples it too.
 A blow-up raises one ``NonFiniteState``; the step loops run under an
 ``np.errstate`` that keeps numpy's overflow warnings from coming first.
 """
@@ -26,6 +28,7 @@ __all__ = [
     "IntegrationError",
     "StepUnderflow",
     "NonFiniteState",
+    "sample_times",
     "integrate",
 ]
 
@@ -137,16 +140,36 @@ def _nonfinite(y: np.ndarray, t: float, n_w: int) -> NonFiniteState:
             return NonFiniteState(message, time=t)
 
 
-def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
+def _rk4_steps(cfg: IntegratorConfig) -> tuple[int, int]:
+    """RK4 step count and steps per sample."""
     # Nudge dt so the horizon is an integer number of steps and the sample
     # cadence divides it; both adjustments are < one cadence interval.
     n_steps = max(1, round(cfg.t_end / cfg.dt))
     stride = 1 if cfg.sample_every is None else max(1, round(cfg.sample_every / cfg.dt))
-    n_steps = stride * math.ceil(n_steps / stride)
+    return stride * math.ceil(n_steps / stride), stride
+
+
+def sample_times(cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
+    """The times at which ``integrate`` samples a run from t0.
+
+    RK4 samples every stride-th step; DP45 every cadence (sample_every, else dt) and t_end.
+    """
+    if cfg.method == "rk4":
+        n_steps, stride = _rk4_steps(cfg)
+        return t0 + np.arange(0, n_steps + 1, stride) * (cfg.t_end / n_steps)
+    cadence = cfg.sample_every if cfg.sample_every is not None else cfg.dt
+    n_out = int(math.floor(cfg.t_end / cadence + 1e-9))
+    times = t0 + cadence * np.arange(n_out + 1)
+    if times[-1] < t0 + cfg.t_end * (1.0 - 1e-12):
+        times = np.append(times, t0 + cfg.t_end)
+    return times
+
+
+def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
+    n_steps, stride = _rk4_steps(cfg)
     dt = cfg.t_end / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    times = [t0]
     samples = [y0.copy()]
     y, t = y0.copy(), t0
     for i in range(1, n_steps + 1):
@@ -159,9 +182,8 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
         if not np.isfinite(y).all():
             raise _nonfinite(y, t, n_w)
         if i % stride == 0:
-            times.append(t)
             samples.append(y)
-    return np.array(times), np.vstack(samples)
+    return sample_times(cfg, t0), np.vstack(samples)
 
 
 def _hermite(theta: float, y0, f0, y1, f1, h: float):
@@ -175,12 +197,7 @@ def _hermite(theta: float, y0, f0, y1, f1, h: float):
 
 
 def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
-    cadence = cfg.sample_every if cfg.sample_every is not None else cfg.dt
-    n_out = int(math.floor(cfg.t_end / cadence + 1e-9))
-    out_times = t0 + cadence * np.arange(n_out + 1)
-    if out_times[-1] < t0 + cfg.t_end * (1.0 - 1e-12):
-        out_times = np.append(out_times, t0 + cfg.t_end)
-
+    out_times = sample_times(cfg, t0)
     t_final = t0 + cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
     y, t, h = y0.copy(), t0, min(cfg.dt, cfg.t_end)

@@ -27,9 +27,9 @@ from fishbone.experiments import (
     GRAVITY,
     TNB_N_W,
     TNB_TABLE,
-    derive_tension_parameter,
     envelope_ratio,
     figure_scenarios,
+    tnb_preset,
 )
 from fishbone.integrate import IntegratorConfig, integrate
 from fishbone.linear import (
@@ -201,15 +201,13 @@ class TestInequalitySuite:
 
 class TestBridgeTableConsistency:
     def test_tension_sag_and_rest_length(self):
-        """Derived tension, sag, and rest length reproduce the published table."""
+        """The preset's derived tension, sag, and rest length reproduce the published table."""
         t = TNB_TABLE
         tension = t["M"] * GRAVITY * t["L"] ** 2 / (16.0 * t["f"])
         np.testing.assert_allclose(tension, t["H"], rtol=1e-3)
-        a = derive_tension_parameter(t["M"], GRAVITY, t["H"])
-        np.testing.assert_allclose(a * t["L"] ** 2 / 8.0, t["f"], rtol=1e-3)
-        basis = Basis(L=t["L"], n_w=TNB_N_W, n_t=4)
-        grid = make_grid(basis)
-        geometry = make_geometry(a, 1.0, 1.0, t["H"], basis, grid)
+        _, geometry, _ = tnb_preset()
+        assert geometry.a == t["M"] * GRAVITY / (2.0 * t["H"])
+        np.testing.assert_allclose(geometry.a * t["L"] ** 2 / 8.0, t["f"], rtol=1e-3)
         assert abs(geometry.L0 - t["L0"]) <= 0.05
 
 

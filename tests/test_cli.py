@@ -398,6 +398,23 @@ class TestLinearCommand:
         assert rows[0][0] == "t"
         assert len(rows) == 1 + 21  # t_end 2 at cadence 0.1
 
+    def test_closed_form_csv_samples_the_simulate_clock(self, tmp_path, capsys):
+        """Where the RK4 step is nudged, the closed form is still sampled at simulate's times."""
+        text = DAMPED_LINEAR.replace(
+            "integrator.dt = 0.01\nintegrator.t_end = 2\nintegrator.sample_every = 0.1",
+            "integrator.dt = 0.003\nintegrator.t_end = 10\nintegrator.sample_every = 0.05",
+        )
+        path = write_cfg(tmp_path, text)
+        csv_path = tmp_path / "closed.csv"
+        assert main(["linear", str(path), "--csv", str(csv_path)]) == 0
+        assert main(["simulate", str(path)]) == 0
+        columns = []
+        for table in (csv_path, tmp_path / "out" / "trajectory.csv"):
+            with open(table, newline="") as f:
+                columns.append([row[0] for row in csv.reader(f)])
+        assert len(columns[0]) == 1 + 198  # 3349 steps of 10/3349, sampled every 17th
+        assert columns[0] == columns[1]
+
     def test_resonant_case_exits_three(self, tmp_path, capsys):
         """The secular resonance aborts the CSV export with exit 3."""
         text = (
@@ -423,11 +440,12 @@ class TestVerifyCommand:
         assert "conservation.drift" in out
         assert "oracle.max_rel_err" in out
 
-    def test_zero_samples_trivially_pass(self, capsys):
-        """samples = 0 short-circuits to a passing empty report."""
+    def test_zero_samples_still_run_the_oracles(self, capsys):
+        """samples = 0 skips only the inequality samples, not the two oracles."""
         assert run_verify(seed=0, samples=0) == 0
         out = capsys.readouterr().out
         assert "violations: 0" in out and "verdict: pass" in out
+        assert "conservation.drift" in out and "oracle.max_rel_err" in out
 
     def test_mutated_force_density_fails(self, capsys, monkeypatch):
         """Flipping the restoring-force sign is caught with exit code 4."""
@@ -538,6 +556,13 @@ class TestExitCodes:
         assert main(["simulate", str(path)]) == 2
         assert f"config error: {line.split()[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["meta.seed = 0", "model.f = 70.71", "cable.s0 = 1"])
+    def test_keys_that_change_nothing_exit_two(self, tmp_path, capsys, line):
+        """The run seed, cable sag and hanger datum have no key; a manifest with one exits 2."""
+        path = write_cfg(tmp_path, line + "\n")
+        assert main(["simulate", str(path)]) == 2
+        assert f"{line.split()[0]}: unknown configuration key" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         """An unreadable config path is a configuration error."""

@@ -16,12 +16,8 @@ from fishbone.experiments import (
     WIND_COUPLING_RATE,
     WIND_SPEED,
     Scenario,
-    SweepRow,
     classify_ratio,
     default_timestep,
-    derive_cable_stiffness,
-    derive_stretching,
-    derive_tension_parameter,
     envelope_ratio,
     figure_scenarios,
     tnb_preset,
@@ -53,17 +49,14 @@ def toy_scenario(name="toy", t_end=6.0, **params_over):
 
 class TestDerivations:
     def test_tension_parameter(self):
-        """a = M g / (2H) lands on the published slope scale."""
-        a = derive_tension_parameter(TNB_TABLE["M"], GRAVITY, TNB_TABLE["H"])
-        np.testing.assert_allclose(
-            a, TNB_TABLE["M"] * GRAVITY / (2.0 * TNB_TABLE["H"]), rtol=1e-15
-        )
+        """The preset's a = M g / (2H) lands on the published slope scale."""
+        a = tnb_preset()[1].a
+        assert a == TNB_TABLE["M"] * GRAVITY / (2.0 * TNB_TABLE["H"])
         np.testing.assert_allclose(a, 7.7665e-4, rtol=1e-4)
 
     def test_sag_consistency(self):
-        """The parabolic sag a L^2 / 8 recovers the published 70.71 m."""
-        a = derive_tension_parameter(TNB_TABLE["M"], GRAVITY, TNB_TABLE["H"])
-        sag = a * TNB_TABLE["L"] ** 2 / 8.0
+        """The preset's parabolic sag a L^2 / 8 recovers the published 70.71 m."""
+        sag = tnb_preset()[1].a * TNB_TABLE["L"] ** 2 / 8.0
         np.testing.assert_allclose(sag, TNB_TABLE["f"], rtol=1e-3)
 
     def test_tension_consistency(self):
@@ -77,13 +70,15 @@ class TestDerivations:
         np.testing.assert_allclose(h, TNB_TABLE["H"], rtol=1e-3)
 
     def test_cable_stiffness(self):
-        """b = Ac Ec / L0 is about 2.6148e7 N/m."""
-        b = derive_cable_stiffness(TNB_TABLE["Ac"], TNB_TABLE["Ec"], TNB_TABLE["L0"])
+        """The preset's b = Ac Ec / L0 is about 2.6148e7 N/m."""
+        b = tnb_preset()[1].b
+        assert b == TNB_TABLE["Ac"] * TNB_TABLE["Ec"] / TNB_TABLE["L0"]
         np.testing.assert_allclose(b, 2.6148e7, rtol=1e-4)
 
     def test_stretching(self):
-        """S = A E / (2L) is about 2.2761e8 N."""
-        s = derive_stretching(TNB_TABLE["A"], TNB_TABLE["E"], TNB_TABLE["L"])
+        """The preset's S = A E / (2L) is about 2.2761e8 N."""
+        s = tnb_preset()[0].S
+        assert s == TNB_TABLE["A"] * TNB_TABLE["E"] / (2.0 * TNB_TABLE["L"])
         np.testing.assert_allclose(s, 2.2761e8, rtol=1e-4)
 
     def test_rest_length_from_geometry(self):
@@ -101,14 +96,10 @@ class TestPreset:
         assert params.D == t["E"] * t["I"]
         assert params.eps == t["E"] * t["J"]
         assert params.kappa == t["G"] * t["K"]
-        assert params.S == derive_stretching(t["A"], t["E"], t["L"])
+        assert params.S == t["A"] * t["E"] / (2.0 * t["L"])
         assert params.g == GRAVITY
         assert params.delta == 0.0 and params.zeta == 0.0 and params.beta == 0.0
-        cables = (
-            derive_tension_parameter(t["M"], GRAVITY, t["H"]),
-            derive_cable_stiffness(t["Ac"], t["Ec"], t["L0"]),
-            t["H"],
-        )
+        cables = (t["M"] * GRAVITY / (2.0 * t["H"]), t["Ac"] * t["Ec"] / t["L0"], t["H"])
         for name in PRESETS:
             sc = resolve_config(parse_config_text(preset_text(name))).scenario
             assert (sc.geometry.a, sc.geometry.b, sc.geometry.c) == cables, name
@@ -143,7 +134,7 @@ class TestScenarios:
         assert free.Upsilon == free.ell
         assert wind.beta == WIND_COUPLING_RATE * m and wind.Ustream == WIND_SPEED
         assert wind.S == 0.0 and wind.delta == 0.0
-        assert stretch.S == derive_stretching(TNB_TABLE["A"], TNB_TABLE["E"], TNB_TABLE["L"])
+        assert stretch.S == TNB_TABLE["A"] * TNB_TABLE["E"] / (2.0 * TNB_TABLE["L"])
         assert stretch.beta == wind.beta
         assert damped.delta == DAMPING_RATE * m and damped.zeta == DAMPING_RATE * m
         assert damped.S == stretch.S and damped.beta == wind.beta

@@ -14,7 +14,6 @@ from fishbone.integrate import (
     IntegratorConfig,
     NonFiniteState,
     StepUnderflow,
-    Trajectory,
     integrate,
 )
 from fishbone.linear import undamped_torsional_frequency

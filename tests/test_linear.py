@@ -13,7 +13,6 @@ from fishbone.dynamics import ModalState, ModelParams
 from fishbone.integrate import IntegratorConfig, integrate
 from fishbone.linear import (
     ConditioningWarning,
-    LinearSolution,
     OverdampedBranch,
     ResonantCase,
     characteristic_roots,

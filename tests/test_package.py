@@ -1,5 +1,7 @@
-"""Package tooling: every module's exports resolve, and the benchmark's tracer fits the package."""
+"""Package tooling: every module's exports resolve, test files import only what they read,
+and the benchmark's tracer fits the package."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -22,6 +24,23 @@ def test_all_names_resolve(name):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda path: path.name)
+def test_imported_names_are_read(path):
+    """Each name a test file imports is read there, so a deleted API leaves no stale import."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert not imported - read, f"{path.name} imports names it never reads: {sorted(imported - read)}"
 
 
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
