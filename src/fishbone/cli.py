@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__
 from .cable import make_geometry
 from .diagnostics import attach_energies, format_report, lemma_suite
-from .dynamics import ModalState, ModelParams
+from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices
 from .experiments import (
     DAMPING_RATE,
     DECAY_BELOW,
@@ -95,7 +95,6 @@ __all__ = [
 ]
 
 PRESETS = ("tnb", "free", "wind", "wind_stretch", "damped")
-CHANNELS = ("w", "wdot", "th", "thdot")
 
 # The mechanical table: model keys that only feed derive rules.
 _TABLE_FIELDS = ("E", "Ec", "G", "I", "K", "J", "A", "Ac", "H")
@@ -260,8 +259,8 @@ def _resolve_initial(
     entries: dict[str, str], broadcast: float, basis: Basis
 ) -> dict[str, np.ndarray]:
     """Displayed-amplitude vectors per channel from ``initial.all`` and the sparse entries."""
-    sizes = (basis.n_w, basis.n_w, basis.n_t, basis.n_t)
-    displayed = {channel: np.full(size, broadcast) for channel, size in zip(CHANNELS, sizes)}
+    slices = channel_slices(basis.n_w, basis.n_t)._asdict()
+    displayed = {ch: np.full(where.stop - where.start, broadcast) for ch, where in slices.items()}
     # channel broadcasts first, so that a per-mode entry wins in any file order
     for key in sorted(entries, key=lambda key: not key.endswith(".all")):
         parts = key.split(".")
@@ -516,8 +515,6 @@ def run_linear(
 def run_verify(seed: int = 0, samples: int = 1000) -> int:
     """Inequality suite plus conservation and closed-form oracles; 0 or 4."""
     failures: list[str] = []
-    print(f"seed: {seed}")
-    print(f"samples: {samples}")
     basis = Basis(L=math.pi, n_w=10, n_t=4)
     grid = make_grid(basis)
     geometry = make_geometry(a=0.2, s0=1.0, b=1.0, c=1.0, basis=basis, grid=grid)

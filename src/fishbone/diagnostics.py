@@ -12,9 +12,10 @@ min(n_w, n_t), consistent with the zero-padding in the dynamics module. The
 deck weights are read from ``dynamics.mode_coefficients``, the table the
 right-hand side reads, so the energy and the RHS share one set of coefficients.
 
-The channels are written once, in ``_energy_rows`` over packed rows
-[w, wdot, th, thdot] (the ``Trajectory.data`` layout), which ``energies``,
-``attach_energies``, the identity residual and ``difference_energy`` share.
+The channels are written once, in ``_energy_rows`` over packed rows (the
+``Trajectory.data`` layout of ``dynamics.channel_slices``), which every energy
+function shares. ``energies`` and ``lyapunov_value`` take (k, n) rows, one value
+per row, or a ``ModalState``, packed into one row and answered with floats.
 Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 0.1 MB temporaries
 at 400 nodes, where a 1,099-sample trajectory makes 3.5 MB (64-row blocks raised
 the tacoma peak RSS by 0.45 MB). A row's values do not depend on the block.
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import cable as _cable
 from .cable import CableGeometry
-from .dynamics import ModalState, ModelParams, check_span, mode_coefficients
+from .dynamics import ModalState, ModelParams, channel_slices, check_span, mode_coefficients
 from .integrate import Trajectory
 from .spectral import Basis, QuadratureGrid
 
@@ -89,10 +90,9 @@ def _deck_weights(params: ModelParams, n_w: int, n_t: int):
     """Deck channel weights on packed rows: ``quadratic`` on row * row gives kinetic_w,
     bending, kinetic_th, warping, torsion, ||w||_1^2 and prestress; ``load`` on the row
     gives the load."""
-    w, wdot = slice(0, n_w), slice(n_w, 2 * n_w)
-    th, thdot = slice(2 * n_w, 2 * n_w + n_t), slice(2 * n_w + n_t, None)
+    w, wdot, th, thdot = channel_slices(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
-    quadratic, load = np.zeros((7, 2 * n_w + 2 * n_t)), np.zeros(2 * n_w + 2 * n_t)
+    quadratic, load = np.zeros((7, thdot.stop)), np.zeros(thdot.stop)
     quadratic[0, wdot] = 0.5 * params.M
     quadratic[1, w] = 0.5 * co.bending
     quadratic[2, thdot] = 0.5 / co.inv_it
@@ -117,10 +117,10 @@ def _energy_rows(rows, n_w, n_t, params, geometry=None, grid=None) -> EnergyBrea
     channels[:, 5] = 0.25 * params.S * channels[:, 5] ** 2  # ||w||_1^2 -> stretch
     channels[:, 7] = np.vecdot(rows, load)
     if geometry is not None and (geometry.b != 0.0 or geometry.c != 0.0):
-        n = max(n_w, n_t)
-        lines = np.zeros((2 * len(rows), n))
-        lines[:, :n_w] = rows[:, :n_w].repeat(2, axis=0)
-        ell_th = params.ell * rows[:, 2 * n_w : 2 * n_w + n_t]
+        slices = channel_slices(n_w, n_t)
+        lines = np.zeros((2 * len(rows), max(n_w, n_t)))
+        lines[:, :n_w] = rows[:, slices.w].repeat(2, axis=0)
+        ell_th = params.ell * rows[:, slices.th]
         lines[0::2, :n_t] += ell_th
         lines[1::2, :n_t] -= ell_th
         pi = np.empty(len(lines))
@@ -130,17 +130,27 @@ def _energy_rows(rows, n_w, n_t, params, geometry=None, grid=None) -> EnergyBrea
     return EnergyBreakdown(*channels.T)
 
 
+def _as_rows(state, basis: Basis) -> np.ndarray:
+    """A ModalState as one packed row; (k, n) packed rows as they are."""
+    if isinstance(state, ModalState) and (state.n_w, state.n_t) != (basis.n_w, basis.n_t):
+        raise ValueError(f"state with ({state.n_w}, {state.n_t}) modes does not fit the basis")
+    return state.pack()[None] if isinstance(state, ModalState) else state
+
+
 def energies(
-    state: ModalState,
+    state: ModalState | np.ndarray,
     params: ModelParams,
     geometry: CableGeometry,
     basis: Basis,
     grid: QuadratureGrid,
 ) -> EnergyBreakdown:
-    """All energy channels of a state, by modal sums plus cable quadrature."""
+    """All energy channels of (k, n) packed rows, one value per row, or of a ModalState, as floats."""
     check_span(params, basis)
-    rows = _energy_rows(state.pack()[None], state.n_w, state.n_t, params, geometry, grid)
-    return EnergyBreakdown(*(float(value[0]) for value in vars(rows).values()))
+    rows = _as_rows(state, basis)
+    channels = _energy_rows(rows, basis.n_w, basis.n_t, params, geometry, grid)
+    if isinstance(state, ModalState):
+        return EnergyBreakdown(*(float(value[0]) for value in vars(channels).values()))
+    return channels
 
 
 def attach_energies(
@@ -155,9 +165,7 @@ def attach_energies(
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
     if len(traj) >= 3:
-        traj.diagnostics["residual"] = energy_identity_residual(
-            traj, params, geometry, basis, grid
-        )
+        traj.diagnostics["residual"] = energy_identity_residual(traj, params, geometry, basis, grid)
     return traj
 
 
@@ -196,28 +204,30 @@ def energy_identity_residual(
 
 
 def lyapunov_value(
-    state: ModalState,
+    state: ModalState | np.ndarray,
     params: ModelParams,
     geometry: CableGeometry,
     basis: Basis,
     grid: QuadratureGrid,
     nu: float,
-) -> float:
+) -> float | np.ndarray:
     """V = Efull + nu (w_t, w) + (nu mu/2)||w||^2 + nu (th_t, th) + (nu zeta/2)||th||^2
-    + beta Upsilon (th_t, w) + eta (th, w)."""
+    + beta Upsilon (th_t, w) + eta (th, w): one value per packed row, a float for a ModalState."""
     if not nu > 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
-    nc = min(state.n_w, state.n_t)
-    efull = energies(state, params, geometry, basis, grid).Efull
-    return float(
-        efull
-        + nu * (state.wdot @ state.w)
-        + 0.5 * nu * params.mu * (state.w @ state.w)
-        + nu * (state.thdot @ state.th)
-        + 0.5 * nu * params.zeta * (state.th @ state.th)
-        + params.beta * params.Upsilon * (state.thdot[:nc] @ state.w[:nc])
-        + params.eta * (state.th[:nc] @ state.w[:nc])
+    rows = _as_rows(state, basis)
+    w, wdot, th, thdot = (rows[:, where] for where in channel_slices(basis.n_w, basis.n_t))
+    nc = min(basis.n_w, basis.n_t)
+    value = (
+        energies(rows, params, geometry, basis, grid).Efull
+        + nu * np.vecdot(wdot, w)
+        + 0.5 * nu * params.mu * np.vecdot(w, w)
+        + nu * np.vecdot(thdot, th)
+        + 0.5 * nu * params.zeta * np.vecdot(th, th)
+        + params.beta * params.Upsilon * np.vecdot(thdot[:, :nc], w[:, :nc])
+        + params.eta * np.vecdot(th[:, :nc], w[:, :nc])
     )
+    return float(value[0]) if isinstance(state, ModalState) else value
 
 
 def sandwich_constants(
@@ -275,28 +285,15 @@ def absorbing_params(params: ModelParams, nu: float | None = None) -> LyapunovPa
     """
     mu, zeta = params.mu, params.zeta
     if mu <= 0.0 or zeta <= 0.0:
-        return LyapunovParams(
-            nu=0.0,
-            nubar=0.0,
-            epsbar=0.0,
-            admissible=False,
-            reason=f"zero damping (mu={mu:g}, zeta={zeta:g}) admits no absorbing set",
-        )
+        reason = f"zero damping (mu={mu:g}, zeta={zeta:g}) admits no absorbing set"
+        return LyapunovParams(nu=0.0, nubar=0.0, epsbar=0.0, admissible=False, reason=reason)
     nubar = min(0.5, mu / (mu + 1.0), zeta / (zeta + 2.0), mu, 0.5 * zeta)
-    if params.beta > 0.0:
-        epsbar = params.ell**2 * nubar**2 / (3.0 * params.beta**2)
-    else:
-        epsbar = math.inf
+    epsbar = params.ell**2 * nubar**2 / (3.0 * params.beta**2) if params.beta > 0.0 else math.inf
     if nu is None:
         nu = 0.5 * nubar
     if params.eps >= epsbar:
-        return LyapunovParams(
-            nu=nu,
-            nubar=nubar,
-            epsbar=epsbar,
-            admissible=False,
-            reason=f"warping stiffness eps={params.eps:g} is not below the threshold {epsbar:g}",
-        )
+        reason = f"warping stiffness eps={params.eps:g} is not below the threshold {epsbar:g}"
+        return LyapunovParams(nu=nu, nubar=nubar, epsbar=epsbar, admissible=False, reason=reason)
     return LyapunovParams(nu=nu, nubar=nubar, epsbar=epsbar, admissible=True)
 
 

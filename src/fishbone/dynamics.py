@@ -13,15 +13,20 @@ M = D = 1, L = pi.
 The per-mode linear coefficients (inverse inertias, stiffnesses and the
 gravity load) are written once, in ``mode_coefficients``; the RHS, the energy
 weights of ``diagnostics``, the closed form of ``linear`` and the default time
-step of ``experiments`` all read them from there. On packed
-y = [w, wdot, th, thdot], ``linear_operator`` holds every linear term in
-A y + c; ``make_packed_rhs`` adds the cubic stretching term and the cable
-projections from ``cable.make_pair_projection``, recomputed on every call so
-the integrator sees the exact semi-discrete flow.
+step of ``experiments`` all read them from there. The packed row layout
+y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the channels
+in row order and ``channel_slices`` gives their slices. On packed y,
+``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
+adds the cubic stretching term and the cable projections from
+``cable.make_pair_projection``, recomputed on every call so the integrator sees
+the exact semi-discrete flow.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +36,8 @@ from .cable import CableGeometry, make_pair_projection
 from .spectral import Basis, QuadratureGrid
 
 __all__ = [
+    "CHANNELS",
+    "channel_slices",
     "ModelParams",
     "ModalState",
     "check_span",
@@ -84,6 +91,18 @@ class ModelParams:
         return self.beta * self.Ustream
 
 
+CHANNELS = ("w", "wdot", "th", "thdot")  # the packed row order
+_ChannelSlices = namedtuple("ChannelSlices", CHANNELS)
+
+
+@functools.lru_cache(maxsize=32)
+def channel_slices(n_w: int, n_t: int) -> _ChannelSlices:
+    """Each channel's slice of a packed row; the row length is ``thdot.stop``."""
+    sizes = (n_w, n_w, n_t, n_t)
+    stops = itertools.accumulate(sizes)
+    return _ChannelSlices(*(slice(stop - size, stop) for size, stop in zip(sizes, stops)))
+
+
 @dataclass
 class ModalState:
     """Modal coefficients and velocities of (w, theta) at time t."""
@@ -95,13 +114,11 @@ class ModalState:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        self.w = np.asarray(self.w, dtype=float)
-        self.wdot = np.asarray(self.wdot, dtype=float)
-        self.th = np.asarray(self.th, dtype=float)
-        self.thdot = np.asarray(self.thdot, dtype=float)
+        for channel in CHANNELS:
+            setattr(self, channel, np.asarray(getattr(self, channel), dtype=float))
         if self.w.shape != self.wdot.shape or self.th.shape != self.thdot.shape:
             raise ValueError("velocity vectors must match their coefficient vectors")
-        if not all(np.all(np.isfinite(v)) for v in (self.w, self.wdot, self.th, self.thdot)):
+        if not all(np.isfinite(getattr(self, channel)).all() for channel in CHANNELS):
             raise ValueError("modal state entries must be finite")
 
     @property
@@ -117,12 +134,12 @@ class ModalState:
         return cls(np.zeros(basis.n_w), np.zeros(basis.n_w), np.zeros(basis.n_t), np.zeros(basis.n_t), t)
 
     def pack(self) -> np.ndarray:
-        """Flatten to [w, wdot, th, thdot] for the integrator."""
-        return np.concatenate([self.w, self.wdot, self.th, self.thdot])
+        """Flatten to one packed row for the integrator."""
+        return np.concatenate([getattr(self, channel) for channel in CHANNELS])
 
     @classmethod
     def unpack(cls, y: np.ndarray, n_w: int, n_t: int, t: float = 0.0) -> "ModalState":
-        return cls(y[:n_w], y[n_w : 2 * n_w], y[2 * n_w : 2 * n_w + n_t], y[2 * n_w + n_t :], t)
+        return cls(*(y[where] for where in channel_slices(n_w, n_t)), t)
 
 
 def g_load_projection(params: ModelParams, n: int) -> np.ndarray:
@@ -181,33 +198,35 @@ def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.n
     """
     check_span(params, basis)
     n_w, n_t = basis.n_w, basis.n_t
-    w, th = np.arange(n_w), 2 * n_w + np.arange(n_t)  # + n_w / + n_t: their rates
-    wc, thc = w[: min(n_w, n_t)], th[: min(n_w, n_t)]
+    slices = channel_slices(n_w, n_t)
+    index = np.arange(slices.thdot.stop)
+    w, wdot, th, thdot = (index[where] for where in slices)
+    nc = min(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
-    A = np.zeros((2 * n_w + 2 * n_t,) * 2)
-    A[w, w + n_w] = A[th, th + n_t] = 1.0
-    A[w + n_w, w] = -(co.bending - co.prestress) * co.inv_m
-    A[w + n_w, w + n_w] = -params.mu * co.inv_m
-    A[wc + n_w, thc] = -params.eta * co.inv_m
-    A[wc + n_w, thc + n_t] = -params.beta * params.Upsilon * co.inv_m
-    A[th + n_t, th] = -(co.warping + co.torsion) * co.inv_it
-    A[th + n_t, th + n_t] = -params.zeta * co.inv_it
+    A = np.zeros((len(index),) * 2)
+    A[w, wdot] = A[th, thdot] = 1.0
+    A[wdot, w] = -(co.bending - co.prestress) * co.inv_m
+    A[wdot, wdot] = -params.mu * co.inv_m
+    A[wdot[:nc], th[:nc]] = -params.eta * co.inv_m
+    A[wdot[:nc], thdot[:nc]] = -params.beta * params.Upsilon * co.inv_m
+    A[thdot, th] = -(co.warping + co.torsion) * co.inv_it
+    A[thdot, thdot] = -params.zeta * co.inv_it
     c = np.zeros(len(A))
-    c[w + n_w] = co.load * co.inv_m
+    c[wdot] = co.load * co.inv_m
     return A, c
 
 
 def make_packed_rhs(
     params: ModelParams, geometry: CableGeometry, basis: Basis, grid: QuadratureGrid
 ):
-    """Build f(t, y) on packed vectors [w, wdot, th, thdot]; the hot path.
+    """Build f(t, y) on one packed row y; the hot path.
 
     Each call returns a new array.
     """
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
-    acc_w, acc_t = slice(n_w, 2 * n_w), slice(2 * n_w + n_t, None)
-    displacements = np.r_[0:n_w, 2 * n_w : 2 * n_w + n_t]  # [w, th] inside y
+    w, acc_w, th, acc_t = channel_slices(n_w, n_t)
+    displacements = np.r_[w, th]  # [w, th] inside y
     co = mode_coefficients(params, n_w, n_t)
     k2w = co.k2
     stretch = params.S / params.M
@@ -218,8 +237,8 @@ def make_packed_rhs(
         out = A @ y
         out += c
         if stretch:
-            k2w_w = k2w * y[:n_w]
-            out[acc_w] -= (stretch * (k2w_w @ y[:n_w])) * k2w_w
+            k2w_w = k2w * y[w]
+            out[acc_w] -= (stretch * (k2w_w @ y[w])) * k2w_w
         if cables_on:
             force_w, force_t = cable(y[displacements])
             out[acc_w] += force_w

@@ -7,8 +7,9 @@ pair with a PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain
 halving on rejection) and cubic Hermite dense output at the sample times.
 ``sample_times`` is the one sample clock of both paths; the closed-form
 export of the CLI samples it too.
-A blow-up raises one ``NonFiniteState``; the step loops run under an
-``np.errstate`` that keeps numpy's overflow warnings from coming first.
+A blow-up raises one ``NonFiniteState``, which names the entry by
+``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
+keeps numpy's overflow warnings from coming first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cable import CableGeometry
-from .dynamics import ModalState, ModelParams, make_packed_rhs
+from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
 from .spectral import Basis, QuadratureGrid, make_grid
 
 __all__ = [
@@ -86,26 +87,16 @@ class Trajectory:
     """Sampled solution: times, packed states, and attachable diagnostics."""
 
     times: np.ndarray
-    data: np.ndarray  # (n_samples, 2 n_w + 2 n_t), rows [w, wdot, th, thdot]
+    data: np.ndarray  # (n_samples, 2 n_w + 2 n_t), packed rows [w, wdot, th, thdot]
     n_w: int
     n_t: int
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def w(self) -> np.ndarray:
-        return self.data[:, : self.n_w]
-
-    @property
-    def wdot(self) -> np.ndarray:
-        return self.data[:, self.n_w : 2 * self.n_w]
-
-    @property
-    def th(self) -> np.ndarray:
-        return self.data[:, 2 * self.n_w : 2 * self.n_w + self.n_t]
-
-    @property
-    def thdot(self) -> np.ndarray:
-        return self.data[:, 2 * self.n_w + self.n_t :]
+    # (n_samples, n) views of the channels
+    w = property(lambda self: self.data[:, channel_slices(self.n_w, self.n_t).w])
+    wdot = property(lambda self: self.data[:, channel_slices(self.n_w, self.n_t).wdot])
+    th = property(lambda self: self.data[:, channel_slices(self.n_w, self.n_t).th])
+    thdot = property(lambda self: self.data[:, channel_slices(self.n_w, self.n_t).thdot])
 
     def state(self, i: int) -> ModalState:
         return ModalState.unpack(self.data[i].copy(), self.n_w, self.n_t, float(self.times[i]))
@@ -132,12 +123,12 @@ _DP_B4 = np.array(
 _DP_E = _DP_B5 - _DP_B4  # y5 - y4 = h (_DP_E @ k)
 
 
-def _nonfinite(y: np.ndarray, t: float, n_w: int) -> NonFiniteState:
-    i, n_t = int(np.argmin(np.isfinite(y))), (y.size - 2 * n_w) // 2
-    for channel, start in (("thdot", 2 * n_w + n_t), ("th", 2 * n_w), ("wdot", n_w), ("w", 0)):
-        if i >= start:
-            message = f"state became non-finite at t={t:.9g}, first in {channel}_{i - start + 1}"
-            return NonFiniteState(message, time=t)
+def _nonfinite(y: np.ndarray, t: float, basis: Basis) -> NonFiniteState:
+    i = int(np.argmin(np.isfinite(y)))
+    for channel, where in zip(CHANNELS, channel_slices(basis.n_w, basis.n_t)):
+        if i < where.stop:
+            entry = f"{channel}_{i - where.start + 1}"
+            return NonFiniteState(f"state became non-finite at t={t:.9g}, first in {entry}", time=t)
 
 
 def _rk4_steps(cfg: IntegratorConfig) -> tuple[int, int]:
@@ -165,7 +156,7 @@ def sample_times(cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
     return times
 
 
-def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
+def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     n_steps, stride = _rk4_steps(cfg)
     dt = cfg.t_end / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
@@ -180,7 +171,7 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
         y = y + sixth * (k1 + k4 + 2.0 * (k2 + k3))
         t = t0 + i * dt
         if not np.isfinite(y).all():
-            raise _nonfinite(y, t, n_w)
+            raise _nonfinite(y, t, basis)
         if i % stride == 0:
             samples.append(y)
     return sample_times(cfg, t0), np.vstack(samples)
@@ -196,7 +187,7 @@ def _hermite(theta: float, y0, f0, y1, f1, h: float):
     )
 
 
-def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int):
+def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     out_times = sample_times(cfg, t0)
     t_final = t0 + cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
@@ -217,7 +208,7 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, n_w: int)
             k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
         y5 = y + h * (_DP_B5 @ k)
         if not np.isfinite(y5).all():
-            raise _nonfinite(y5, t + h, n_w)
+            raise _nonfinite(y5, t + h, basis)
         e = h * (_DP_E @ k) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
         err = math.sqrt(float(e @ e) / e.size)
 
@@ -257,9 +248,7 @@ def integrate(
     if grid is None:
         grid = make_grid(basis)
     f = make_packed_rhs(params, geometry, basis, grid)
+    run = _rk4_run if cfg.method == "rk4" else _adaptive_run
     with np.errstate(over="ignore", invalid="ignore"):
-        if cfg.method == "rk4":
-            times, data = _rk4_run(f, y0.pack(), y0.t, cfg, basis.n_w)
-        else:
-            times, data = _adaptive_run(f, y0.pack(), y0.t, cfg, basis.n_w)
+        times, data = run(f, y0.pack(), y0.t, cfg, basis)
     return Trajectory(times=times, data=data, n_w=basis.n_w, n_t=basis.n_t)

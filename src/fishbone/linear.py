@@ -161,10 +161,6 @@ class LinearSolution:
         th, th1 = osc(sigma, omega_t[: self.n_t], self.th_sin[:, None], self.th_cos[:, None])
         return np.hstack([w.T, (hom1 + par1).T, th.T, th1.T])
 
-    def state_at(self, t: float) -> ModalState:
-        row = self.sample(np.array([t]))[0]
-        return ModalState.unpack(row, self.n_w, self.n_t, t)
-
 
 def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     """Exact solution of the linear system from y0 (hypotheses checked)."""

@@ -162,9 +162,7 @@ class TestEnergyConservation:
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=0.1)
         traj = integrate(y0, params, geometry, basis, cfg, grid)
-        efull = np.array(
-            [energies(traj.state(i), params, geometry, basis, grid).Efull for i in range(len(traj))]
-        )
+        efull = energies(traj.data, params, geometry, basis, grid).Efull
         drift = np.abs(efull - efull[0]).max() / max(abs(float(efull[0])), 1.0)
         assert drift <= 1e-6
 
@@ -350,8 +348,7 @@ class TestAbsorbingEvidence:
             assert eplus(y0) <= 1.001e3
             cfg = IntegratorConfig(method="rk4", dt=5e-3, t_end=100.0, sample_every=0.5)
             traj = integrate(y0, params, geometry, basis, cfg, grid)
-            indices = np.nonzero(traj.times >= 50.0)[0]
-            tails.append(max(eplus(traj.state(i)) for i in indices))
+            tails.append(eplus(traj.data[traj.times >= 50.0]).max())
         assert max(tails) < self.TAIL_BOUND
 
 

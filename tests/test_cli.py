@@ -458,10 +458,10 @@ class TestVerifyCommand:
         assert "verdict: fail" in out
 
     def test_cli_wiring(self, capsys):
-        """The verify subcommand forwards seed and sample count."""
+        """The verify subcommand forwards seed and sample count, and reports each once."""
         assert main(["verify", "--seed", "3", "--samples", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "seed: 3" in out and "samples: 25" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("seed: 3") == 1 and lines.count("samples: 25") == 1
 
 
 class TestSweepCommand:

@@ -151,6 +151,15 @@ class TestEnergyBreakdown:
         with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
             attach_energies(traj, ModelParams(), geo, basis, grid)
 
+    def test_state_must_fit_the_basis(self):
+        """A state whose mode counts differ from the basis is refused, even at the same row width."""
+        params, geo, basis, grid = cable_setup(n_w=4, n_t=3)
+        swapped = ModalState(np.zeros(3), np.zeros(3), np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match=r"\(3, 4\) modes does not fit the basis"):
+            energies(swapped, params, geo, basis, grid)
+        with pytest.raises(ValueError, match=r"\(3, 4\) modes does not fit the basis"):
+            lyapunov_value(swapped, params, geo, basis, grid, 0.02)
+
 
 class TestEnergyIdentity:
     def test_conservative_residual_equals_drift(self):
@@ -165,9 +174,7 @@ class TestEnergyIdentity:
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=5e-2)
         traj = integrate(y0, params, geo, basis, cfg)
         residual = energy_identity_residual(traj, params, geo, basis, grid)
-        efull = np.array(
-            [energies(traj.state(i), params, geo, basis, grid).Efull for i in range(len(traj))]
-        )
+        efull = energies(traj.data, params, geo, basis, grid).Efull
         drift = (efull - efull[0]) / max(abs(efull[0]), 1.0)
         np.testing.assert_allclose(residual, drift, rtol=1e-12, atol=1e-16)
         assert np.max(np.abs(residual)) <= 1e-6
@@ -228,7 +235,8 @@ class TestEnergyIdentity:
         np.testing.assert_allclose(traj.diagnostics["Efull"][0], e0.Efull, rtol=1e-12)
 
     def test_rows_match_single_states(self):
-        """attach_energies over more rows than a block equals energies state by state, bit for bit."""
+        """attach_energies and energies over more rows than a block equal energies state by state,
+        bit for bit."""
         params, geo, basis, grid = cable_setup(S=0.5, P=0.2, g=0.3, ell=1.3)
         rng = np.random.default_rng(9)
         count = ROW_BLOCK + 1
@@ -240,8 +248,10 @@ class TestEnergyIdentity:
         )
         attach_energies(traj, params, geo, basis, grid)
         single = [energies(traj.state(i), params, geo, basis, grid) for i in range(count)]
+        rows = energies(traj.data, params, geo, basis, grid)
         for key in ("E", "Eplus", "Efull"):
             np.testing.assert_array_equal(traj.diagnostics[key], [getattr(e, key) for e in single])
+            np.testing.assert_array_equal(getattr(rows, key), [getattr(e, key) for e in single])
 
     def test_energy_rate_matches_linear_operator(self):
         """Along f = A y + c the energy drains at the identity's power, state by state.
@@ -295,13 +305,17 @@ class TestLyapunov:
         c0, c1, c2 = sandwich_constants(params, geo, nu)
         assert c0 > 0.0
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            state = random_modal_state(rng, basis, radius=3.0)
+        states = [random_modal_state(rng, basis, radius=3.0) for _ in range(50)]
+        values = []
+        for state in states:
             v = lyapunov_value(state, params, geo, basis, grid, nu)
             ep = energies(state, params, geo, basis, grid).Eplus
             slack = 1e-9 * max(1.0, abs(v), abs(ep))
             assert c0 * ep - c2 <= v + slack
             assert v <= c1 * ep + c2 + slack
+            values.append(v)
+        rows = np.array([state.pack() for state in states])
+        np.testing.assert_array_equal(lyapunov_value(rows, params, geo, basis, grid, nu), values)
 
     def test_prestress_needs_stretching(self):
         """With P > 0 the sandwich charges prestress to the stretching energy, so S = 0 is refused."""

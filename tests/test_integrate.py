@@ -152,10 +152,7 @@ class TestAgainstClosedForms:
         y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
         traj = integrate(y0, params, geo, basis, cfg)
         e0 = energies(y0, params, geo, basis, grid).Efull
-        drift = max(
-            abs(energies(traj.state(i), params, geo, basis, grid).Efull - e0)
-            for i in range(len(traj))
-        )
+        drift = np.abs(energies(traj.data, params, geo, basis, grid).Efull - e0).max()
         assert drift / max(abs(e0), 1.0) <= 1e-6
 
 
@@ -200,6 +197,24 @@ class TestAdaptive:
         assert np.isfinite(info.value.time)
         assert isinstance(info.value, IntegrationError)
         assert re.search(r"t=\S+, first in (w|wdot|th|thdot)_[1-9]\d*$", str(info.value))
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive45"])
+    @pytest.mark.parametrize("index", range(14))
+    def test_nonfinite_state_names_the_entry(self, monkeypatch, method, index):
+        """The message names the channel and mode of the first non-finite packed entry."""
+        params, geo, basis, grid = flat_setup(n_w=4, n_t=3)
+        expected = (
+            [f"w_{j}" for j in range(1, 5)] + [f"wdot_{j}" for j in range(1, 5)]
+            + [f"th_{j}" for j in range(1, 4)] + [f"thdot_{j}" for j in range(1, 4)]
+        )[index]
+        field = np.zeros(14)
+        field[index] = np.nan
+        monkeypatch.setattr(fishbone.integrate, "make_packed_rhs", lambda *_args: lambda t, y: field)
+        y0 = ModalState(np.zeros(4), np.zeros(4), np.zeros(3), np.zeros(3))
+        cfg = IntegratorConfig(method=method, dt=0.1, t_end=0.1)
+        with pytest.raises(NonFiniteState) as info:
+            integrate(y0, params, geo, basis, cfg)
+        assert str(info.value).endswith(f"first in {expected}")
 
     def test_step_underflow(self, monkeypatch):
         """A finite-time singularity collapses the step below the floor."""

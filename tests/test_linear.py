@@ -358,19 +358,15 @@ class TestClosedFormEvaluation:
         for _ in range(10):
             y0 = random_state(rng, 4, 3)
             sol = closed_form(y0, make_params())
-            at0 = sol.state_at(0.0)
-            np.testing.assert_allclose(at0.w, y0.w, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(at0.wdot, y0.wdot, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(at0.th, y0.th, rtol=0, atol=1e-10)
-            np.testing.assert_allclose(at0.thdot, y0.thdot, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(sol.sample(np.array([0.0]))[0], y0.pack(), rtol=0, atol=1e-10)
 
-    def test_sample_and_state_at_agree(self):
-        """Vectorized sampling and pointwise evaluation coincide."""
+    def test_sample_pointwise_and_vectorized_agree(self):
+        """Sampling one time at a time and all times at once coincide."""
         sol = closed_form(random_state(np.random.default_rng(23), 3, 2), make_params())
         times = np.array([0.0, 0.7, 2.3])
         rows = sol.sample(times)
         for k, t in enumerate(times):
-            np.testing.assert_allclose(sol.state_at(float(t)).pack(), rows[k], rtol=1e-12)
+            np.testing.assert_allclose(sol.sample(np.array([t]))[0], rows[k], rtol=1e-12)
 
 
 class TestClosedFormHypotheses:

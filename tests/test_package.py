@@ -1,10 +1,11 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
-and the benchmark's tracer fits the package."""
+the packed layout is written in one module, and the benchmark's tracer fits the package."""
 
 import ast
 import importlib
 import json
 import pkgutil
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -41,6 +42,17 @@ def test_imported_names_are_read(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert not imported - read, f"{path.name} imports names it never reads: {sorted(imported - read)}"
+
+
+def test_packed_layout_written_once():
+    """Only ``dynamics`` does packed-row arithmetic; every other module reads ``channel_slices``."""
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "fishbone").glob("*.py")) if path.name != "dynamics.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.search(r"\b2 \* (self\.)?n_w\b", line)
+    ]
+    assert not offenders, f"packed layout spelled out outside dynamics.py: {offenders}"
 
 
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
