@@ -17,9 +17,9 @@ torsional channels feel the two cables through
 and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0),
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
-The force law is written once, in ``_h_from_slope`` (lines on a leading axis).
-``make_pair_projection`` evaluates both lines as one (2, N) array and projects
-f and f-bar onto the mode slopes for the modal right-hand side. ``arc_length``,
+The force law is written once, in ``_h_from_slope``, which writes h over the
+total slopes u_x + s_x of one line or a stack; ``h_of`` calls it, and so does
+the RHS of ``dynamics`` on both lines w +- l th at once. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
 line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
 which reduce each row on its own, so a row of a stack gives the lone-vector
@@ -42,7 +42,6 @@ __all__ = [
     "arc_length",
     "h_of",
     "pi_energy",
-    "make_pair_projection",
 ]
 
 
@@ -62,6 +61,7 @@ class CableGeometry:
     c: float
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
+    c_xi0: np.ndarray = field(repr=False)  # c xi0 at grid nodes, the pretension part of h
     L0: float = 0.0
     int_abs_sx: float = 0.0  # int |s_x|, used by lemma constants
     max_xi0: float = 1.0
@@ -85,8 +85,9 @@ def make_geometry(
         raise ValueError(f"cable stiffnesses must be nonnegative, got b={b}, c={c}")
     sx = a * (0.5 * basis.L - grid.nodes)
     xi0 = np.sqrt(1.0 + sx * sx)
-    sx.setflags(write=False)
-    xi0.setflags(write=False)
+    c_xi0 = c * xi0
+    for arr in (sx, xi0, c_xi0):
+        arr.setflags(write=False)
     return CableGeometry(
         a=a,
         s0=s0,
@@ -94,6 +95,7 @@ def make_geometry(
         c=c,
         sx=sx,
         xi0=xi0,
+        c_xi0=c_xi0,
         L0=float(np.vecdot(xi0, grid.weights)),  # arc_length(0) bit for bit
         int_abs_sx=float(grid.weights @ np.abs(sx)),
         # The rest slope peaks at the span ends, which Gauss nodes exclude, so
@@ -109,14 +111,11 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
     return np.sqrt(1.0 + total * total)
 
 
-def _h_from_slope(
-    u_x_nodal: np.ndarray, geometry: CableGeometry, weights: np.ndarray
-) -> np.ndarray:
-    """h at the nodes from nodal slopes; each leading index is one hanger line."""
-    total = u_x_nodal + geometry.sx
+def _h_from_slope(total: np.ndarray, geometry: CableGeometry, weights: np.ndarray) -> np.ndarray:
+    """h at the nodes, written over the total slopes u_x + s_x; one line per leading index."""
     xi = np.sqrt(1.0 + total * total)
     stretch = geometry.b * (geometry.L0 - np.vecdot(xi, weights))
-    return (stretch[..., None] - geometry.c * geometry.xi0) * total / xi
+    return np.multiply(total / xi, stretch[..., None] - geometry.c_xi0, out=total)
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -137,7 +136,7 @@ def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> 
 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
-    return _h_from_slope(_slope(u, grid), geometry, grid.weights)
+    return _h_from_slope(_slope(u, grid) + geometry.sx, geometry, grid.weights)
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:
@@ -146,23 +145,3 @@ def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> f
     stretch_term = 0.5 * geometry.b * (np.vecdot(xi, grid.weights) - geometry.L0) ** 2
     tension_term = geometry.c * np.vecdot(geometry.xi0 * (xi - geometry.xi0), grid.weights)
     return stretch_term + tension_term
-
-
-def make_pair_projection(geometry, grid, ell, n_w, n_t, scale_w=1.0, scale_t=1.0):
-    """Build v = [w, th] -> (scale_w (f, e_j')_0 for j <= n_w, scale_t (f-bar, e_j')_0 for j <= n_t).
-
-    One table product gives the slopes of both lines w +- l th as a (2, N)
-    array. f and f-bar / l are formed node by node before projecting, so
-    mirroring th (which swaps the lines) keeps f and negates f-bar exactly.
-    """
-    dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
-    slopes = np.concatenate([np.tile(dw, 2), np.hstack([ell * dt, -ell * dt])])
-    to_w = dw * (scale_w * grid.weights)
-    to_t = dt * (scale_t * ell * grid.weights)
-
-    def project(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h = _h_from_slope((v @ slopes).reshape(2, -1), geometry, grid.weights)
-        return to_w @ (h[0] + h[1]), to_t @ (h[0] - h[1])
-
-    return project
-

@@ -17,9 +17,10 @@ step of ``experiments`` all read them from there. The packed row layout
 y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the channels
 in row order and ``channel_slices`` gives their slices. On packed y,
 ``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
-adds the cubic stretching term and the cable projections from
-``cable.make_pair_projection``, recomputed on every call so the integrator sees
-the exact semi-discrete flow.
+adds the cubic stretching term and the cable projections on every call, so the
+integrator sees the exact semi-discrete flow. [y, 1] @ slopes gives the nodal
+slopes of both hanger lines and k_j^2 w_j; after ``cable._h_from_slope``,
+[y, 1, f, f-bar / l, stretching] @ [A^T; c; projections] gives the derivative.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cable import CableGeometry, make_pair_projection
+from .cable import CableGeometry, _h_from_slope
 from .spectral import Basis, QuadratureGrid
 
 __all__ = [
@@ -219,31 +220,50 @@ def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.n
 def make_packed_rhs(
     params: ModelParams, geometry: CableGeometry, basis: Basis, grid: QuadratureGrid
 ):
-    """Build f(t, y) on one packed row y; the hot path.
+    """Build f(t, y) on one packed row y, a new array per call; the hot path.
 
-    Each call returns a new array.
+    The cable term (b = c = 0) and stretching (S = 0) are skipped when off: no 0 * inf.
     """
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
+    n, nodes = len(c), grid.n_nodes
     w, acc_w, th, acc_t = channel_slices(n_w, n_t)
-    displacements = np.r_[w, th]  # [w, th] inside y
     co = mode_coefficients(params, n_w, n_t)
-    k2w = co.k2
     stretch = params.S / params.M
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
-    cable = make_pair_projection(geometry, grid, params.ell, n_w, n_t, co.inv_m, co.inv_it)
+    dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
+    # [y, 1] @ slopes: total slopes of the lines w + l th and w - l th, then k^2 w
+    up, down, k2w = slice(0, nodes), slice(nodes, 2 * nodes), slice(2 * nodes, 2 * nodes + n_w)
+    slopes = np.zeros((n + 1, k2w.stop))
+    slopes[w, up] = slopes[w, down] = dw
+    slopes[th, up] = params.ell * dt
+    slopes[th, down] = -slopes[th, up]  # exact: mirroring th swaps the lines bit for bit
+    slopes[n, up] = slopes[n, down] = geometry.sx
+    slopes[w, k2w] = np.diag(co.k2)
+    # [y, 1, f, f-bar / l, -(S/M) ||w_x||^2 k^2 w] @ table, rows past [y, 1] as slopes' columns
+    table = np.zeros((n + 1 + k2w.stop, n))
+    table[:n], table[n], forces = A.T, c, table[n + 1 :]
+    forces[up, acc_w] = (dw * (co.inv_m * grid.weights)).T
+    forces[down, acc_t] = (dt * (co.inv_it * params.ell * grid.weights)).T
+    forces[k2w, acc_w] = np.eye(n_w)
+
+    buffer, nodal = np.zeros(len(table)), np.empty(k2w.stop)
+    buffer[n] = 1.0
+    y_part, head, y_w = buffer[:n], buffer[: n + 1], buffer[w]
+    f, f_bar, stretch_part = (buffer[n + 1 :][part] for part in (up, down, k2w))
+    lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]
+    h_up, h_down = lines  # _h_from_slope writes h over the slopes
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        out = A @ y
-        out += c
-        if stretch:
-            k2w_w = k2w * y[w]
-            out[acc_w] -= (stretch * (k2w_w @ y[w])) * k2w_w
+        y_part[...] = y
+        if cables_on or stretch:
+            np.matmul(head, slopes, out=nodal)
         if cables_on:
-            force_w, force_t = cable(y[displacements])
-            out[acc_w] += force_w
-            out[acc_t] += force_t
-        return out
+            _h_from_slope(lines, geometry, grid.weights)
+            np.add(h_up, h_down, out=f)
+            np.subtract(h_up, h_down, out=f_bar)
+        if stretch:
+            np.multiply(k2w_w, -stretch * (k2w_w @ y_w), out=stretch_part)
+        return buffer @ table
 
     return packed_rhs
-

@@ -10,7 +10,10 @@ values v are ``grid.modes[:n] @ (grid.weights * v)``.
 The quadrature is composite Gauss-Legendre rather than a mode-count-matched
 rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
-non-polynomial integrands keep uniform accuracy.
+non-polynomial integrands keep uniform accuracy. A convergence test sets the
+rule: along the canonical wind_stretch run at 10+4 to 20+10 modes the RHS is
+within 1e-10 per acceleration block of a 16 times finer rule. Steeper slopes
+need more: at 4+3 modes the error is ~1e-7 at Eplus = 1e4 and 2e-4 at 2e6.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ __all__ = [
 
 POINTS_PER_PANEL = 5
 MIN_PANELS = 64
-PANELS_PER_MODE = 8
+PANELS_PER_MODE = 4
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,7 @@ class QuadratureGrid:
     """Composite Gauss-Legendre abscissae/weights on (0, L).
 
     The mode-shape tables (values and first two derivatives of every retained
-    mode at every node) are computed once here; they are static geometry, not
-    state, so caching them does not interact with the per-call recomputation
-    of the state-dependent cable projections.
+    mode at every node) are static geometry, computed once here.
     """
 
     nodes: np.ndarray
@@ -82,7 +83,7 @@ class QuadratureGrid:
 
 
 def make_grid(basis: Basis) -> QuadratureGrid:
-    """Build the quadrature grid for a basis: 5-point panels, >= 8 per mode."""
+    """Build the quadrature grid for a basis: 5-point panels, >= 4 per mode and >= 64 in all."""
     panels = max(MIN_PANELS, PANELS_PER_MODE * basis.max_modes)
     ref_x, ref_w = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
     width = basis.L / panels

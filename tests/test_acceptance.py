@@ -22,7 +22,8 @@ from fishbone.diagnostics import (
     lemma_suite,
     random_states,
 )
-from fishbone.dynamics import ModalState, ModelParams
+from fishbone import spectral
+from fishbone.dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
 from fishbone.experiments import (
     GRAVITY,
     TNB_N_W,
@@ -373,6 +374,44 @@ class TestConvergenceOrder:
             finals.append(np.hstack([traj.w[-1], traj.wdot[-1], traj.th[-1], traj.thdot[-1]]))
         ratio = np.linalg.norm(finals[0] - finals[1]) / np.linalg.norm(finals[1] - finals[2])
         assert 12.0 <= ratio <= 20.0
+
+
+class TestQuadratureConvergence:
+    @pytest.mark.parametrize("n_w, n_t", [(10, 4), (14, 8), (16, 10), (20, 10)])
+    def test_rule_matches_a_sixteen_times_finer_one(self, scenario_runs, monkeypatch, n_w, n_t):
+        """make_grid's rule gives the RHS to 1e-10 per acceleration block.
+
+        The states are eight samples along the canonical wind_stretch run
+        (10+4 modes), zero-padded to the truncation; the reference rule has
+        16 times the panels. Each block is scaled by its largest reference
+        entry, as the benchmark's RHS check does.
+        """
+        traj = scenario_runs["wind_stretch"][0]
+        scenario = figure_scenarios()["wind_stretch"]
+        basis = Basis(L=scenario.basis.L, n_w=n_w, n_t=n_t)
+        where = channel_slices(n_w, n_t)
+        samples = np.linspace(0, len(traj) - 1, 8).astype(int)
+        states = np.zeros((len(samples), where.thdot.stop))
+        for channel in CHANNELS:
+            sampled = getattr(traj, channel)[samples]
+            states[:, getattr(where, channel).start + np.arange(sampled.shape[1])] = sampled
+
+        def rhs_rows(grid):
+            geo = scenario.geometry
+            geometry = make_geometry(geo.a, geo.s0, geo.b, geo.c, basis, grid)
+            rhs = make_packed_rhs(scenario.params, geometry, basis, grid)
+            return np.array([rhs(0.0, y) for y in states])
+
+        grid = make_grid(basis)
+        got = rhs_rows(grid)
+        monkeypatch.setattr(spectral, "MIN_PANELS", 16 * spectral.MIN_PANELS)
+        monkeypatch.setattr(spectral, "PANELS_PER_MODE", 16 * spectral.PANELS_PER_MODE)
+        fine = make_grid(basis)
+        assert fine.panels == 16 * grid.panels
+        want = rhs_rows(fine)
+        for block in (where.wdot, where.thdot):
+            scale = np.abs(want[:, block]).max()
+            assert np.abs(got[:, block] - want[:, block]).max() <= 1e-10 * scale
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ from fishbone.cable import (
     big_xi,
     h_of,
     make_geometry,
-    make_pair_projection,
     pi_energy,
 )
 from fishbone.diagnostics import ROW_BLOCK
+from fishbone.dynamics import ModelParams, channel_slices, make_packed_rhs
 from fishbone.spectral import Basis, make_grid
 
 A, S0, B, C = 0.2, 1.0, 1.0, 1.0
@@ -22,6 +22,21 @@ def default_setup(n_w=4, n_t=3, L=np.pi, a=A, b=B, c=C):
     grid = make_grid(basis)
     geometry = make_geometry(a, S0, b, c, basis, grid)
     return basis, grid, geometry
+
+
+def pair_projection(geometry, basis, grid, ell, w, th):
+    """(f, e_j')_0 for j <= n_w and (f-bar, e_j')_0 for j <= n_t, read off the packed RHS.
+
+    The cable part is the RHS minus the RHS of the same rest shape without cable pull.
+    """
+    params = ModelParams(L=basis.L, ell=ell)
+    bare = make_geometry(geometry.a, geometry.s0, 0.0, 0.0, basis, grid)
+    where = channel_slices(basis.n_w, basis.n_t)
+    y = np.zeros(where.thdot.stop)
+    y[where.w], y[where.th] = w, th
+    part = make_packed_rhs(params, geometry, basis, grid)(0.0, y)
+    part -= make_packed_rhs(params, bare, basis, grid)(0.0, y)
+    return part[where.wdot], part[where.thdot] * ell**2 / 3.0
 
 
 class TestGeometry:
@@ -80,7 +95,7 @@ class TestForceDensity:
         """(f(0), e_j')_0 = -2 c a sqrt(2L) (1-(-1)^j)/(j pi)."""
         basis, grid, geo = default_setup(n_w=6, n_t=3)
         L = basis.L
-        fw, _ = make_pair_projection(geo, grid, 1.0, 6, 3)(np.zeros(9))
+        fw, _ = pair_projection(geo, basis, grid, 1.0, np.zeros(6), np.zeros(3))
         j = np.arange(1, 7)
         exact = -2.0 * C * A * np.sqrt(2.0 * L) * (1.0 - (-1.0) ** j) / (j * np.pi)
         np.testing.assert_allclose(fw, exact, rtol=1e-10, atol=1e-12)
@@ -102,7 +117,7 @@ class TestForceDensity:
         rng = np.random.default_rng(5)
         w, th = rng.standard_normal(3), rng.standard_normal(2)
         assert not h_of(w, geo, grid).any()
-        fw, ft = make_pair_projection(geo, grid, 1.3, 3, 2)(np.concatenate([w, th]))
+        fw, ft = pair_projection(geo, basis, grid, 1.3, w, th)
         assert not fw.any() and not ft.any()
 
     def test_fine_grid_projection_oracle(self):
@@ -111,14 +126,12 @@ class TestForceDensity:
         fine_basis = Basis(L=basis.L, n_w=50, n_t=3)
         fine_grid = make_grid(fine_basis)
         fine_geo = make_geometry(A, S0, B, C, fine_basis, fine_grid)
-        coarse = make_pair_projection(geo, grid, 1.1, 5, 3)
-        fine = make_pair_projection(fine_geo, fine_grid, 1.1, 5, 3)
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = 0.4 * rng.standard_normal(5)
             th = 0.4 * rng.standard_normal(3)
-            fw, ft = coarse(np.concatenate([w, th]))
-            fw_ref, ft_ref = fine(np.concatenate([w, th]))
+            fw, ft = pair_projection(geo, basis, grid, 1.1, w, th)
+            fw_ref, ft_ref = pair_projection(fine_geo, basis, fine_grid, 1.1, w, th)
             scale = max(np.abs(fw_ref).max(), np.abs(ft_ref).max())
             np.testing.assert_allclose(fw, fw_ref, rtol=0, atol=1e-6 * scale)
             np.testing.assert_allclose(ft, ft_ref, rtol=0, atol=1e-6 * scale)

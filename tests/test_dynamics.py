@@ -229,6 +229,48 @@ class TestRhs:
             scale = np.abs(expected).max()
             np.testing.assert_allclose(part, expected, rtol=0, atol=1e-12 * scale)
 
+    def test_returned_derivative_is_never_reused(self):
+        """The kernel's scratch buffers stay inside it: every call returns a new array.
+
+        RK4 holds k1 to k4 at once, so a later call must not change an earlier result.
+        """
+        params, geo, basis, grid = cable_setup(n_w=4, n_t=3, S=1.3, P=0.2, delta=0.1, g=0.4)
+        rhs = make_packed_rhs(params, geo, basis, grid)
+        rng = np.random.default_rng(12)
+        y1, y2 = random_state(rng, basis).pack(), random_state(rng, basis).pack()
+        first = rhs(0.0, y1)
+        kept, y1_kept = first.copy(), y1.copy()
+        rhs(0.0, y2)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(y1, y1_kept)
+        again = rhs(0.0, y1)
+        np.testing.assert_array_equal(again, first)
+        assert not np.shares_memory(again, first)
+
+    def test_linear_operator_alone_without_cables_and_stretching(self):
+        """With b = c = 0 and S = 0 the RHS is A y + c and never evaluates the cubic terms.
+
+        At w_1 = 1e200 the cable slopes and ||w_x||^2 overflow, so evaluating
+        either term with a zero coefficient would give 0 * inf = NaN.
+        """
+        basis = Basis(L=np.pi, n_w=4, n_t=3)
+        grid = make_grid(basis)
+        geo = make_geometry(0.2, 1.0, 0.0, 0.0, basis, grid)
+        params = ModelParams(
+            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, zeta=0.4, kappa=0.6, g=0.5, P=0.3
+        )
+        rhs = make_packed_rhs(params, geo, basis, grid)
+        A, c = linear_operator(params, basis)
+        huge = np.zeros(len(c))
+        huge[0] = 1e200
+        assert np.isfinite(rhs(0.0, huge)).all()
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            y = random_state(rng, basis).pack()
+            expected = A @ y + c
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(rhs(0.0, y), expected, rtol=1e-15, atol=1e-15 * scale)
+
     def test_couplings_zero_padded(self):
         """Vertical modes beyond n_t receive no piston coupling."""
         params, geo, basis, grid = nodeck_setup(

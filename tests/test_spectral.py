@@ -39,10 +39,12 @@ class TestQuadratureGrid:
             np.testing.assert_allclose(grid.weights.sum(), L, rtol=1e-12)
 
     def test_panel_count_scales_with_modes(self):
-        """Panels = max(64, 8 * max_modes)."""
+        """Panels = max(64, 4 * max_modes)."""
         small = make_grid(Basis(L=np.pi, n_w=3, n_t=2))
         assert small.panels == 64
-        large = make_grid(Basis(L=np.pi, n_w=12, n_t=4))
+        floor = make_grid(Basis(L=np.pi, n_w=12, n_t=4))
+        assert floor.panels == 64
+        large = make_grid(Basis(L=np.pi, n_w=24, n_t=4))
         assert large.panels == 96
 
     def test_gram_identity(self):
