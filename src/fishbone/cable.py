@@ -18,8 +18,9 @@ and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0)
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
 The force law is written once, in ``_h_from_slope``, which writes h over the
-total slopes u_x + s_x of one line or a stack; ``h_of`` calls it, and so does
-the RHS of ``dynamics`` on both lines w +- l th at once. ``arc_length``,
+total slopes u_x + s_x of one line or a stack, into work arrays its caller
+owns: ``h_of`` passes fresh ones, and the RHS of ``dynamics`` (both lines
+w +- l th at once) the ones it builds once per run. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
 line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
 which reduce each row on its own, so a row of a stack gives the lone-vector
@@ -111,11 +112,22 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
     return np.sqrt(1.0 + total * total)
 
 
-def _h_from_slope(total: np.ndarray, geometry: CableGeometry, weights: np.ndarray) -> np.ndarray:
-    """h at the nodes, written over the total slopes u_x + s_x; one line per leading index."""
-    xi = np.sqrt(1.0 + total * total)
-    stretch = geometry.b * (geometry.L0 - np.vecdot(xi, weights))
-    return np.multiply(total / xi, stretch[..., None] - geometry.c_xi0, out=total)
+def _h_from_slope(
+    total: np.ndarray, geometry: CableGeometry, weights: np.ndarray,
+    xi: np.ndarray, gap: np.ndarray, pull: np.ndarray,
+) -> np.ndarray:
+    """h at the nodes, written over the total slopes u_x + s_x; one line per leading index.
+
+    xi, gap (total's shape) and pull (one per line) are the caller's work arrays; each
+    step is an ``out=`` call in the operand order of (total / Xi) (b (L0 - int Xi) - c xi0).
+    """
+    np.multiply(total, total, out=xi)
+    np.sqrt(np.add(1.0, xi, out=xi), out=xi)  # Xi(u)
+    np.vecdot(xi, weights, out=pull)
+    np.multiply(geometry.b, np.subtract(geometry.L0, pull, out=pull), out=pull)
+    np.subtract(pull[..., None], geometry.c_xi0, out=gap)
+    np.divide(total, xi, out=total)
+    return np.multiply(total, gap, out=total)
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -136,7 +148,9 @@ def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> 
 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
-    return _h_from_slope(_slope(u, grid) + geometry.sx, geometry, grid.weights)
+    total = _slope(u, grid) + geometry.sx
+    xi, gap, pull = np.empty_like(total), np.empty_like(total), np.empty(total.shape[:-1])
+    return _h_from_slope(total, geometry, grid.weights, xi, gap, pull)
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:

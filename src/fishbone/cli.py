@@ -396,19 +396,23 @@ def _open_csv(path: Path):
     return open(path, "w", newline="")
 
 
+def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
+    """A header line, then one line per row of a float table, each value in ``_fmt``'s form."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _open_csv(path) as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(line % tuple(row) for row in table.tolist())
+
+
 def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis, channels) -> None:
     """Displayed-amplitude trajectory table: t, then one column per mode."""
     header = ["t"]
-    columns = []
+    columns = [traj.times]
     for channel in channels:
         block = getattr(traj, channel)
         header += [f"{channel}_{j}" for j in range(1, block.shape[1] + 1)]
         columns.append(modal_to_displayed(block, basis.L))
-    data = np.hstack(columns)
-    with _open_csv(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(t), *map(_fmt, row)] for t, row in zip(traj.times, data))
+    _write_table(path, header, np.column_stack(columns))
 
 
 def write_energy_csv(path: Path, traj: Trajectory) -> None:
@@ -416,10 +420,7 @@ def write_energy_csv(path: Path, traj: Trajectory) -> None:
     names = ("E", "Eplus", "Efull", "residual")
     nan = np.full(len(traj), math.nan)
     columns = [traj.times, *(traj.diagnostics.get(name, nan) for name in names)]
-    with _open_csv(path) as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t", *names])
-        writer.writerows([_fmt(value) for value in row] for row in zip(*columns))
+    _write_table(path, ["t", *names], np.column_stack(columns))
 
 
 @dataclass(frozen=True)

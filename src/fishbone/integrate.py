@@ -9,7 +9,8 @@ halving on rejection) and cubic Hermite dense output at the sample times.
 export of the CLI samples it too.
 A blow-up raises one ``NonFiniteState``, which names the entry by
 ``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
-keeps numpy's overflow warnings from coming first.
+keeps numpy's overflow warnings from coming first. Stage inputs, updates and
+error weights live in buffers built once per run; y is copied only to samples.
 """
 
 from __future__ import annotations
@@ -159,21 +160,25 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     dt = cfg.t_end / n_steps
     half, sixth = 0.5 * dt, dt / 6.0
 
-    samples = [y0.copy()]
-    y, t = y0.copy(), t0
+    data = np.empty((n_steps // stride + 1, y0.size))
+    data[0] = y0
+    # Run-long buffers: the stage input y + a k and the update (k1 + k4) + 2 (k2 + k3).
+    y, t, (stage, update) = y0.copy(), t0, np.empty((2, y0.size))
     for i in range(1, n_steps + 1):
         k1 = f(t, y)
-        k2 = f(t + half, y + half * k1)
-        k3 = f(t + half, y + half * k2)
-        k4 = f(t + dt, y + dt * k3)
-        y = y + sixth * (k1 + k4 + 2.0 * (k2 + k3))
+        k2 = f(t + half, np.add(y, np.multiply(half, k1, out=stage), out=stage))
+        k3 = f(t + half, np.add(y, np.multiply(half, k2, out=stage), out=stage))
+        k4 = f(t + dt, np.add(y, np.multiply(dt, k3, out=stage), out=stage))
+        np.multiply(2.0, np.add(k2, k3, out=update), out=update)
+        np.add(np.add(k1, k4, out=stage), update, out=update)
+        np.add(y, np.multiply(sixth, update, out=update), out=y)
         t = t0 + i * dt
         # One reduction is finite whenever y is; it can also overflow on a finite y.
         if not math.isfinite(y @ y) and not np.isfinite(y).all():
             raise _nonfinite(y, t, basis)
         if i % stride == 0:
-            samples.append(y)
-    return sample_times(cfg, t0), np.vstack(samples)
+            data[i // stride] = y
+    return sample_times(cfg, t0), data
 
 
 def _hermite(theta: float, y0, f0, y1, f1, h: float):
@@ -194,8 +199,11 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
     k = np.zeros((7, y0.size))  # stage derivatives; row 0 is f(t, y)
     k[0] = f(t, y)
     err_prev = 1.0
-    samples = [y0.copy()]
+    data = np.empty((len(out_times), y0.size))
+    data[0] = y0
     next_out = 1
+    # Run-long buffers: h times the tableau, a trial y5, a stage input and the error weights.
+    tableau, (y5, stage, scale) = np.empty_like(_DP_TABLEAU), np.empty((3, y0.size))
 
     while t < t_final - 0.5 * h_min:
         h = min(h, t_final - t)
@@ -203,21 +211,24 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
             raise StepUnderflow(
                 f"step size {h:.3e} underflowed below {h_min:.3e} at t={t:.9g}", time=t
             )
-        tableau = h * _DP_TABLEAU
+        np.multiply(h, _DP_TABLEAU, out=tableau)
         for i in range(1, 7):
-            k[i] = f(t + _DP_C[i] * h, y + tableau[i] @ k)
-        y5 = y + tableau[7] @ k
+            k[i] = f(t + _DP_C[i] * h, np.add(y, np.dot(tableau[i], k, out=stage), out=stage))
+        np.add(y, np.dot(tableau[7], k, out=y5), out=y5)
         if not np.isfinite(y5).all():
             raise _nonfinite(y5, t + h, basis)
-        e = (tableau[8] @ k) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+        # e = (tableau[8] @ k) / (atol + rtol * max(|y|, |y5|))
+        np.maximum(np.abs(y, out=scale), np.abs(y5, out=stage), out=scale)
+        np.add(cfg.atol, np.multiply(cfg.rtol, scale, out=scale), out=scale)
+        e = np.divide(np.dot(tableau[8], k, out=stage), scale, out=stage)
         err = math.sqrt(float(e @ e) / e.size)
 
         if err <= 1.0:
             while next_out < len(out_times) and out_times[next_out] <= t + h * (1 + 1e-12):
                 theta = min(1.0, max(0.0, (out_times[next_out] - t) / h))
-                samples.append(_hermite(theta, y, k[0], y5, k[6], h))
+                data[next_out] = _hermite(theta, y, k[0], y5, k[6], h)
                 next_out += 1
-            y, t = y5, t + h
+            y, y5, t = y5, y, t + h  # swap buffers: the old y is the next trial's y5
             k[0] = k[6]  # FSAL: stage 7 is f(t + h, y5)
             fac = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA if err > 0 else FAC_MAX
             h *= min(FAC_MAX, max(FAC_MIN, fac))
@@ -225,10 +236,8 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
         else:
             h *= 0.5
     # Floating-point stragglers: any unsampled output times are at t_final.
-    while next_out < len(out_times):
-        samples.append(y.copy())
-        next_out += 1
-    return out_times, np.vstack(samples)
+    data[next_out:] = y
+    return out_times, data
 
 
 def integrate(

@@ -12,8 +12,10 @@ rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
 non-polynomial integrands keep uniform accuracy. A convergence test sets the
 rule: along the canonical wind_stretch run at 10+4 to 20+10 modes the RHS is
-within 1e-10 per acceleration block of a 16 times finer rule. Steeper slopes
-need more: at 4+3 modes the error is ~1e-7 at Eplus = 1e4 and 2e-4 at 2e6.
+within 1e-10 per acceleration block of a 16 times finer rule. The error grows
+with amplitude, which the rule does not follow: on the damped 4+3 model (320
+nodes) it is at rounding up to Eplus = 100, ~1e-9 at 1e3 (bounded by a test),
+1e-7 at 1e4 and 2e-4 at 1.9e6, as Xi = sqrt(1 + (u_x + s_x)^2) steepens.
 """
 
 from __future__ import annotations

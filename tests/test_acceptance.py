@@ -55,6 +55,32 @@ def cable_setup(n_w=4, n_t=3, L=math.pi, a=0.2, b=1.0, c=1.0, **over):
     return params, geometry, basis, grid
 
 
+# Damped nondimensional 4+3 model of the absorbing-ball test and the benchmark's analysis ensemble
+ABSORBING_MODEL = dict(
+    M=1.0, D=1.0, ell=1.0, eps=0.5, kappa=0.3,
+    delta=0.2, zeta=0.1, beta=0.01, Upsilon=0.5, Ustream=2.0, g=0.3,
+    S=1.0, P=0.5,
+)
+
+
+def state_in_shell(rng, basis, target, eplus):
+    """A random smooth state scaled by bisection to eplus(state) = target."""
+    w = random_states(rng, basis, 1.0, 1)[0][: basis.n_w]
+    th = random_states(rng, basis, 1.0, 1)[0][: basis.n_t]
+    wdot, thdot = rng.standard_normal(basis.n_w), rng.standard_normal(basis.n_t)
+
+    def scaled(s):
+        return ModalState(s * w, s * wdot, s * th, s * thdot)
+
+    lo, hi = 0.0, 1.0
+    while eplus(scaled(hi)) < target:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if eplus(scaled(mid)) < target else (lo, mid)
+    return scaled(0.5 * (lo + hi))
+
+
 def log_peak_growth_rate(traj, mode=2, window=10.0):
     """Least-squares slope (1/s) of log max|th_mode| per window, with its standard error.
 
@@ -315,11 +341,7 @@ class TestAbsorbingEvidence:
 
     def test_large_data_contract_into_one_ball(self):
         """Initial energies up to 1e3 end below one constant on [50, 100]."""
-        params, geometry, basis, grid = cable_setup(
-            M=1.0, D=1.0, ell=1.0, eps=0.5, kappa=0.3,
-            delta=0.2, zeta=0.1, beta=0.01, Upsilon=0.5, Ustream=2.0, g=0.3,
-            S=1.0, P=0.5,
-        )
+        params, geometry, basis, grid = cable_setup(**ABSORBING_MODEL)
         admissible = absorbing_params(params)
         assert admissible.admissible
         assert 0.0 < admissible.nu < admissible.nubar
@@ -331,21 +353,7 @@ class TestAbsorbingEvidence:
         rng = np.random.default_rng(7)
         tails = []
         for target in np.logspace(0.0, 3.0, 10):
-            w = random_states(rng, basis, 1.0, 1)[0][: basis.n_w]
-            th = random_states(rng, basis, 1.0, 1)[0][: basis.n_t]
-            wdot = rng.standard_normal(basis.n_w)
-            thdot = rng.standard_normal(basis.n_t)
-            lo, hi = 0.0, 1.0
-            while eplus(ModalState(hi * w, hi * wdot, hi * th, hi * thdot)) < target:
-                hi *= 2.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if eplus(ModalState(mid * w, mid * wdot, mid * th, mid * thdot)) < target:
-                    lo = mid
-                else:
-                    hi = mid
-            scale = 0.5 * (lo + hi)
-            y0 = ModalState(scale * w, scale * wdot, scale * th, scale * thdot)
+            y0 = state_in_shell(rng, basis, target, eplus)
             assert eplus(y0) <= 1.001e3
             cfg = IntegratorConfig(method="rk4", dt=5e-3, t_end=100.0, sample_every=0.5)
             traj = integrate(y0, params, geometry, basis, cfg, grid)
@@ -412,6 +420,42 @@ class TestQuadratureConvergence:
         for block in (where.wdot, where.thdot):
             scale = np.abs(want[:, block]).max()
             assert np.abs(got[:, block] - want[:, block]).max() <= 1e-10 * scale
+
+    def test_rule_error_grows_with_amplitude_on_the_analysis_shells(self, monkeypatch):
+        """make_grid's rule on the damped 4+3 model, at initial energies Eplus 1 to 1000.
+
+        These are the shells of the benchmark's analysis ensemble (320 nodes).
+        Six random states per shell, each block scaled as above, against 16 times
+        the panels. Over 20 seeds of six states the worst errors were 6.9e-15,
+        6.1e-15, 2.6e-13 and 6.0e-9 at Eplus 1, 10, 100 and 1000. Each bound is
+        that worst case rounded up to a power of ten, times ten. At 160 nodes the
+        worst errors are 1.5e-9 at Eplus 100 and 4.9e-6 at 1000.
+        """
+        bounds = {1.0: 1e-13, 10.0: 1e-13, 100.0: 1e-11, 1000.0: 1e-7}
+        params, geometry, basis, grid = cable_setup(**ABSORBING_MODEL)
+        where = channel_slices(basis.n_w, basis.n_t)
+
+        def eplus(state):
+            return energies(state, params, geometry, basis, grid).Eplus
+
+        rng = np.random.default_rng(0)
+        shells = {
+            target: np.array([state_in_shell(rng, basis, target, eplus).pack() for _ in range(6)])
+            for target in bounds
+        }
+        monkeypatch.setattr(spectral, "MIN_PANELS", 16 * spectral.MIN_PANELS)
+        monkeypatch.setattr(spectral, "PANELS_PER_MODE", 16 * spectral.PANELS_PER_MODE)
+        fine = make_grid(basis)
+        assert grid.n_nodes == 320 and fine.panels == 16 * grid.panels
+        rhs = make_packed_rhs(params, geometry, basis, grid)
+        fine_geometry = make_geometry(geometry.a, geometry.s0, geometry.b, geometry.c, basis, fine)
+        fine_rhs = make_packed_rhs(params, fine_geometry, basis, fine)
+        for target, states in shells.items():
+            got = np.array([rhs(0.0, y) for y in states])
+            want = np.array([fine_rhs(0.0, y) for y in states])
+            for block in (where.wdot, where.thdot):
+                scale = np.abs(want[:, block]).max()
+                assert np.abs(got[:, block] - want[:, block]).max() <= bounds[target] * scale, target
 
 
 if __name__ == "__main__":

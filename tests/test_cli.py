@@ -9,6 +9,7 @@ import pytest
 import fishbone.cable
 from fishbone.cli import (
     ConfigError,
+    _fmt,
     load_config,
     main,
     manifest_text,
@@ -17,8 +18,12 @@ from fishbone.cli import (
     resolve_config,
     run_simulate,
     run_verify,
+    write_energy_csv,
+    write_trajectory_csv,
 )
-from fishbone.spectral import displayed_to_modal
+from fishbone.dynamics import CHANNELS
+from fishbone.integrate import Trajectory
+from fishbone.spectral import Basis, displayed_to_modal
 
 TOY = """\
 meta.name = toy
@@ -351,6 +356,23 @@ class TestSimulateOutputs:
             np.array([[float(v) for v in row] for row in rows[:5]])[:, 1:4],
             scale * traj.w[:5],
         )
+
+    def test_writers_give_the_fmt_text_of_every_value(self, tmp_path):
+        """Each cell is exactly ``_fmt`` of its float, the hard cases included.
+
+        Signed zero, nan, both infinities, the least subnormal, a near-overflow
+        and 0.1, each in every column; L = 2 makes the displayed amplitude
+        sqrt(2/L) c equal the modal coefficient c.
+        """
+        values = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1]
+        table = np.array([np.roll(values, shift) for shift in range(5)]).T
+        traj = Trajectory(times=table[:, 0], data=table[:, 1:], n_w=1, n_t=1)
+        traj.diagnostics = dict(zip(("E", "Eplus", "Efull", "residual"), table[:, 1:].T))
+        want = "".join(",".join(map(_fmt, row)) + "\n" for row in table.tolist())
+        write_trajectory_csv(tmp_path / "trajectory.csv", traj, Basis(L=2.0, n_w=1, n_t=1), CHANNELS)
+        write_energy_csv(tmp_path / "energy.csv", traj)
+        assert (tmp_path / "trajectory.csv").read_text() == "t,w_1,wdot_1,th_1,thdot_1\n" + want
+        assert (tmp_path / "energy.csv").read_text() == "t,E,Eplus,Efull,residual\n" + want
 
     def test_rerun_from_manifest_bit_identical(self, tmp_path):
         """Re-running from the manifest reproduces the trajectory CSV exactly."""

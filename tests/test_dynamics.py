@@ -1,5 +1,7 @@
 """Tests for the modal right-hand side, the parameters and the coefficient table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from fishbone.dynamics import (
     make_packed_rhs,
     mode_coefficients,
 )
+from fishbone.experiments import figure_scenarios
 from fishbone.linear import characteristic_roots
 from fishbone.spectral import Basis, make_grid
 
@@ -246,6 +249,28 @@ class TestRhs:
         again = rhs(0.0, y1)
         np.testing.assert_array_equal(again, first)
         assert not np.shares_memory(again, first)
+
+    @pytest.mark.parametrize("name", ["free", "wind_stretch"])
+    def test_calls_allocate_only_the_derivative(self, name):
+        """Ten calls on a preset raise the traced peak by less than one (2, nodes) array.
+
+        The work arrays are built once per make_packed_rhs; a call allocates only
+        the derivative it returns.
+        """
+        scenario = figure_scenarios()[name]
+        grid = make_grid(scenario.basis)
+        rhs = make_packed_rhs(scenario.params, scenario.geometry, scenario.basis, grid)
+        y = scenario.initial.pack()
+        rhs(0.0, y)
+        tracemalloc.start()  # traces what is allocated from here on
+        try:
+            for _ in range(10):
+                rhs(0.0, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.n_nodes == 320
+        assert peak < 2 * grid.n_nodes * 8
 
     def test_linear_operator_alone_without_cables_and_stretching(self):
         """With b = c = 0 and S = 0 the RHS is A y + c and never evaluates the cubic terms.

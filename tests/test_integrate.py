@@ -1,5 +1,6 @@
 """Tests for fixed-step RK4 and the adaptive embedded 5(4) integrator."""
 
+import math
 import re
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 import fishbone.integrate
 from fishbone.cable import make_geometry
 from fishbone.diagnostics import energies
-from fishbone.dynamics import ModalState, ModelParams
+from fishbone.dynamics import ModalState, ModelParams, make_packed_rhs
 from fishbone.integrate import (
     IntegrationError,
     IntegratorConfig,
     NonFiniteState,
     StepUnderflow,
     integrate,
+    sample_times,
 )
 from fishbone.linear import undamped_torsional_frequency
 from fishbone.spectral import Basis, make_grid
@@ -233,6 +235,76 @@ class TestAdaptive:
         assert isinstance(info.value, IntegrationError)
         assert "underflow" in str(info.value)
         assert 0.0 < info.value.time < t_blow
+
+
+class TestRunLongBuffers:
+    """The step loops, on buffers made once per run, match textbook loops on fresh arrays.
+
+    They must agree bit for bit: a sample that aliased the live state, or a stage
+    that read a buffer a later stage had overwritten, would change the samples.
+    """
+
+    def setup_method(self):
+        self.model = cable_setup(n_w=4, n_t=3, S=1.3, P=0.2, delta=0.1, zeta=0.05, g=0.4, eps=0.5, kappa=0.3)
+        rng = np.random.default_rng(5)
+        self.y0 = ModalState(*(0.2 * rng.standard_normal(n) for n in (4, 4, 3, 3)))
+
+    def test_rk4_matches_a_fresh_array_loop(self):
+        cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=3.0, sample_every=0.05)
+        params, geo, basis, grid = self.model
+        traj = integrate(self.y0, params, geo, basis, cfg, grid)
+        f = make_packed_rhs(params, geo, basis, grid)
+        n_steps, stride = 300, 5
+        dt = cfg.t_end / n_steps
+        half = 0.5 * dt
+        y = self.y0.pack()
+        rows = [y]
+        for i in range(1, n_steps + 1):
+            t = (i - 1) * dt
+            k1 = f(t, y)
+            k2 = f(t + half, y + half * k1)
+            k3 = f(t + half, y + half * k2)
+            k4 = f(t + dt, y + dt * k3)
+            y = y + dt / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
+            if i % stride == 0:
+                rows.append(y)
+        assert len(traj) == n_steps // stride + 1
+        assert np.array_equal(traj.data, np.array(rows))
+
+    def test_dp45_matches_a_fresh_array_loop(self):
+        """The whole controller on fresh arrays; the large first step makes it reject some."""
+        cfg = IntegratorConfig(method="adaptive45", dt=0.2, rtol=1e-8, atol=1e-10, t_end=3.0, sample_every=0.2)
+        params, geo, basis, grid = self.model
+        traj = integrate(self.y0, params, geo, basis, cfg, grid)
+        f = make_packed_rhs(params, geo, basis, grid)
+        fi = fishbone.integrate
+        times = sample_times(cfg)
+        y, t, h, err_prev, rejected = self.y0.pack(), 0.0, cfg.dt, 1.0, 0
+        k = np.zeros((7, y.size))
+        k[0] = f(t, y)
+        rows = [y]
+        while t < cfg.t_end - 0.5 * fi.UNDERFLOW_FRACTION * cfg.t_end:
+            h = min(h, cfg.t_end - t)
+            tableau = h * fi._DP_TABLEAU
+            for i in range(1, 7):
+                k[i] = f(t + fi._DP_C[i] * h, y + tableau[i] @ k)
+            y5 = y + tableau[7] @ k
+            e = (tableau[8] @ k) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+            err = math.sqrt(float(e @ e) / e.size)
+            if err > 1.0:
+                h, rejected = 0.5 * h, rejected + 1
+                continue
+            while len(rows) < len(times) and times[len(rows)] <= t + h * (1 + 1e-12):
+                theta = min(1.0, max(0.0, (times[len(rows)] - t) / h))
+                rows.append(fi._hermite(theta, y, k[0], y5, k[6], h))
+            y, t = y5, t + h
+            k[0] = k[6]
+            fac = fi.SAFETY * err ** (-fi.PI_ALPHA) * err_prev**fi.PI_BETA if err > 0 else fi.FAC_MAX
+            h *= min(fi.FAC_MAX, max(fi.FAC_MIN, fac))
+            err_prev = max(err, 1e-10)
+        rows += [y] * (len(times) - len(rows))
+        assert rejected > 0
+        assert np.array_equal(traj.data, np.array(rows))
 
 
 class TestOrderOfAccuracy:
