@@ -20,7 +20,9 @@ whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 The force law is written once, in ``_h_from_slope``, which writes h over the
 total slopes u_x + s_x of one line or a stack, into work arrays its caller
 owns: ``h_of`` passes fresh ones, and the RHS of ``dynamics`` (both lines
-w +- l th at once) the ones it builds once per run. ``arc_length``,
+w +- l th at once) the ones it builds once per run. The geometry folds b into
+the quadrature weights, so b (L0 - L(u)) - c xi0 is one weighted sum
+Xi @ (-b weights) less the stored c xi0 - b L0: seven numpy calls. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
 line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
 which reduce each row on its own, so a row of a stack gives the lone-vector
@@ -53,7 +55,8 @@ class CableGeometry:
     The cached L0 is always the quadrature value of int sqrt(1 + s_x^2) on the
     construction grid, so that Xi(0) = xi0 and Pi(0) = 0 hold exactly; a
     tabulated arc length only ever enters the *derivation* of b (see the cli
-    module), never the force law itself.
+    module), never the force law itself. The force law reads b, c and L0 only
+    through ``b_weights`` and ``gap0``, so h(0) = -c s_x holds to rounding of b L0.
     """
 
     a: float
@@ -62,7 +65,8 @@ class CableGeometry:
     c: float
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
-    c_xi0: np.ndarray = field(repr=False)  # c xi0 at grid nodes, the pretension part of h
+    b_weights: np.ndarray = field(repr=False)  # -b times the weights: Xi @ b_weights = -b int Xi
+    gap0: np.ndarray = field(repr=False)  # c xi0 - b L0: h = (Xi @ b_weights - gap0) (u_x + s_x) / Xi
     L0: float = 0.0
     int_abs_sx: float = 0.0  # int |s_x|, used by lemma constants
     max_xi0: float = 1.0
@@ -86,8 +90,9 @@ def make_geometry(
         raise ValueError(f"cable stiffnesses must be nonnegative, got b={b}, c={c}")
     sx = a * (0.5 * basis.L - grid.nodes)
     xi0 = np.sqrt(1.0 + sx * sx)
-    c_xi0 = c * xi0
-    for arr in (sx, xi0, c_xi0):
+    L0 = float(np.vecdot(xi0, grid.weights))  # arc_length(0) bit for bit
+    b_weights, gap0 = -b * grid.weights, c * xi0 - b * L0
+    for arr in (sx, xi0, b_weights, gap0):
         arr.setflags(write=False)
     return CableGeometry(
         a=a,
@@ -96,8 +101,9 @@ def make_geometry(
         c=c,
         sx=sx,
         xi0=xi0,
-        c_xi0=c_xi0,
-        L0=float(np.vecdot(xi0, grid.weights)),  # arc_length(0) bit for bit
+        b_weights=b_weights,
+        gap0=gap0,
+        L0=L0,
         int_abs_sx=float(grid.weights @ np.abs(sx)),
         # The rest slope peaks at the span ends, which Gauss nodes exclude, so
         # the supremum is taken in closed form rather than over the nodes.
@@ -113,21 +119,21 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
 
 
 def _h_from_slope(
-    total: np.ndarray, geometry: CableGeometry, weights: np.ndarray,
-    xi: np.ndarray, gap: np.ndarray, pull: np.ndarray,
+    total: np.ndarray, geometry: CableGeometry, xi: np.ndarray, gap: np.ndarray, pull: np.ndarray,
+    multiply=np.multiply, add=np.add, sqrt=np.sqrt, vecdot=np.vecdot,
+    subtract=np.subtract, divide=np.divide,
 ) -> np.ndarray:
     """h at the nodes, written over the total slopes u_x + s_x; one line per leading index.
 
-    xi, gap (total's shape) and pull (one per line) are the caller's work arrays; each
-    step is an ``out=`` call in the operand order of (total / Xi) (b (L0 - int Xi) - c xi0).
+    xi, gap (total's shape) and pull (one per line) are the caller's work arrays. Seven
+    ufunc calls (bound as defaults, positional out): Xi, the pull Xi @ (-b weights), the
+    gap pull - (c xi0 - b L0), then (total / Xi) gap. The gap is good to a few ulp of b L0.
     """
-    np.multiply(total, total, out=xi)
-    np.sqrt(np.add(1.0, xi, out=xi), out=xi)  # Xi(u)
-    np.vecdot(xi, weights, out=pull)
-    np.multiply(geometry.b, np.subtract(geometry.L0, pull, out=pull), out=pull)
-    np.subtract(pull[..., None], geometry.c_xi0, out=gap)
-    np.divide(total, xi, out=total)
-    return np.multiply(total, gap, out=total)
+    multiply(total, total, xi)
+    sqrt(add(1.0, xi, xi), xi)  # Xi(u)
+    vecdot(xi, geometry.b_weights, pull)
+    subtract(pull[..., None], geometry.gap0, gap)
+    return multiply(divide(total, xi, total), gap, total)
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -150,7 +156,7 @@ def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.nda
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
     total = _slope(u, grid) + geometry.sx
     xi, gap, pull = np.empty_like(total), np.empty_like(total), np.empty(total.shape[:-1])
-    return _h_from_slope(total, geometry, grid.weights, xi, gap, pull)
+    return _h_from_slope(total, geometry, xi, gap, pull)
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:

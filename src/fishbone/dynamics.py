@@ -18,9 +18,10 @@ y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the channels
 in row order and ``channel_slices`` gives their slices. On packed y,
 ``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
 adds the cubic stretching term and the cable projections on every call, so the
-integrator sees the exact semi-discrete flow. [y, 1] @ slopes gives the nodal
-slopes of both hanger lines and k_j^2 w_j; after ``cable._h_from_slope``,
-[y, 1, f, f-bar / l, stretching] @ [A^T; c; projections] gives the derivative.
+integrator sees the exact semi-discrete flow. On the internal row [w, th, 1,
+wdot, thdot, ...], [w, th, 1] @ slopes gives the nodal slopes of both hanger
+lines and k_j^2 w_j; after ``cable._h_from_slope``, [w, th, 1, wdot, thdot, f,
+f-bar / l, stretching] @ [A^T; c; projections] (rows in that order) gives f(y).
 """
 
 from __future__ import annotations
@@ -224,15 +225,28 @@ def make_packed_rhs(
 
     The tables and work arrays are built here, once per run, so a call allocates
     only the derivative it returns. The cable term (b = c = 0) and stretching
-    (S = 0) are skipped when off: no 0 * inf.
+    (S = 0) are skipped when off: no 0 * inf. With both off, f is [y, 1] @ [A^T; c].
     """
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
     n, nodes = len(c), grid.n_nodes
+    linear_table = np.zeros((n + 1, n))  # rows of [y, 1]
+    linear_table[:n], linear_table[n] = A.T, c
+    dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply  # bound once per run
+    stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
+    cables_on = geometry.b != 0.0 or geometry.c != 0.0
+    if not (cables_on or stretch):
+        head = np.append(np.zeros(n), 1.0)
+        y_part = head[:n]
+
+        def linear_rhs(t: float, y: np.ndarray) -> np.ndarray:
+            y_part[...] = y
+            return dot(head, linear_table)
+
+        return linear_rhs
+
     w, acc_w, th, acc_t = channel_slices(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
-    stretch = params.S / params.M
-    cables_on = geometry.b != 0.0 or geometry.c != 0.0
     dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
     # [y, 1] @ slopes: total slopes of the lines w + l th and w - l th, then k^2 w
     up, down, k2w = slice(0, nodes), slice(nodes, 2 * nodes), slice(2 * nodes, 2 * nodes + n_w)
@@ -242,31 +256,35 @@ def make_packed_rhs(
     slopes[th, down] = -slopes[th, up]  # exact: mirroring th swaps the lines bit for bit
     slopes[n, up] = slopes[n, down] = geometry.sx
     slopes[w, k2w] = np.diag(co.k2)
-    # [y, 1, f, f-bar / l, -(S/M) ||w_x||^2 k^2 w] @ table, rows past [y, 1] as slopes' columns
-    table = np.zeros((n + 1 + k2w.stop, n))
-    table[:n], table[n], forces = A.T, c, table[n + 1 :]
+    # The internal row is [w, th, 1, wdot, thdot, f, f-bar / l, -(S/M) ||w_x||^2 k^2 w]; y lands
+    # in it by one scatter, and the slopes product reads only its lead [w, th, 1].
+    order, lead = np.r_[w, th, n, acc_w, acc_t], n_w + n_t + 1  # the [y, 1] entry of each slot
+    slots = np.empty_like(order)
+    slots[order] = np.arange(n + 1)  # the slot of each entry of [y, 1]
+    slopes, slots = slopes[order[:lead]], slots[:n]
+    table = np.zeros((n + 1 + k2w.stop, n))  # rows: the internal row's slots
+    table[: n + 1], forces = linear_table[order], table[n + 1 :]
     forces[up, acc_w] = (dw * (co.inv_m * grid.weights)).T
     forces[down, acc_t] = (dt * (co.inv_it * params.ell * grid.weights)).T
     forces[k2w, acc_w] = np.eye(n_w)
 
-    buffer, nodal = np.zeros(len(table)), np.empty(k2w.stop)
-    buffer[n] = 1.0
-    y_part, head, y_w = buffer[:n], buffer[: n + 1], buffer[w]
-    f, f_bar, stretch_part = (buffer[n + 1 :][part] for part in (up, down, k2w))
+    row, nodal = np.zeros(len(table)), np.empty(k2w.stop)
+    row[lead - 1] = 1.0
+    head, y_w = row[:lead], row[:n_w]
+    f, f_bar, stretch_part = (row[n + 1 :][part] for part in (up, down, k2w))
     lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]
     h_up, h_down = lines  # _h_from_slope writes h over the slopes
     work = np.empty((2, nodes)), np.empty((2, nodes)), np.empty(2)  # xi, gap, pull per line
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
-        y_part[...] = y
-        if cables_on or stretch:
-            np.dot(head, slopes, out=nodal)  # np.dot: the BLAS call of @, less dispatch
+        row[slots] = y
+        dot(head, slopes, nodal)  # np.dot: the BLAS call of @, less dispatch
         if cables_on:
-            _h_from_slope(lines, geometry, grid.weights, *work)
-            np.add(h_up, h_down, out=f)
-            np.subtract(h_up, h_down, out=f_bar)
+            _h_from_slope(lines, geometry, *work)
+            add(h_up, h_down, f)
+            subtract(h_up, h_down, f_bar)
         if stretch:
-            np.multiply(k2w_w, -stretch * np.dot(k2w_w, y_w), out=stretch_part)
-        return np.dot(buffer, table)
+            multiply(k2w_w, stretch * dot(k2w_w, y_w), stretch_part)
+        return dot(row, table)
 
     return packed_rhs

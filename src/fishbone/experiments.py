@@ -31,6 +31,9 @@ damping shrinks every torsional envelope), and at M = 1 the two readings agree.
 At the 10+4 truncation the windy cell's ratio is 1.732, which classifies as
 "neutral", not "growth": how far the envelope grows depends on which
 torsional modes are retained (see the README's truncation table).
+wind_stretch's ratio (1.414) holds about three digits under any change to the
+arithmetic: its trajectories part at about 0.2/s, so a last-bit change of the
+RHS or of the datum moves the ratio in the fourth digit (README, ROADMAP item 5).
 
 The wind sweep classifies the late-to-early envelope ratio of the 2nd
 torsional mode, the historically dangerous one:

@@ -164,17 +164,18 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     data[0] = y0
     # Run-long buffers: the stage input y + a k and the update (k1 + k4) + 2 (k2 + k3).
     y, t, (stage, update) = y0.copy(), t0, np.empty((2, y0.size))
+    add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
     for i in range(1, n_steps + 1):
         k1 = f(t, y)
-        k2 = f(t + half, np.add(y, np.multiply(half, k1, out=stage), out=stage))
-        k3 = f(t + half, np.add(y, np.multiply(half, k2, out=stage), out=stage))
-        k4 = f(t + dt, np.add(y, np.multiply(dt, k3, out=stage), out=stage))
-        np.multiply(2.0, np.add(k2, k3, out=update), out=update)
-        np.add(np.add(k1, k4, out=stage), update, out=update)
-        np.add(y, np.multiply(sixth, update, out=update), out=y)
+        k2 = f(t + half, add(y, multiply(half, k1, stage), stage))
+        k3 = f(t + half, add(y, multiply(half, k2, stage), stage))
+        k4 = f(t + dt, add(y, multiply(dt, k3, stage), stage))
+        multiply(2.0, add(k2, k3, update), update)
+        add(add(k1, k4, stage), update, update)
+        add(y, multiply(sixth, update, update), y)
         t = t0 + i * dt
         # One reduction is finite whenever y is; it can also overflow on a finite y.
-        if not math.isfinite(y @ y) and not np.isfinite(y).all():
+        if not isfinite(dot(y, y)) and not np.isfinite(y).all():
             raise _nonfinite(y, t, basis)
         if i % stride == 0:
             data[i // stride] = y
@@ -204,6 +205,9 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
     next_out = 1
     # Run-long buffers: h times the tableau, a trial y5, a stage input and the error weights.
     tableau, (y5, stage, scale) = np.empty_like(_DP_TABLEAU), np.empty((3, y0.size))
+    fractions, rows = _DP_C.tolist(), list(tableau)  # rows: views of the run-long tableau
+    add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
+    absolute, maximum, divide, atol, rtol = np.absolute, np.maximum, np.divide, cfg.atol, cfg.rtol
 
     while t < t_final - 0.5 * h_min:
         h = min(h, t_final - t)
@@ -211,16 +215,16 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
             raise StepUnderflow(
                 f"step size {h:.3e} underflowed below {h_min:.3e} at t={t:.9g}", time=t
             )
-        np.multiply(h, _DP_TABLEAU, out=tableau)
+        multiply(h, _DP_TABLEAU, tableau)
         for i in range(1, 7):
-            k[i] = f(t + _DP_C[i] * h, np.add(y, np.dot(tableau[i], k, out=stage), out=stage))
-        np.add(y, np.dot(tableau[7], k, out=y5), out=y5)
-        if not np.isfinite(y5).all():
+            k[i] = f(t + fractions[i] * h, add(y, dot(rows[i], k, stage), stage))
+        add(y, dot(rows[7], k, y5), y5)
+        if not isfinite(dot(y5, y5)) and not np.isfinite(y5).all():
             raise _nonfinite(y5, t + h, basis)
         # e = (tableau[8] @ k) / (atol + rtol * max(|y|, |y5|))
-        np.maximum(np.abs(y, out=scale), np.abs(y5, out=stage), out=scale)
-        np.add(cfg.atol, np.multiply(cfg.rtol, scale, out=scale), out=scale)
-        e = np.divide(np.dot(tableau[8], k, out=stage), scale, out=stage)
+        maximum(absolute(y, scale), absolute(y5, stage), out=scale)  # out by keyword only here
+        add(atol, multiply(rtol, scale, scale), scale)
+        e = divide(dot(rows[8], k, stage), scale, stage)
         err = math.sqrt(float(e @ e) / e.size)
 
         if err <= 1.0:

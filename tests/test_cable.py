@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fishbone.cable import (
+    _h_from_slope,
     arc_length,
     big_xi,
     h_of,
@@ -12,6 +13,7 @@ from fishbone.cable import (
 )
 from fishbone.diagnostics import ROW_BLOCK
 from fishbone.dynamics import ModelParams, channel_slices, make_packed_rhs
+from fishbone.experiments import tnb_preset
 from fishbone.spectral import Basis, make_grid
 
 A, S0, B, C = 0.2, 1.0, 1.0, 1.0
@@ -135,6 +137,59 @@ class TestForceDensity:
             scale = max(np.abs(fw_ref).max(), np.abs(ft_ref).max())
             np.testing.assert_allclose(fw, fw_ref, rtol=0, atol=1e-6 * scale)
             np.testing.assert_allclose(ft, ft_ref, rtol=0, atol=1e-6 * scale)
+
+
+def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
+    """Worst |h - h_ref| / max |h_ref| of _h_from_slope on random (k, nodes) slope stacks.
+
+    h_ref = [b (L0 - int Xi) - c xi0] (u_x + s_x) / Xi, written out without the folded weights.
+    """
+    worst = 0.0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 9))
+        total = geo.sx + slope_scale * rng.standard_normal((k, grid.n_nodes))
+        xi = np.sqrt(1.0 + total**2)
+        pull = geo.b * (geo.L0 - xi @ grid.weights)
+        expected = (pull[:, None] - geo.c * geo.xi0) * total / xi
+        work = np.empty_like(total), np.empty_like(total), np.empty(k)
+        h = _h_from_slope(total.copy(), geo, *work)
+        worst = max(worst, np.abs(h - expected).max() / np.abs(expected).max())
+    return worst
+
+
+class TestFoldedForceLaw:
+    """The force law with b folded into the weights against the law written out.
+
+    The geometry stores -b weights and c xi0 - b L0, so b L0 cancels against b int Xi
+    inside one subtraction; the written-out law cancels L0 - int Xi first. Both
+    round at a few ulp of b L0, which on the dimensional Tacoma geometry is
+    2.3e10 against max |h| of about 1.5e7. Worst measured errors over 20 stacks
+    of 1 to 8 rows each (bound: ten times that, rounded up to a power of ten):
+    Tacoma 3.8e-13 (1e-11), nondimensional 1.9e-15 (1e-13), b = 0 2.4e-16
+    (1e-14, nothing cancels), c = 0 9.6e-14 (1e-12). With c = 0 the error
+    grows as the slopes shrink, since h itself is then the cancelled pull.
+    """
+
+    @pytest.mark.parametrize("slope_scale", [1e-4, 1e-2])
+    def test_tacoma_geometry(self, slope_scale):
+        _, geo, basis = tnb_preset()
+        grid = make_grid(basis)
+        assert geo.b * geo.L0 > 2e10
+        assert folded_law_error(geo, grid, slope_scale) < 1e-11
+
+    @pytest.mark.parametrize("b, c, bound", [(B, C, 1e-13), (0.0, C, 1e-14), (B, 0.0, 1e-12)])
+    @pytest.mark.parametrize("slope_scale", [0.1, 1.0])
+    def test_nondimensional_geometry(self, b, c, bound, slope_scale):
+        basis, grid, geo = default_setup(b=b, c=c)
+        assert folded_law_error(geo, grid, slope_scale) < bound
+
+    def test_tacoma_slack_stretching(self):
+        """b = 0 on the dimensional geometry: only the pretension c xi0 is left."""
+        _, tnb, basis = tnb_preset()
+        grid = make_grid(basis)
+        geo = make_geometry(tnb.a, tnb.s0, 0.0, tnb.c, basis, grid)
+        assert folded_law_error(geo, grid, 1e-2) < 1e-14
 
 
 class TestVariationalIdentity:
