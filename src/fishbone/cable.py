@@ -22,7 +22,9 @@ total slopes u_x + s_x of one line or a stack, into work arrays its caller
 owns: ``h_of`` passes fresh ones, and the RHS of ``dynamics`` (both lines
 w +- l th at once) the ones it builds once per run. The geometry folds b into
 the quadrature weights, so b (L0 - L(u)) - c xi0 is one weighted sum
-Xi @ (-b weights) less the stored c xi0 - b L0: seven numpy calls. ``arc_length``,
+Xi @ (-b weights) less the stored c xi0 - b L0: seven numpy calls. L and Pi are
+written once, in ``length_and_energy``: both from one Xi pass over nodal slopes,
+for ``arc_length``, ``pi_energy`` and ``diagnostics.lemma_suite``. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
 line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
 which reduce each row on its own, so a row of a stack gives the lone-vector
@@ -42,6 +44,7 @@ __all__ = [
     "CableGeometry",
     "make_geometry",
     "big_xi",
+    "length_and_energy",
     "arc_length",
     "h_of",
     "pi_energy",
@@ -119,20 +122,20 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
 
 
 def _h_from_slope(
-    total: np.ndarray, geometry: CableGeometry, xi: np.ndarray, gap: np.ndarray, pull: np.ndarray,
+    total: np.ndarray, geometry: CableGeometry, xi: np.ndarray, gap: np.ndarray, pull, column,
     multiply=np.multiply, add=np.add, sqrt=np.sqrt, vecdot=np.vecdot,
     subtract=np.subtract, divide=np.divide,
 ) -> np.ndarray:
     """h at the nodes, written over the total slopes u_x + s_x; one line per leading index.
 
-    xi, gap (total's shape) and pull (one per line) are the caller's work arrays. Seven
-    ufunc calls (bound as defaults, positional out): Xi, the pull Xi @ (-b weights), the
+    Work arrays: xi, gap (total's shape), pull (one per line) and column = pull[..., None].
+    Seven ufunc calls (bound as defaults, positional out): Xi, the pull Xi @ (-b weights), the
     gap pull - (c xi0 - b L0), then (total / Xi) gap. The gap is good to a few ulp of b L0.
     """
     multiply(total, total, xi)
     sqrt(add(1.0, xi, xi), xi)  # Xi(u)
     vecdot(xi, geometry.b_weights, pull)
-    subtract(pull[..., None], geometry.gap0, gap)
+    subtract(column, geometry.gap0, gap)
     return multiply(divide(total, xi, total), gap, total)
 
 
@@ -147,21 +150,27 @@ def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
     return np.vecmat(u, grid.dmodes[:n])
 
 
+def length_and_energy(u_x: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> tuple:
+    """L(u) = int Xi(u) and Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi(u) - xi0), one of each
+    per row of nodal slopes u_x, from one Xi pass."""
+    xi = big_xi(u_x, geometry)
+    length = np.vecdot(xi, grid.weights)
+    tension_term = geometry.c * np.vecdot(geometry.xi0 * (xi - geometry.xi0), grid.weights)
+    return length, 0.5 * geometry.b * (length - geometry.L0) ** 2 + tension_term
+
+
 def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:
     """Deformed cable arc length L(u) = int Xi(u), one value per row of u."""
-    return np.vecdot(big_xi(_slope(u, grid), geometry), grid.weights)
+    return length_and_energy(_slope(u, grid), geometry, grid)[0]
 
 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
     total = _slope(u, grid) + geometry.sx
     xi, gap, pull = np.empty_like(total), np.empty_like(total), np.empty(total.shape[:-1])
-    return _h_from_slope(total, geometry, xi, gap, pull)
+    return _h_from_slope(total, geometry, xi, gap, pull, pull[..., None])
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:
     """Cable energy Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi(u) - xi0), per row of u."""
-    xi = big_xi(_slope(u, grid), geometry)
-    stretch_term = 0.5 * geometry.b * (np.vecdot(xi, grid.weights) - geometry.L0) ** 2
-    tension_term = geometry.c * np.vecdot(geometry.xi0 * (xi - geometry.xi0), grid.weights)
-    return stretch_term + tension_term
+    return length_and_energy(_slope(u, grid), geometry, grid)[1]

@@ -232,7 +232,7 @@ def make_packed_rhs(
     n, nodes = len(c), grid.n_nodes
     linear_table = np.zeros((n + 1, n))  # rows of [y, 1]
     linear_table[:n], linear_table[n] = A.T, c
-    dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply  # bound once per run
+    dot, multiply = np.dot, np.multiply  # bound once per run
     stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
     if not (cables_on or stretch):
@@ -271,18 +271,18 @@ def make_packed_rhs(
     row, nodal = np.zeros(len(table)), np.empty(k2w.stop)
     row[lead - 1] = 1.0
     head, y_w = row[:lead], row[:n_w]
-    f, f_bar, stretch_part = (row[n + 1 :][part] for part in (up, down, k2w))
-    lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]
-    h_up, h_down = lines  # _h_from_slope writes h over the slopes
-    work = np.empty((2, nodes)), np.empty((2, nodes)), np.empty(2)  # xi, gap, pull per line
+    f_pair, stretch_part = row[n + 1 : n + 1 + 2 * nodes].reshape(2, nodes), row[n + 1 :][k2w]
+    lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
+    pull = np.empty(2)
+    work = np.empty((2, nodes)), np.empty((2, nodes)), pull, pull[:, None]  # xi, gap, pull, column
+    mix = np.array([[1.0, 1.0], [1.0, -1.0]])  # [f; f-bar/l]: h_up +- h_down, one rounding each
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
         row[slots] = y
         dot(head, slopes, nodal)  # np.dot: the BLAS call of @, less dispatch
         if cables_on:
             _h_from_slope(lines, geometry, *work)
-            add(h_up, h_down, f)
-            subtract(h_up, h_down, f_bar)
+            dot(mix, lines, f_pair)
         if stretch:
             multiply(k2w_w, stretch * dot(k2w_w, y_w), stretch_part)
         return dot(row, table)

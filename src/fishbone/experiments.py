@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -283,6 +282,7 @@ def wind_sweep(
     if workers is None:
         workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # its import costs serial runs 15-27 ms
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(_run_cell, cells))

@@ -11,6 +11,10 @@ A blow-up raises one ``NonFiniteState``, which names the entry by
 ``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
 keeps numpy's overflow warnings from coming first. Stage inputs, updates and
 error weights live in buffers built once per run; y is copied only to samples.
+Each method keeps y and its stages in one stack [y, k...]: a stage input, RK4's
+update (into row 0 of a second stack; the two swap) and DP45's y5 are each one product
+of a step-scaled tableau row with it. Zero tableau entries meet only k rows that are
+zeros or from a step whose y was finite, so they add nothing.
 """
 
 from __future__ import annotations
@@ -107,8 +111,9 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau: row i < 7 gives stage i, row 7 y5 - y (FSAL: stage 7
-# is the next step's first) and row 8 y5 - y4, each times h and from all of k. Every
-# row of k enters y5, so after a trial step passes the finiteness check zeros add nothing.
+# is the next step's first) and row 8 y5 - y4, each times h and from all of k. Rows 1-7
+# read k0..k5 only; each of those reaches y5, so once a trial step has passed the
+# finiteness check the zero entries meet finite k rows and add nothing.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_TABLEAU = np.zeros((9, 7))
 _DP_TABLEAU[1, :1] = [1 / 5]
@@ -158,21 +163,23 @@ def sample_times(cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
 def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     n_steps, stride = _rk4_steps(cfg)
     dt = cfg.t_end / n_steps
-    half, sixth = 0.5 * dt, dt / 6.0
+    half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
+    to_k2, to_k3, to_k4, to_y = np.array(  # rows over the stack [y, k1, k2, k3, k4]
+        [[1, half, 0, 0, 0], [1, 0, half, 0, 0], [1, 0, 0, dt, 0], [1, sixth, third, third, sixth]]
+    )
 
     data = np.empty((n_steps // stride + 1, y0.size))
-    data[0] = y0
-    # Run-long buffers: the stage input y + a k and the update (k1 + k4) + 2 (k2 + k3).
-    y, t, (stage, update) = y0.copy(), t0, np.empty((2, y0.size))
-    add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
+    stack, spare = np.zeros((2, 5, y0.size))  # run-long; each update fills the other's row 0
+    data[0] = stack[0] = y0
+    y, t, stage = stack[0], t0, np.empty(y0.size)
+    dot, isfinite = np.dot, math.isfinite  # bound once per run
     for i in range(1, n_steps + 1):
-        k1 = f(t, y)
-        k2 = f(t + half, add(y, multiply(half, k1, stage), stage))
-        k3 = f(t + half, add(y, multiply(half, k2, stage), stage))
-        k4 = f(t + dt, add(y, multiply(dt, k3, stage), stage))
-        multiply(2.0, add(k2, k3, update), update)
-        add(add(k1, k4, stage), update, update)
-        add(y, multiply(sixth, update, update), y)
+        stack[1] = f(t, y)
+        stack[2] = f(t + half, dot(to_k2, stack, stage))
+        stack[3] = f(t + half, dot(to_k3, stack, stage))
+        stack[4] = f(t + dt, dot(to_k4, stack, stage))
+        y = dot(to_y, stack, spare[0])
+        stack, spare = spare, stack
         t = t0 + i * dt
         # One reduction is finite whenever y is; it can also overflow on a finite y.
         if not isfinite(dot(y, y)) and not np.isfinite(y).all():
@@ -196,16 +203,17 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
     out_times = sample_times(cfg, t0)
     t_final = t0 + cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
-    y, t, h = y0.copy(), t0, min(cfg.dt, cfg.t_end)
-    k = np.zeros((7, y0.size))  # stage derivatives; row 0 is f(t, y)
-    k[0] = f(t, y)
-    err_prev = 1.0
+    t, h = t0, min(cfg.dt, cfg.t_end)
     data = np.empty((len(out_times), y0.size))
-    data[0] = y0
-    next_out = 1
-    # Run-long buffers: h times the tableau, a trial y5, a stage input and the error weights.
-    tableau, (y5, stage, scale) = np.empty_like(_DP_TABLEAU), np.empty((3, y0.size))
-    fractions, rows = _DP_C.tolist(), list(tableau)  # rows: views of the run-long tableau
+    stack = np.zeros((8, y0.size))  # [y, k0, ..., k6]; stages and y5 read [y, k0, ..., k5]
+    y, head, k = stack[0], stack[:7], stack[1:]
+    data[0] = y[...] = y0
+    k[0] = f(t, y)
+    err_prev, next_out = 1.0, 1
+    # Run-long buffers: the tableau [1, h _DP_TABLEAU], a trial y5, a stage input, error weights.
+    tableau, (y5, stage, scale), fractions = np.zeros((9, 8)), np.empty((3, y0.size)), _DP_C.tolist()
+    tableau[1:8, 0] = 1.0
+    scaled, rows, err_row = tableau[:, 1:], [row[:7] for row in tableau], tableau[8, 1:]
     add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
     absolute, maximum, divide, atol, rtol = np.absolute, np.maximum, np.divide, cfg.atol, cfg.rtol
 
@@ -215,16 +223,16 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
             raise StepUnderflow(
                 f"step size {h:.3e} underflowed below {h_min:.3e} at t={t:.9g}", time=t
             )
-        multiply(h, _DP_TABLEAU, tableau)
+        multiply(h, _DP_TABLEAU, scaled)
         for i in range(1, 7):
-            k[i] = f(t + fractions[i] * h, add(y, dot(rows[i], k, stage), stage))
-        add(y, dot(rows[7], k, y5), y5)
+            k[i] = f(t + fractions[i] * h, dot(rows[i], head, stage))
+        dot(rows[7], head, y5)
         if not isfinite(dot(y5, y5)) and not np.isfinite(y5).all():
             raise _nonfinite(y5, t + h, basis)
-        # e = (tableau[8] @ k) / (atol + rtol * max(|y|, |y5|))
+        # e = (err_row @ k) / (atol + rtol * max(|y|, |y5|))
         maximum(absolute(y, scale), absolute(y5, stage), out=scale)  # out by keyword only here
         add(atol, multiply(rtol, scale, scale), scale)
-        e = divide(dot(rows[8], k, stage), scale, stage)
+        e = divide(dot(err_row, k, stage), scale, stage)
         err = math.sqrt(float(e @ e) / e.size)
 
         if err <= 1.0:
@@ -232,7 +240,7 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
                 theta = min(1.0, max(0.0, (out_times[next_out] - t) / h))
                 data[next_out] = _hermite(theta, y, k[0], y5, k[6], h)
                 next_out += 1
-            y, y5, t = y5, y, t + h  # swap buffers: the old y is the next trial's y5
+            y[...], t = y5, t + h
             k[0] = k[6]  # FSAL: stage 7 is f(t + h, y5)
             fac = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA if err > 0 else FAC_MAX
             h *= min(FAC_MAX, max(FAC_MIN, fac))

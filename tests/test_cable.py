@@ -152,8 +152,8 @@ def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
         xi = np.sqrt(1.0 + total**2)
         pull = geo.b * (geo.L0 - xi @ grid.weights)
         expected = (pull[:, None] - geo.c * geo.xi0) * total / xi
-        work = np.empty_like(total), np.empty_like(total), np.empty(k)
-        h = _h_from_slope(total.copy(), geo, *work)
+        pull = np.empty(k)
+        h = _h_from_slope(total.copy(), geo, np.empty_like(total), np.empty_like(total), pull, pull[:, None])
         worst = max(worst, np.abs(h - expected).max() / np.abs(expected).max())
     return worst
 

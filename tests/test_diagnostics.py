@@ -390,6 +390,28 @@ class TestLemmaSuite:
         assert report["violations"] == 0
         assert report["arc_lipschitz.worst_slack"] == np.inf
 
+    @pytest.mark.parametrize("samples", [0, ROW_BLOCK, ROW_BLOCK + 1])
+    def test_one_xi_pass_per_stack(self, samples, monkeypatch):
+        """A block takes Xi once for v and once for z (L and Pi of each) and once inside h(v)."""
+        calls = {"big_xi": 0, "_h_from_slope": 0}
+
+        def counted(name):
+            true_fn = getattr(cable, name)
+
+            def fn(*args):
+                calls[name] += 1
+                return true_fn(*args)
+
+            return fn
+
+        for name in calls:
+            monkeypatch.setattr(cable, name, counted(name))
+        _, geo, basis, grid = cable_setup(n_w=6, n_t=4)
+        report = lemma_suite(samples, 5.0, geo, basis, grid, seed=2)
+        blocks = -(-samples // ROW_BLOCK)
+        assert calls == {"big_xi": 2 * blocks, "_h_from_slope": blocks}
+        assert report["samples"] == samples and report["violations"] == 0
+
     def test_negative_samples_rejected(self):
         """A negative sample count is an error."""
         _, geo, basis, grid = cable_setup()

@@ -232,6 +232,22 @@ class TestRhs:
             scale = np.abs(expected).max()
             np.testing.assert_allclose(part, expected, rtol=0, atol=1e-12 * scale)
 
+    @pytest.mark.parametrize("nodes", [1, 7, 64, 320])
+    def test_line_mix_is_add_and_subtract(self, nodes):
+        """[[1, 1], [1, -1]] @ [h_up; h_down] gives np.add and np.subtract bit for bit,
+        with the lines in either order, as the RHS forms f and f-bar / l."""
+        mix = np.array([[1.0, 1.0], [1.0, -1.0]])
+        rng = np.random.default_rng(nodes)
+        for _ in range(20):
+            magnitudes = 10.0 ** rng.uniform(-12, 12, size=(2, nodes))
+            lines = rng.standard_normal((2, nodes)) * magnitudes
+            lines[1, ::3] = -lines[0, ::3] * (1.0 + 1e-15 * rng.standard_normal(lines[0, ::3].shape))
+            for first, second in (lines, lines[::-1]):
+                out = np.empty((2, nodes))
+                np.dot(mix, np.array([first, second]), out)
+                np.testing.assert_array_equal(out[0], np.add(first, second), strict=True)
+                np.testing.assert_array_equal(out[1], np.subtract(first, second), strict=True)
+
     def test_returned_derivative_is_never_reused(self):
         """The kernel's scratch buffers stay inside it: every call returns a new array.
 

@@ -238,10 +238,12 @@ class TestAdaptive:
 
 
 class TestRunLongBuffers:
-    """The step loops, on buffers made once per run, match textbook loops on fresh arrays.
+    """The step loops, on buffers made once per run, match the same tableau products on
+    a fresh stack [y, k...] per step, zeros where the run-long stacks hold older k rows.
 
-    They must agree bit for bit: a sample that aliased the live state, or a stage
-    that read a buffer a later stage had overwritten, would change the samples.
+    They must agree bit for bit: a sample that aliased the live state, a stage that
+    read a buffer a later stage had overwritten, or a stale k row that a zero tableau
+    entry did not cancel would change the samples.
     """
 
     def setup_method(self):
@@ -256,16 +258,22 @@ class TestRunLongBuffers:
         f = make_packed_rhs(params, geo, basis, grid)
         n_steps, stride = 300, 5
         dt = cfg.t_end / n_steps
-        half = 0.5 * dt
+        half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
+        to_k2, to_k3, to_k4, to_y = np.array(
+            [[1.0, half, 0.0, 0.0, 0.0], [1.0, 0.0, half, 0.0, 0.0], [1.0, 0.0, 0.0, dt, 0.0],
+             [1.0, sixth, third, third, sixth]]
+        )
         y = self.y0.pack()
         rows = [y]
         for i in range(1, n_steps + 1):
             t = (i - 1) * dt
-            k1 = f(t, y)
-            k2 = f(t + half, y + half * k1)
-            k3 = f(t + half, y + half * k2)
-            k4 = f(t + dt, y + dt * k3)
-            y = y + dt / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
+            stack = np.zeros((5, y.size))  # [y, k1, k2, k3, k4]
+            stack[0] = y
+            stack[1] = f(t, y)
+            stack[2] = f(t + half, to_k2 @ stack)
+            stack[3] = f(t + half, to_k3 @ stack)
+            stack[4] = f(t + dt, to_k4 @ stack)
+            y = to_y @ stack
             if i % stride == 0:
                 rows.append(y)
         assert len(traj) == n_steps // stride + 1
@@ -280,25 +288,27 @@ class TestRunLongBuffers:
         fi = fishbone.integrate
         times = sample_times(cfg)
         y, t, h, err_prev, rejected = self.y0.pack(), 0.0, cfg.dt, 1.0, 0
-        k = np.zeros((7, y.size))
-        k[0] = f(t, y)
+        k0 = f(t, y)
         rows = [y]
         while t < cfg.t_end - 0.5 * fi.UNDERFLOW_FRACTION * cfg.t_end:
             h = min(h, cfg.t_end - t)
-            tableau = h * fi._DP_TABLEAU
+            tableau = np.zeros((9, 8))  # columns: y, then k0..k6
+            tableau[1:8, 0], tableau[:, 1:] = 1.0, h * fi._DP_TABLEAU
+            stack = np.zeros((8, y.size))  # [y, k0, ..., k6]
+            stack[0], stack[1] = y, k0
             for i in range(1, 7):
-                k[i] = f(t + fi._DP_C[i] * h, y + tableau[i] @ k)
-            y5 = y + tableau[7] @ k
-            e = (tableau[8] @ k) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+                stack[i + 1] = f(t + fi._DP_C[i] * h, tableau[i, :7] @ stack[:7])
+            y5 = tableau[7, :7] @ stack[:7]
+            e = (tableau[8, 1:] @ stack[1:]) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
             err = math.sqrt(float(e @ e) / e.size)
             if err > 1.0:
                 h, rejected = 0.5 * h, rejected + 1
                 continue
             while len(rows) < len(times) and times[len(rows)] <= t + h * (1 + 1e-12):
                 theta = min(1.0, max(0.0, (times[len(rows)] - t) / h))
-                rows.append(fi._hermite(theta, y, k[0], y5, k[6], h))
+                rows.append(fi._hermite(theta, y, stack[1], y5, stack[7], h))
             y, t = y5, t + h
-            k[0] = k[6]
+            k0 = stack[7]
             fac = fi.SAFETY * err ** (-fi.PI_ALPHA) * err_prev**fi.PI_BETA if err > 0 else fi.FAC_MAX
             h *= min(fi.FAC_MAX, max(fi.FAC_MIN, fac))
             err_prev = max(err, 1e-10)
