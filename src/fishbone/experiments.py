@@ -31,9 +31,8 @@ damping shrinks every torsional envelope), and at M = 1 the two readings agree.
 At the 10+4 truncation the windy cell's ratio is 1.732, which classifies as
 "neutral", not "growth": how far the envelope grows depends on which
 torsional modes are retained (see the README's truncation table).
-wind_stretch's ratio (1.414) holds about three digits under any change to the
-arithmetic: its trajectories part at about 0.2/s, so a last-bit change of the
-RHS or of the datum moves the ratio in the fourth digit (README, ROADMAP item 5).
+wind_stretch's 120 s ratio (1.414 at dt, 1.286 at dt/2) is not resolved in dt;
+its trajectories part at about 0.2/s (README, ROADMAP items 3 and 5).
 
 The wind sweep classifies the late-to-early envelope ratio of the 2nd
 torsional mode, the historically dangerous one:
@@ -41,6 +40,8 @@ torsional mode, the historically dangerous one:
     r = max|th_2| over [5T/6, T] / max|th_2| over [0, T/6]
 
 with r < DECAY_BELOW -> "decay", r > GROWTH_ABOVE -> "growth", else "neutral".
+Cells sample on the base cadence, so a cell's ratio is the one ``simulate``
+gives; sampling every step moves a canonical ratio by 2.2e-3 at most (README).
 The thresholds (0.5, 2.0) are classification conventions of this package, not
 measured constants. They and SWEEP_MODE = 2 are written once, here, as the
 defaults of ``envelope_ratio``, ``classify_ratio``, ``wind_sweep`` and the

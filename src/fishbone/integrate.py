@@ -1,12 +1,11 @@
 """Fixed-step RK4 and adaptive embedded RK45 integration of the modal system.
 
-The RK4 path nudges the step so an integer number of steps lands exactly on
-t_end and the sample cadence divides the step count, keeping the recorded
-times strictly uniform. The adaptive path is the Dormand-Prince 5(4) embedded
-pair with a PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain
-halving on rejection) and cubic Hermite dense output at the sample times.
-``sample_times`` is the one sample clock of both paths; the closed-form
-export of the CLI samples it too.
+Both methods sample on ``sample_times``: dt is nudged to a whole number of
+steps over t_end and sample_every to a whole number of those steps, so samples
+are uniform. The adaptive path is the Dormand-Prince 5(4) embedded pair with a
+PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain halving on
+rejection) and cubic Hermite dense output at those times, which do not steer
+its steps; the closed-form export of the CLI samples the same clock.
 A blow-up raises one ``NonFiniteState``, which names the entry by
 ``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
 keeps numpy's overflow warnings from coming first. Stage inputs, updates and
@@ -70,7 +69,7 @@ class IntegratorConfig:
     rtol: float = 1e-8
     atol: float = 1e-10
     t_end: float = 10.0
-    sample_every: float | None = None  # output cadence; None means every step
+    sample_every: float | None = None  # output cadence, rounded to whole nudged steps; None: every step
 
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "adaptive45"):
@@ -136,7 +135,7 @@ def _nonfinite(y: np.ndarray, t: float, basis: Basis) -> NonFiniteState:
 
 
 def _rk4_steps(cfg: IntegratorConfig) -> tuple[int, int]:
-    """RK4 step count and steps per sample."""
+    """RK4 step count and steps per sample, which set the sample clock of both methods."""
     # Nudge dt so the horizon is an integer number of steps and the sample
     # cadence divides it; both adjustments are < one cadence interval.
     n_steps = max(1, round(cfg.t_end / cfg.dt))
@@ -145,19 +144,9 @@ def _rk4_steps(cfg: IntegratorConfig) -> tuple[int, int]:
 
 
 def sample_times(cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
-    """The times at which ``integrate`` samples a run from t0.
-
-    RK4 samples every stride-th step; DP45 every cadence (sample_every, else dt) and t_end.
-    """
-    if cfg.method == "rk4":
-        n_steps, stride = _rk4_steps(cfg)
-        return t0 + np.arange(0, n_steps + 1, stride) * (cfg.t_end / n_steps)
-    cadence = cfg.sample_every if cfg.sample_every is not None else cfg.dt
-    n_out = int(math.floor(cfg.t_end / cadence + 1e-9))
-    times = t0 + cadence * np.arange(n_out + 1)
-    if times[-1] < t0 + cfg.t_end * (1.0 - 1e-12):
-        times = np.append(times, t0 + cfg.t_end)
-    return times
+    """The times at which ``integrate`` samples a run from t0: every stride-th nudged RK4 step."""
+    n_steps, stride = _rk4_steps(cfg)
+    return t0 + np.arange(0, n_steps + 1, stride) * (cfg.t_end / n_steps)
 
 
 def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):

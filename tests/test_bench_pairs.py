@@ -78,6 +78,18 @@ def test_unpaired_and_failed_runs():
     assert tacoma["failed_operations"] == {"parent": 0, "change": 2}
 
 
+def test_workload_with_no_complete_pair():
+    """Runs of one side only make no pair: no metric entries, and a claim on it is not met."""
+    recs = [r for r in records(PARENT[:3], PARENT[:3], workload="sweep") if r["side"] == "parent"]
+    recs += records(PARENT, PARENT)
+    summary = bench_pairs.summarise(recs, METRICS, [("sweep", "sim_rate"), ("tacoma", "sim_rate")])
+    sweep = summary["end_to_end"]["sweep"]
+    assert sweep["pairs"] == 0 and sweep["seeds"] == []
+    assert not any(metric["name"] in sweep for metric in METRICS)
+    assert [claim["met"] for claim in summary["claims"]] == [False, False]
+    assert summary["claims"][0]["change_wins"] == "0/0"
+
+
 def test_run_order_alternates(tmp_path, monkeypatch):
     """The parent runs first on odd seeds and the change on even ones; every run is appended."""
     calls = []

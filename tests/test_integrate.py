@@ -84,6 +84,27 @@ class TestTrajectoryShape:
         np.testing.assert_allclose(np.diff(traj.times), 5e-2, rtol=1e-9)
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize(
+        "dt, t_end, sample_every, n_samples",
+        [(3e-3, 1.0, None, 334), (1e-2, 0.5, 5e-2, 11), (0.1, 1.0, 0.3, 5)],
+        ids=["every-step", "cadence-divides", "cadence-rounded"],
+    )
+    def test_one_clock_for_both_methods(self, dt, t_end, sample_every, n_samples):
+        """RK4 and adaptive45 sample one config at the same times, every stride-th nudged step.
+
+        A cadence of 0.3 over a 0.1 step rounds to three steps, so the ten steps of
+        t_end = 1 are nudged to twelve and the samples fall every 0.25.
+        """
+        params, geo, basis, grid = cable_setup(g=0.3)
+        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        times = {}
+        for method in ("rk4", "adaptive45"):
+            cfg = IntegratorConfig(method=method, dt=dt, t_end=t_end, sample_every=sample_every)
+            times[method] = integrate(y0, params, geo, basis, cfg, grid).times
+            assert np.array_equal(times[method], sample_times(cfg))
+        assert np.array_equal(times["rk4"], times["adaptive45"])
+        np.testing.assert_allclose(times["rk4"], np.linspace(0.0, t_end, n_samples), rtol=0, atol=1e-12)
+
     def test_step_nudge_lands_on_horizon(self):
         """A dt that does not divide t_end is nudged to an integer step count."""
         params, geo, basis, grid = flat_setup()

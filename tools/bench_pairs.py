@@ -90,7 +90,7 @@ def summarise_workload(records: list[dict], metrics: list[dict]) -> dict:
     }
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
-        if not all(name in pair[side]["metrics"] for pair in pairs for side in SIDES):
+        if not pairs or not all(name in pair[side]["metrics"] for pair in pairs for side in SIDES):
             continue
         values = {side: [pair[side]["metrics"][name]["value"] for pair in pairs] for side in SIDES}
         parent_q, change_q = quartiles(values["parent"]), quartiles(values["change"])
@@ -108,6 +108,8 @@ def summarise_workload(records: list[dict], metrics: list[dict]) -> dict:
 
 def claim_verdict(workload_summary: dict, metric: str) -> dict:
     """The gain rule: at least nine wins in ten pairs, and a median gain beyond the parent's IQR."""
+    if metric not in workload_summary:  # no complete pair carries the metric
+        return {"change_wins": f"0/{workload_summary['pairs']}", "met": False}
     entry = workload_summary[metric]
     parent_q1, parent_median, parent_q3 = entry["parent_q1_median_q3"]
     change_median = entry["change_q1_median_q3"][1]
