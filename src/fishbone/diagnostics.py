@@ -16,9 +16,12 @@ The channels are written once, in ``_energy_rows`` over packed rows (the
 ``Trajectory.data`` layout of ``dynamics.channel_slices``), which every energy
 function shares. ``energies`` and ``lyapunov_value`` take (k, n) rows, one value
 per row, or a ``ModalState``, packed into one row and answered with floats.
-Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 0.1 MB temporaries
-at 400 nodes, where a 1,099-sample trajectory makes 3.5 MB (64-row blocks raised
+Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 80 KB temporaries
+at 320 nodes, where a 1,099-sample trajectory makes 2.8 MB (64-row blocks raised
 the tacoma peak RSS by 0.45 MB). A row's values do not depend on the block.
+``random_state_blocks`` yields ``random_states``' rows ROW_BLOCK at a time from
+the same stream, drawn DRAW_BLOCK rows at a time, so ``lemma_suite`` holds one draw
+of its samples, not all of them (20,000 pairs: a 1.0 MB traced peak, not 5.4 MB).
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ __all__ = [
     "format_report",
     "difference_energy",
     "random_states",
+    "random_state_blocks",
 ]
 
 SLACK_RTOL = 1e-9  # floating-point forgiveness when testing inequalities
 ROW_BLOCK = 32  # rows per cable call
+DRAW_BLOCK = 8 * ROW_BLOCK  # rows per draw of random_state_blocks: 20 KB of normals at 10 modes
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class EnergyBreakdown:
         return self.Eplus + self.prestress + self.load
 
 
-def _blocks(count: int):
-    return (slice(start, start + ROW_BLOCK) for start in range(0, count, ROW_BLOCK))
+def _blocks(count: int, size: int = ROW_BLOCK):
+    return (slice(start, min(start + size, count)) for start in range(0, count, size))
 
 
 @functools.lru_cache(maxsize=32)
@@ -303,15 +308,40 @@ def random_states(
     """Smooth random modal vectors in the H^2-ball of the given radius.
 
     Coefficients decay like j^-3 (representative smooth states, not white
-    noise), then each vector is rescaled to a uniformly drawn H^2 norm.
+    noise), then each vector is rescaled to a uniformly drawn H^2 norm. The
+    stream is ``count`` rows of normals, then ``count`` uniform radii; the rows
+    are ``random_state_blocks``' blocks joined.
+    """
+    states = np.empty((count, basis.max_modes))
+    for block, rows in zip(_blocks(count), random_state_blocks(rng, basis, radius, count)):
+        states[block] = rows
+    return states
+
+
+def random_state_blocks(rng: np.random.Generator, basis: Basis, radius: float, count: int):
+    """``random_states(rng, basis, radius, count)``'s rows, ROW_BLOCK at a time, bit for bit.
+
+    The call leaves rng where ``random_states`` does: it advances rng through the
+    normals, then draws the radii. The returned iterator replays the normals from a
+    copy of rng's state DRAW_BLOCK rows at a time, one set of numpy calls per eight
+    blocks, and never holds more of them.
     """
     n = basis.max_modes
-    j = np.arange(1, n + 1)
-    k4 = basis.wavenumbers(n) ** 4
-    raw = rng.standard_normal((count, n)) * j**-3.0
-    norms = np.sqrt((raw * raw) @ k4)
+    replay = np.random.Generator(type(rng.bit_generator)())
+    replay.bit_generator.state = rng.bit_generator.state
+    for draw in _blocks(count, DRAW_BLOCK):
+        rng.standard_normal((draw.stop - draw.start, n))
     targets = radius * rng.uniform(0.0, 1.0, size=count)
-    return raw * (targets / np.where(norms > 0.0, norms, 1.0))[:, None]
+    decay, k4 = np.arange(1, n + 1) ** -3.0, basis.wavenumbers(n) ** 4
+
+    def blocks():
+        for draw in _blocks(count, DRAW_BLOCK):
+            raw = replay.standard_normal((draw.stop - draw.start, n)) * decay
+            norms = np.sqrt((raw * raw) @ k4)
+            rows = raw * (targets[draw] / np.where(norms > 0.0, norms, 1.0))[:, None]
+            yield from (rows[block] for block in _blocks(len(rows)))
+
+    return blocks()
 
 
 class _Check:
@@ -350,6 +380,8 @@ def lemma_suite(
     at gamma = 0.1 (an existence check; the max required C is reported). A block of
     ROW_BLOCK pairs takes the slopes of v and z once, L and Pi of each from one Xi pass
     (``cable.length_and_energy``) and h(v) from ``cable.h_of``: three Xi passes in all.
+    v and z come a block at a time from ``random_state_blocks``, the stream of two
+    ``random_states`` calls, so no call holds more than one draw of samples.
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
@@ -372,11 +404,10 @@ def lemma_suite(
     checks = {name: _Check() for name in names}
     max_required_c = -math.inf
 
-    vs = random_states(rng, basis, radius, samples)
-    zs = random_states(rng, basis, radius, samples)
-    for block in _blocks(samples):
-        v = vs[block]
-        vx, zx = np.vecmat(v, grid.dmodes), np.vecmat(zs[block], grid.dmodes)
+    v_blocks = random_state_blocks(rng, basis, radius, samples)
+    z_blocks = random_state_blocks(rng, basis, radius, samples)
+    for v, z in zip(v_blocks, z_blocks):
+        vx, zx = np.vecmat(v, grid.dmodes), np.vecmat(z, grid.dmodes)
         l1_diff = np.vecdot(np.abs(vx - zx), grid.weights)
         l1_v = np.vecdot(np.abs(vx), grid.weights)
         arc_v, pi_v = _cable.length_and_energy(vx, geometry, grid)

@@ -8,7 +8,9 @@ rejection) and cubic Hermite dense output at those times, which do not steer
 its steps; the closed-form export of the CLI samples the same clock.
 A blow-up raises one ``NonFiniteState``, which names the entry by
 ``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
-keeps numpy's overflow warnings from coming first. Stage inputs, updates and
+keeps numpy's overflow warnings from coming first. DP45 raises ``StepBudgetExceeded``
+after TRIALS_PER_RK4_STEP trial steps per step of the RK4 clock, so a step that keeps
+shrinking without reaching the underflow floor ends the run. Stage inputs, updates and
 error weights live in buffers built once per run; y is copied only to samples.
 Each method keeps y and its stages in one stack [y, k...]: a stage input, RK4's
 update (into row 0 of a second stack; the two swap) and DP45's y5 are each one product
@@ -32,6 +34,7 @@ __all__ = [
     "Trajectory",
     "IntegrationError",
     "StepUnderflow",
+    "StepBudgetExceeded",
     "NonFiniteState",
     "sample_times",
     "integrate",
@@ -41,6 +44,9 @@ SAFETY = 0.9
 FAC_MIN, FAC_MAX = 0.2, 5.0
 PI_ALPHA, PI_BETA = 0.7 / 5.0, 0.4 / 5.0
 UNDERFLOW_FRACTION = 1e-14
+# DP45 trial steps allowed per step of the RK4 clock. The canonical runs take at most 2.2 at
+# rtol 1e-8 and 5.0 at 1e-10; a 3 s test run from a 0.2 s first step takes 44.
+TRIALS_PER_RK4_STEP = 500
 
 
 class IntegrationError(RuntimeError):
@@ -53,6 +59,10 @@ class IntegrationError(RuntimeError):
 
 class StepUnderflow(IntegrationError):
     """Adaptive step fell below the resolvable fraction of the horizon."""
+
+
+class StepBudgetExceeded(IntegrationError):
+    """Adaptive stepping used up its trial budget, TRIALS_PER_RK4_STEP per RK4 step of the run."""
 
 
 class NonFiniteState(IntegrationError):
@@ -192,6 +202,7 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
     out_times = sample_times(cfg, t0)
     t_final = t0 + cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
+    budget, trials = TRIALS_PER_RK4_STEP * _rk4_steps(cfg)[0], 0
     t, h = t0, min(cfg.dt, cfg.t_end)
     data = np.empty((len(out_times), y0.size))
     stack = np.zeros((8, y0.size))  # [y, k0, ..., k6]; stages and y5 read [y, k0, ..., k5]
@@ -212,6 +223,12 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
             raise StepUnderflow(
                 f"step size {h:.3e} underflowed below {h_min:.3e} at t={t:.9g}", time=t
             )
+        if trials == budget:
+            raise StepBudgetExceeded(
+                f"step budget of {budget} trial steps ({TRIALS_PER_RK4_STEP} per RK4 step) "
+                f"used up at t={t:.9g}", time=t
+            )
+        trials += 1
         multiply(h, _DP_TABLEAU, scaled)
         for i in range(1, 7):
             k[i] = f(t + fractions[i] * h, dot(rows[i], head, stage))

@@ -16,6 +16,8 @@ within 1e-10 per acceleration block of a 16 times finer rule. The error grows
 with amplitude, which the rule does not follow: on the damped 4+3 model (320
 nodes) it is at rounding up to Eplus = 100, ~1e-9 at 1e3 (bounded by a test),
 1e-7 at 1e4 and 2e-4 at 1.9e6, as Xi = sqrt(1 + (u_x + s_x)^2) steepens.
+The 5-point reference rule is written out (``GAUSS_NODES``, ``GAUSS_WEIGHTS``), equal
+to numpy's ``leggauss(5)`` bit for bit, so building a grid never imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ __all__ = [
     "modal_to_displayed",
 ]
 
-POINTS_PER_PANEL = 5
+# The reference rule on [-1, 1]; numpy.polynomial, which computes it, costs ~1.2 MB resident.
+GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664)
+GAUSS_WEIGHTS = (
+    0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663, 0.23692688505618928
+)
+POINTS_PER_PANEL = len(GAUSS_NODES)
 MIN_PANELS = 64
 PANELS_PER_MODE = 4
 
@@ -87,7 +94,7 @@ class QuadratureGrid:
 def make_grid(basis: Basis) -> QuadratureGrid:
     """Build the quadrature grid for a basis: 5-point panels, >= 4 per mode and >= 64 in all."""
     panels = max(MIN_PANELS, PANELS_PER_MODE * basis.max_modes)
-    ref_x, ref_w = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
+    ref_x, ref_w = np.array(GAUSS_NODES), np.array(GAUSS_WEIGHTS)
     width = basis.L / panels
     left = np.arange(panels) * width
     # Map the reference rule onto every panel; row-major flatten keeps nodes sorted.

@@ -1,11 +1,14 @@
 """Tests for energy channels, the energy identity, and the Lyapunov machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fishbone import cable
 from fishbone.cable import make_geometry, pi_energy
 from fishbone.diagnostics import (
+    DRAW_BLOCK,
     ROW_BLOCK,
     absorbing_params,
     attach_energies,
@@ -15,6 +18,7 @@ from fishbone.diagnostics import (
     format_report,
     lemma_suite,
     lyapunov_value,
+    random_state_blocks,
     random_states,
     sandwich_constants,
 )
@@ -470,6 +474,63 @@ class TestLemmaSuite:
         np.testing.assert_array_equal(
             random_states(np.random.default_rng(5), basis, 3.0, 40), again
         )
+
+
+class TestRandomStateBlocks:
+    """The block sampler is ``random_states`` a block at a time, from the same stream."""
+
+    BIT_GENERATORS = [np.random.PCG64, np.random.Philox]
+    COUNTS = [0, 1, ROW_BLOCK, ROW_BLOCK + 1, DRAW_BLOCK + 1]
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_blocks_join_to_random_states(self, bit_generator, count):
+        """Joined blocks equal random_states bit for bit; both leave the stream at one place,
+        after count rows of normals and count radii, so the next draw is equal."""
+        basis = Basis(L=np.pi, n_w=10, n_t=4)
+        rng, joined_rng, stream = (np.random.Generator(bit_generator(3)) for _ in range(3))
+        states = random_states(rng, basis, 2.5, count)
+        blocks = list(random_state_blocks(joined_rng, basis, 2.5, count))
+        sizes = [len(states[start:start + ROW_BLOCK]) for start in range(0, count, ROW_BLOCK)]
+        assert [len(block) for block in blocks] == sizes
+        assert np.array_equal(np.concatenate([np.empty((0, basis.max_modes)), *blocks]), states)
+        normals = stream.standard_normal((count, basis.max_modes))
+        targets = 2.5 * stream.uniform(0.0, 1.0, size=count)
+        assert rng.random() == joined_rng.random() == stream.random()
+        raw = normals * np.arange(1, basis.max_modes + 1) ** -3.0
+        norms = np.sqrt(np.sum(raw * raw * basis.wavenumbers() ** 4, axis=1))
+        np.testing.assert_allclose(states, raw * (targets / norms)[:, None], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    def test_interleaved_samplers_match_sequential_calls(self, bit_generator):
+        """Two samplers of one rng, consumed block by block in turn as lemma_suite does,
+        give two consecutive random_states calls; later draws from rng do not reach the blocks."""
+        basis = Basis(L=np.pi, n_w=6, n_t=4)
+        rng, sequential = np.random.Generator(bit_generator(8)), np.random.Generator(bit_generator(8))
+        count = DRAW_BLOCK + 3 * ROW_BLOCK + 5
+        v_blocks = random_state_blocks(rng, basis, 5.0, count)
+        z_blocks = random_state_blocks(rng, basis, 5.0, count)
+        after = rng.random()
+        vs, zs = (np.concatenate(blocks) for blocks in zip(*zip(v_blocks, z_blocks)))
+        assert np.array_equal(vs, random_states(sequential, basis, 5.0, count))
+        assert np.array_equal(zs, random_states(sequential, basis, 5.0, count))
+        assert after == sequential.random()
+
+    def test_lemma_suite_memory_is_bounded(self):
+        """20,000 pairs of verify's setup hold one draw of samples, not both 20,000-row sets.
+
+        The traced peak is 1.0 MB; drawing both sets whole took it to 5.4 MB.
+        """
+        _, geo, basis, grid = cable_setup(n_w=10, n_t=4)
+        lemma_suite(ROW_BLOCK, 5.0, geo, basis, grid, seed=1)  # first-call caches
+        tracemalloc.start()
+        try:
+            report = lemma_suite(20000, 5.0, geo, basis, grid, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["samples"] == 20000 and report["violations"] == 0
+        assert peak < 1.5e6, f"lemma_suite(20000) peaked at {peak / 1e6:.2f} MB"
 
 
 class TestDifferenceEnergy:

@@ -14,6 +14,7 @@ from fishbone.integrate import (
     IntegrationError,
     IntegratorConfig,
     NonFiniteState,
+    StepBudgetExceeded,
     StepUnderflow,
     integrate,
     sample_times,
@@ -256,6 +257,61 @@ class TestAdaptive:
         assert isinstance(info.value, IntegrationError)
         assert "underflow" in str(info.value)
         assert 0.0 < info.value.time < t_blow
+
+
+class TestStepBudget:
+    """DP45 stops after TRIALS_PER_RK4_STEP trial steps per step of the RK4 clock."""
+
+    @staticmethod
+    def counted(field, calls):
+        def make(*_args):
+            def f(t, y):
+                calls.append(t)
+                return field(t, y)
+
+            return f
+
+        return make
+
+    def test_field_that_keeps_steps_tiny_hits_the_budget(self, monkeypatch):
+        """A fast forcing keeps accepted steps far above the underflow floor but far below dt;
+        with the budget lowered the run raises a typed error that names it, after exactly
+        that many trials (the first stage plus six RHS calls per trial)."""
+        params, geo, basis, grid = flat_setup()
+        dim = 2 * basis.n_w + 2 * basis.n_t
+        calls = []
+        monkeypatch.setattr(
+            fishbone.integrate, "make_packed_rhs",
+            self.counted(lambda t, y: np.full(dim, math.sin(1e5 * t)), calls),
+        )
+        monkeypatch.setattr(fishbone.integrate, "TRIALS_PER_RK4_STEP", 3)
+        y0 = ModalState(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(2))
+        cfg = IntegratorConfig(method="adaptive45", dt=0.1, t_end=1.0)
+        with pytest.raises(StepBudgetExceeded) as info:
+            integrate(y0, params, geo, basis, cfg)
+        assert isinstance(info.value, IntegrationError)
+        assert "step budget of 30 trial steps (3 per RK4 step)" in str(info.value)
+        assert len(calls) == 1 + 6 * 30
+        assert 0.0 < info.value.time < 1e-3
+
+    def test_budget_allows_exactly_its_trials(self, monkeypatch):
+        """A one-step clock whose run takes T trials passes with a budget of T and fails with T - 1."""
+        params, geo, basis, grid = flat_setup(g=0.3, delta=0.1)
+        calls = []
+        monkeypatch.setattr(
+            fishbone.integrate, "make_packed_rhs",
+            self.counted(make_packed_rhs(params, geo, basis, grid), calls),
+        )
+        y0 = ModalState(np.array([0.5, 0.1, 0.0]), np.zeros(3), np.array([0.2, 0.0]), np.zeros(2))
+        cfg = IntegratorConfig(method="adaptive45", dt=1.0, t_end=1.0)
+        integrate(y0, params, geo, basis, cfg)
+        trials, rest = divmod(len(calls) - 1, 6)
+        assert rest == 0 and trials > 2
+        monkeypatch.setattr(fishbone.integrate, "TRIALS_PER_RK4_STEP", trials)
+        integrate(y0, params, geo, basis, cfg)
+        monkeypatch.setattr(fishbone.integrate, "TRIALS_PER_RK4_STEP", trials - 1)
+        with pytest.raises(StepBudgetExceeded):
+            integrate(y0, params, geo, basis, cfg)
 
 
 class TestRunLongBuffers:

@@ -1,11 +1,15 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
-the packed layout is written in one module, and the benchmark's tracer fits the package."""
+the packed layout is written in one module, a serial run leaves heavy numpy and stdlib
+modules unloaded, and the benchmark's tracer fits the package."""
 
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,6 +57,37 @@ def test_packed_layout_written_once():
         if re.search(r"\b2 \* (self\.)?n_w\b", line)
     ]
     assert not offenders, f"packed layout spelled out outside dynamics.py: {offenders}"
+
+
+SERIAL_RUN = """
+import sys
+from dataclasses import replace
+from fishbone.cli import load_config, preset_text
+from fishbone.experiments import wind_sweep
+from fishbone.spectral import make_grid
+
+path = sys.argv[1]
+with open(path, "w") as handle:
+    handle.write(preset_text("wind"))
+scenario = load_config(path).scenario
+make_grid(scenario.basis)
+one_second = replace(scenario, integrator=replace(scenario.integrator, t_end=1.0))
+(row,) = wind_sweep([1e-3], [1.0], one_second, workers=1)
+assert row.note == "", row
+print(" ".join(sorted(name for name in ("numpy.polynomial", "concurrent.futures") if name in sys.modules)))
+"""
+
+
+def test_serial_run_leaves_polynomial_and_futures_unloaded(tmp_path):
+    """A fresh interpreter that loads a preset, builds a grid and runs a 1 s serial sweep
+    never imports numpy.polynomial (about 1.2 MB resident) or concurrent.futures."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", SERIAL_RUN, str(tmp_path / "wind.cfg")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
 
 
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from fishbone.spectral import Basis, displayed_to_modal, make_grid, modal_to_displayed
+from fishbone.spectral import (
+    GAUSS_NODES,
+    GAUSS_WEIGHTS,
+    POINTS_PER_PANEL,
+    Basis,
+    displayed_to_modal,
+    make_grid,
+    modal_to_displayed,
+)
 
 
 class TestBasis:
@@ -76,6 +84,12 @@ class TestQuadratureGrid:
                 rtol=1e-13,
                 atol=1e-11,
             )
+
+    def test_rule_is_numpys_leggauss(self):
+        """The literal reference rule is numpy's Gauss-Legendre rule bit for bit, and sets the panel size."""
+        nodes, weights = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
+        assert np.array_equal(GAUSS_NODES, nodes) and np.array_equal(GAUSS_WEIGHTS, weights)
+        assert POINTS_PER_PANEL == len(GAUSS_NODES) == len(GAUSS_WEIGHTS) == 5
 
     def test_polynomial_exactness(self):
         """5-point panels integrate degree-9 polynomials to round-off."""
