@@ -337,7 +337,7 @@ def random_state_blocks(rng: np.random.Generator, basis: Basis, radius: float, c
     def blocks():
         for draw in _blocks(count, DRAW_BLOCK):
             raw = replay.standard_normal((draw.stop - draw.start, n)) * decay
-            norms = np.sqrt((raw * raw) @ k4)
+            norms = np.sqrt(np.vecdot(raw * raw, k4))  # a row's bits do not depend on the draw's shape
             rows = raw * (targets[draw] / np.where(norms > 0.0, norms, 1.0))[:, None]
             yield from (rows[block] for block in _blocks(len(rows)))
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fishbone.diagnostics
 from fishbone import cable
 from fishbone.cable import make_geometry, pi_energy
 from fishbone.diagnostics import (
@@ -500,6 +501,24 @@ class TestRandomStateBlocks:
         raw = normals * np.arange(1, basis.max_modes + 1) ** -3.0
         norms = np.sqrt(np.sum(raw * raw * basis.wavenumbers() ** 4, axis=1))
         np.testing.assert_allclose(states, raw * (targets / norms)[:, None], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("draw", [ROW_BLOCK, DRAW_BLOCK])
+    @pytest.mark.parametrize("count", [33, 65, 97, 129, 257])
+    def test_rows_equal_the_whole_array_formula(self, monkeypatch, draw, count):
+        """Each row's bits are the formula's on all count rows at once, wherever a draw or
+        block boundary cuts. H² norms taken as a (rows, n) @ (n,) product failed here for
+        some of the eight seeds at every count with 32-row draws, and at 257 with 256-row
+        draws: a row's bits hung on the product's shape."""
+        monkeypatch.setattr(fishbone.diagnostics, "DRAW_BLOCK", draw)
+        basis = Basis(L=np.pi, n_w=10, n_t=4)
+        decay, k4 = np.arange(1, basis.max_modes + 1) ** -3.0, basis.wavenumbers() ** 4
+        for seed in range(8):
+            states = random_states(np.random.default_rng(seed), basis, 2.5, count)
+            stream = np.random.default_rng(seed)
+            raw = stream.standard_normal((count, basis.max_modes)) * decay
+            targets = 2.5 * stream.uniform(0.0, 1.0, size=count)
+            norms = np.sqrt(np.vecdot(raw * raw, k4))
+            assert np.array_equal(states, raw * (targets / norms)[:, None]), f"seed {seed}"
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
     def test_interleaved_samplers_match_sequential_calls(self, bit_generator):

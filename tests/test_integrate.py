@@ -16,6 +16,7 @@ from fishbone.integrate import (
     NonFiniteState,
     StepBudgetExceeded,
     StepUnderflow,
+    Trajectory,
     integrate,
     sample_times,
 )
@@ -312,6 +313,60 @@ class TestStepBudget:
         monkeypatch.setattr(fishbone.integrate, "TRIALS_PER_RK4_STEP", trials - 1)
         with pytest.raises(StepBudgetExceeded):
             integrate(y0, params, geo, basis, cfg)
+
+
+class TestCounters:
+    """The trajectory's counters are the work the run did, as a counting RHS sees it."""
+
+    def test_rk4_makes_four_calls_per_step(self, monkeypatch):
+        params, geo, basis, grid = cable_setup(g=0.3)
+        calls = []
+        monkeypatch.setattr(
+            fishbone.integrate, "make_packed_rhs",
+            TestStepBudget.counted(make_packed_rhs(params, geo, basis, grid), calls),
+        )
+        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        cfg = IntegratorConfig(method="rk4", dt=3e-3, t_end=1.0, sample_every=0.1)  # 333 steps nudged to 11 x 33
+        counters = integrate(y0, params, geo, basis, cfg).counters
+        assert counters == {"steps": 363, "rhs_calls": 4 * 363, "dt": 1.0 / 363}
+        assert len(calls) == counters["rhs_calls"]
+
+    def test_dp45_makes_one_call_and_six_per_trial(self, monkeypatch):
+        """A large first step makes the run reject some trials. Each trial calls the RHS at
+        t + h/5 first and at t + h last, so the calls give every trial's t and h; a trial is
+        accepted if the next one starts at its t + h."""
+        params, geo, basis, grid = cable_setup(n_w=4, n_t=3, S=1.3, delta=0.1, g=0.4, eps=0.5, kappa=0.3)
+        calls = []
+        monkeypatch.setattr(
+            fishbone.integrate, "make_packed_rhs",
+            TestStepBudget.counted(make_packed_rhs(params, geo, basis, grid), calls),
+        )
+        y0 = ModalState(*(0.2 * np.random.default_rng(5).standard_normal(n) for n in (4, 4, 3, 3)))
+        cfg = IntegratorConfig(method="adaptive45", dt=0.2, t_end=3.0, sample_every=0.2)
+        counters = integrate(y0, params, geo, basis, cfg).counters
+        trials = counters["accepted"] + counters["rejected"]
+        assert len(calls) == counters["rhs_calls"] == 1 + 6 * trials
+        first, last = np.array(calls[1::6]), np.array(calls[6::6])
+        h = 1.25 * (last - first)
+        starts = last - h
+        accepted = np.append(np.isclose(starts[1:], last[:-1], rtol=0, atol=1e-9), True)
+        assert counters["rejected"] == np.count_nonzero(~accepted) > 0
+        steps = h[accepted]
+        assert counters["h_last"] == pytest.approx(steps[-1], rel=1e-6)
+        assert counters["h_min"] == pytest.approx(steps[:-1].min(), rel=1e-6)
+        assert counters["h_max"] == pytest.approx(steps[:-1].max(), rel=1e-6)
+        assert steps.sum() == pytest.approx(cfg.t_end, rel=1e-9)
+
+    def test_one_step_run_and_a_bare_trajectory(self):
+        """A run of one accepted step reports it as its smallest, largest and last;
+        a trajectory built by hand has no counters."""
+        params, geo, basis, grid = flat_setup(g=0.3)
+        cfg = IntegratorConfig(method="adaptive45", dt=0.5, t_end=1e-3)
+        counters = integrate(ModalState.zero(basis), params, geo, basis, cfg, grid).counters
+        assert counters == {
+            "accepted": 1, "rejected": 0, "rhs_calls": 7, "h_min": 1e-3, "h_max": 1e-3, "h_last": 1e-3
+        }
+        assert Trajectory(np.zeros(1), np.zeros((1, 10)), basis.n_w, basis.n_t).counters == {}
 
 
 class TestRunLongBuffers:
