@@ -85,6 +85,9 @@ def make_geometry(
     grid: QuadratureGrid,
 ) -> CableGeometry:
     """Build a CableGeometry on a grid; a straight cable (a = 0) must be slack (b = c = 0)."""
+    for name, value in (("a", a), ("s0", s0), ("b", b), ("c", c)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if a < 0.0 or (a == 0.0 and (b != 0.0 or c != 0.0)):
         raise ValueError(f"tension parameter must be positive, got a={a}")
     if not s0 > 0.0:

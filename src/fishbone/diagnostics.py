@@ -170,7 +170,7 @@ def attach_energies(
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
     if len(traj) >= 3:
-        traj.diagnostics["residual"] = energy_identity_residual(traj, params, geometry, basis, grid)
+        traj.diagnostics["residual"] = _identity_residual(traj, params, rows.Efull)
     return traj
 
 
@@ -186,15 +186,18 @@ def energy_identity_residual(
     R(t) = Efull(t) - Efull(0) + mu int ||w_t||^2 + zeta int ||th_t||^2
            + beta Upsilon int (th_t, w_t) + eta int (th, w_t),
     time integrals by composite trapezoid on the samples; the returned series
-    is R(t) / max(|Efull(0)|, 1).
+    is R(t) / max(|Efull(0)|, 1). Efull is computed from the arguments, never read
+    from traj.diagnostics, which may hold another model's energies.
     """
     check_span(params, basis)
     if len(traj) < 3:
         raise ValueError(f"need at least 3 samples for the residual, got {len(traj)}")
-    if "Efull" in traj.diagnostics and len(traj.diagnostics["Efull"]) == len(traj):
-        efull = traj.diagnostics["Efull"]
-    else:
-        efull = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid).Efull
+    efull = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid).Efull
+    return _identity_residual(traj, params, efull)
+
+
+def _identity_residual(traj: Trajectory, params: ModelParams, efull: np.ndarray) -> np.ndarray:
+    """The residual series of ``energy_identity_residual`` from the Efull series of traj."""
     nc = min(traj.n_w, traj.n_t)
     wdot, thdot, th = traj.wdot, traj.thdot, traj.th
     power = (  # the rate at which damping and wind drain Efull

@@ -19,9 +19,10 @@ in row order and ``channel_slices`` gives their slices. On packed y,
 ``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
 adds the cubic stretching term and the cable projections on every call, so the
 integrator sees the exact semi-discrete flow. On the internal row [w, th, 1,
-wdot, thdot, ...], [w, th, 1] @ slopes gives the nodal slopes of both hanger
-lines and k_j^2 w_j; after ``cable._h_from_slope``, [w, th, 1, wdot, thdot, f,
-f-bar / l, stretching] @ [A^T; c; projections] (rows in that order) gives f(y).
+wdot, thdot, F, stretching], [w, th, 1] @ slopes gives the nodal slopes of both
+hanger lines and k_j^2 w_j; after ``cable._h_from_slope``, [f; f-bar / l] @
+projection gives F, their projections onto the modes, and row @ [A^T; c; picks]
+(rows in that order) gives f(y).
 """
 
 from __future__ import annotations
@@ -70,6 +71,9 @@ class ModelParams:
     L: float = np.pi  # span
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("M", "D", "eps", "ell", "L"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -224,30 +228,19 @@ def make_packed_rhs(
     """Build f(t, y) on one packed row y, a new array per call; the hot path.
 
     The tables and work arrays are built here, once per run, so a call allocates
-    only the derivative it returns. The cable term (b = c = 0) and stretching
-    (S = 0) are skipped when off: no 0 * inf. With both off, f is [y, 1] @ [A^T; c].
+    only the derivative it returns. The table has n + 1 + 2 (n_w + n_t) + n_w rows
+    whatever the node count. The cable term (b = c = 0) and stretching (S = 0)
+    are skipped when off, and the slopes product with them: no 0 * inf.
     """
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
-    n, nodes = len(c), grid.n_nodes
-    linear_table = np.zeros((n + 1, n))  # rows of [y, 1]
-    linear_table[:n], linear_table[n] = A.T, c
-    dot, multiply = np.dot, np.multiply  # bound once per run
-    stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
-    cables_on = geometry.b != 0.0 or geometry.c != 0.0
-    if not (cables_on or stretch):
-        head = np.append(np.zeros(n), 1.0)
-        y_part = head[:n]
-
-        def linear_rhs(t: float, y: np.ndarray) -> np.ndarray:
-            y_part[...] = y
-            return dot(head, linear_table)
-
-        return linear_rhs
-
+    n, nodes, modes = len(c), grid.n_nodes, n_w + n_t
     w, acc_w, th, acc_t = channel_slices(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
     dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
+    dot, multiply = np.dot, np.multiply  # bound once per run
+    stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
+    cables_on = geometry.b != 0.0 or geometry.c != 0.0
     # [y, 1] @ slopes: total slopes of the lines w + l th and w - l th, then k^2 w
     up, down, k2w = slice(0, nodes), slice(nodes, 2 * nodes), slice(2 * nodes, 2 * nodes + n_w)
     slopes = np.zeros((n + 1, k2w.stop))
@@ -256,33 +249,36 @@ def make_packed_rhs(
     slopes[th, down] = -slopes[th, up]  # exact: mirroring th swaps the lines bit for bit
     slopes[n, up] = slopes[n, down] = geometry.sx
     slopes[w, k2w] = np.diag(co.k2)
-    # The internal row is [w, th, 1, wdot, thdot, f, f-bar / l, -(S/M) ||w_x||^2 k^2 w]; y lands
-    # in it by one scatter, and the slopes product reads only its lead [w, th, 1].
+    # [f; f-bar / l] @ projection = F (2, n_w + n_t): the table picks (f, e_j')_0 / M from row 0
+    # and (f-bar, e_j')_0 / I from row 1; one product forms both, the cross blocks unread.
+    projection = (np.vstack([co.inv_m * dw, (co.inv_it * params.ell) * dt]) * grid.weights).T
+    # The internal row is [w, th, 1, wdot, thdot, F, -(S/M) ||w_x||^2 k^2 w]; y lands in it by
+    # one scatter, and the slopes product reads only its lead [w, th, 1].
     order, lead = np.r_[w, th, n, acc_w, acc_t], n_w + n_t + 1  # the [y, 1] entry of each slot
     slots = np.empty_like(order)
     slots[order] = np.arange(n + 1)  # the slot of each entry of [y, 1]
     slopes, slots = slopes[order[:lead]], slots[:n]
-    table = np.zeros((n + 1 + k2w.stop, n))  # rows: the internal row's slots
-    table[: n + 1], forces = linear_table[order], table[n + 1 :]
-    forces[up, acc_w] = (dw * (co.inv_m * grid.weights)).T
-    forces[down, acc_t] = (dt * (co.inv_it * params.ell * grid.weights)).T
-    forces[k2w, acc_w] = np.eye(n_w)
+    table = np.zeros((n + 1 + 2 * modes + n_w, n))  # rows: the internal row's slots
+    table[: n + 1] = np.vstack([A.T, c])[order]
+    picks = n + 1 + np.r_[:n_w, modes + n_w : 2 * modes, 2 * modes : 2 * modes + n_w]
+    table[picks, np.r_[acc_w, acc_t, acc_w]] = 1.0  # F[0, :n_w], F[1, n_w:], the stretching
 
     row, nodal = np.zeros(len(table)), np.empty(k2w.stop)
     row[lead - 1] = 1.0
     head, y_w = row[:lead], row[:n_w]
-    f_pair, stretch_part = row[n + 1 : n + 1 + 2 * nodes].reshape(2, nodes), row[n + 1 :][k2w]
+    forces, stretch_part = row[n + 1 : n + 1 + 2 * modes].reshape(2, modes), row[-n_w:]
     lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
     pull = np.empty(2)
     work = np.empty((2, nodes)), np.empty((2, nodes)), pull, pull[:, None]  # xi, gap, pull, column
-    mix = np.array([[1.0, 1.0], [1.0, -1.0]])  # [f; f-bar/l]: h_up +- h_down, one rounding each
+    mix, mixed = np.array([[1.0, 1.0], [1.0, -1.0]]), np.empty((2, nodes))  # mixed: [f; f-bar/l]
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
         row[slots] = y
-        dot(head, slopes, nodal)  # np.dot: the BLAS call of @, less dispatch
+        if cables_on or stretch:
+            dot(head, slopes, nodal)  # np.dot: the BLAS call of @, less dispatch
         if cables_on:
             _h_from_slope(lines, geometry, *work)
-            dot(mix, lines, f_pair)
+            dot(dot(mix, lines, mixed), projection, forces)  # h_up +- h_down, one rounding each
         if stretch:
             multiply(k2w_w, stretch * dot(k2w_w, y_w), stretch_part)
         return dot(row, table)

@@ -92,6 +92,10 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "adaptive45"):
             raise ValueError(f"unknown method {self.method!r}; use rk4 or adaptive45")
+        for name in ("dt", "rtol", "atol", "t_end", "sample_every"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.rtol > 0.0 and self.atol > 0.0):

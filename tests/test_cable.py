@@ -85,6 +85,17 @@ class TestGeometry:
         with pytest.raises(ValueError):
             make_geometry(A, S0, B, -1.0, basis, grid)
 
+    def test_nonfinite_parameters_rejected(self):
+        """NaN or inf in a, s0, b or c is refused, naming the parameter."""
+        basis = Basis(L=np.pi, n_w=2, n_t=2)
+        grid = make_grid(basis)
+        for index, name in enumerate(("a", "s0", "b", "c")):
+            for value in (np.nan, np.inf):
+                args = [A, S0, B, C]
+                args[index] = value
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    make_geometry(*args, basis, grid)
+
 
 class TestForceDensity:
     def test_zero_state_force_is_slope_tension(self):

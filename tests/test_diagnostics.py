@@ -222,6 +222,25 @@ class TestEnergyIdentity:
         with pytest.raises(ValueError, match="at least 3 samples"):
             energy_identity_residual(traj, params, geo, basis, grid)
 
+    def test_residual_reads_its_own_params_not_attached_energies(self):
+        """After attach_energies under one model, the residual under another uses that model's Efull."""
+        params, geo, basis, grid = cable_setup(S=2.0, delta=0.1)
+        y0 = ModalState(
+            np.array([0.3, -0.1, 0.0, 0.0]), np.zeros(4), np.array([0.05, 0.0, 0.0]), np.zeros(3)
+        )
+        cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0, sample_every=0.1)
+        traj = integrate(y0, params, geo, basis, cfg)
+        bare = Trajectory(traj.times, traj.data, traj.n_w, traj.n_t)
+        attach_energies(traj, params, geo, basis, grid)
+        unstretched = ModelParams(delta=0.1)
+        residual = energy_identity_residual(traj, unstretched, geo, basis, grid)
+        expected = energy_identity_residual(bare, unstretched, geo, basis, grid)
+        np.testing.assert_array_equal(residual, expected)
+        assert np.max(np.abs(residual)) > 1e-3  # dropping S breaks the identity on this run
+        np.testing.assert_array_equal(
+            traj.diagnostics["residual"], energy_identity_residual(bare, params, geo, basis, grid)
+        )
+
     def test_attach_energies_fills_diagnostics(self):
         """attach_energies records the E series and the residual in place."""
         params, geo, basis, grid = cable_setup(delta=0.1, zeta=0.05)

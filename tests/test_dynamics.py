@@ -62,14 +62,23 @@ class TestModelParams:
     def test_positive_groups(self):
         """M, D, eps, ell, L must be positive."""
         for name in ("M", "D", "eps", "ell", "L"):
-            with pytest.raises(ValueError):
-                ModelParams(**{name: 0.0})
+            for value in (0.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    ModelParams(**{name: value})
 
     def test_nonnegative_groups(self):
         """kappa, delta, zeta, beta, P, S must be nonnegative."""
         for name in ("kappa", "delta", "zeta", "beta", "P", "S"):
-            with pytest.raises(ValueError):
-                ModelParams(**{name: -1e-9})
+            for value in (-1e-9, np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    ModelParams(**{name: value})
+
+    def test_signed_fields_finite(self):
+        """Upsilon, Ustream and g take either sign but must be finite."""
+        for name in ("Upsilon", "Ustream", "g"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ModelParams(**{name: value})
 
     def test_chord_offset_bounded(self):
         """|Upsilon| <= ell is enforced."""

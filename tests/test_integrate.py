@@ -45,10 +45,14 @@ BENCH_STATE = dict(
 
 class TestConfigValidation:
     def test_positive_requirements(self):
-        """dt, tolerances, and horizon must be positive."""
+        """dt, tolerances, and horizon must be positive; they and the cadence must be finite."""
         for kwargs in (dict(dt=0.0), dict(rtol=0.0), dict(atol=-1.0), dict(t_end=0.0)):
             with pytest.raises(ValueError):
                 IntegratorConfig(**kwargs)
+        for name in ("dt", "rtol", "atol", "t_end", "sample_every"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    IntegratorConfig(**{name: value})
 
     def test_cadence_not_finer_than_step(self):
         """sample_every below dt is rejected."""
