@@ -25,9 +25,9 @@ kind and default (those of ``ModelParams`` and ``IntegratorConfig`` for
 and the rule, and is the one place each derive formula is written. A setting
 that changes no result has no key: the cable hanger datum is fixed, since
 only the slope of the rest shape enters. Every number must be finite, and a
-swept mode within 1..basis.n_t. ``preset_text`` is the one definition of the
-named Tacoma Narrows presets; ``experiments.figure_scenarios`` resolves its
-texts.
+swept mode within 1..basis.n_t. The Tacoma Narrows bridge table
+(``TNB_TABLE``), the presets' rates and the presets themselves live here too:
+``preset_text`` is their one definition and ``load_preset`` resolves one.
 
 Broadcast precedence for initial data: ``initial.all`` fills every channel,
 ``initial.<channel>.all`` overrides one channel, ``initial.<channel>.<mode>``
@@ -54,22 +54,8 @@ import numpy as np
 from . import __version__
 from .cable import make_geometry
 from .diagnostics import attach_energies, format_report, lemma_suite
-from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices
-from .experiments import (
-    DAMPING_RATE,
-    DECAY_BELOW,
-    GRAVITY,
-    GROWTH_ABOVE,
-    SWEEP_MODE,
-    TNB_N_T,
-    TNB_N_W,
-    TNB_TABLE,
-    WIND_COUPLING_RATE,
-    WIND_SPEED,
-    Scenario,
-    default_timestep,
-    wind_sweep,
-)
+from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices, mode_coefficients
+from .experiments import DECAY_BELOW, GROWTH_ABOVE, SWEEP_MODE, Scenario, wind_sweep
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, sample_times
 from .linear import (
     OverdampedBranch,
@@ -77,14 +63,22 @@ from .linear import (
     closed_form,
     decay_rate,
     spectrum_report,
+    undamped_torsional_frequency,
 )
 from .spectral import Basis, displayed_to_modal, make_grid, modal_to_displayed
 
 __all__ = [
+    "DAMPING_RATE",
+    "GRAVITY",
+    "TNB_TABLE",
+    "WIND_COUPLING_RATE",
+    "WIND_SPEED",
     "ConfigError",
     "SimConfig",
     "OutputBundle",
+    "default_timestep",
     "load_config",
+    "load_preset",
     "manifest_text",
     "preset_text",
     "run_simulate",
@@ -95,6 +89,34 @@ __all__ = [
 ]
 
 PRESETS = ("tnb", "free", "wind", "wind_stretch", "damped")
+
+GRAVITY = 9.8  # m/s^2, fixed for all dimensional runs
+
+# Published Tacoma Narrows mechanical features (SI base units). The sag f is
+# read by no derive rule; it cross-checks a and H (a L^2/8 = f).
+TNB_TABLE: dict[str, float] = {
+    "E": 2.1e11,  # deck Young modulus (Pa)
+    "Ec": 1.85e11,  # cable Young modulus (Pa)
+    "G": 8.1e10,  # shear modulus (Pa)
+    "L": 853.44,  # main span (m)
+    "ell": 6.0,  # deck half-width (m)
+    "f": 70.71,  # cable sag (m)
+    "I": 0.154,  # second moment of area (m^4)
+    "K": 6.07e-6,  # torsional constant (m^4)
+    "J": 5.44,  # warping constant (m^6)
+    "A": 1.85,  # deck cross-section area (m^2)
+    "Ac": 0.1228,  # cable cross-section area (m^2)
+    "M": 7198.0,  # linear mass density (kg/m)
+    "H": 4.5413e7,  # horizontal cable tension (N)
+    "L0": 868.815,  # cable rest length (m)
+}
+TNB_N_W = 10
+TNB_N_T = 4
+
+# Per-unit-mass rates (1/s) of the canonical presets; see ``preset_text``.
+DAMPING_RATE = 0.01
+WIND_COUPLING_RATE = 1e-2
+WIND_SPEED = 30.0
 
 # The mechanical table: model keys that only feed derive rules.
 _TABLE_FIELDS = ("E", "Ec", "G", "I", "K", "J", "A", "Ac", "H")
@@ -172,6 +194,22 @@ def _cable_stiffness(Ac: float, Ec: float, L0: float | None, a: float, basis: Ba
             raise ValueError("cable.L0 or cable.a > 0")
         L0 = make_geometry(a, _HANGER_DATUM, 0.0, 0.0, basis, make_grid(basis)).L0
     return Ac * Ec / L0
+
+
+def default_timestep(params: ModelParams, basis: Basis) -> float:
+    """One two-hundredth of the shortest undamped linear period retained.
+
+    Resolves the stiffest linear mode: the larger of the highest bending
+    frequency sqrt(D/M) (n_w pi/L)^2 and the highest torsional frequency.
+    Prestress, which softens the vertical modes, and the cables, which stiffen
+    them, are left out: at Tacoma Narrows with 10+4 modes the rule resolves
+    2.87 rad/s, while the cables linearised at the sagged rest state reach
+    4.98 rad/s, which the step still samples about 115 times per period.
+    """
+    co = mode_coefficients(params, basis.n_w, 0)
+    omega_w = math.sqrt(co.bending[-1] * co.inv_m)
+    omega_t = float(undamped_torsional_frequency(params, basis.n_t)[-1])
+    return 2.0 * np.pi / max(omega_w, omega_t) / 200.0
 
 
 # key = derive: (keys the rule reads, rule), applied in this order, so cable.b
@@ -616,10 +654,32 @@ def run_sweep(config_path: str | Path) -> Path:
 def preset_text(name: str) -> str:
     """Config text for a named preset scenario (Tacoma Narrows values).
 
-    This is the only definition of the presets: ``experiments.tnb_preset``
-    and ``experiments.figure_scenarios`` resolve these texts. Each preset
-    switches effects on over the conservative ``tnb`` base; delta, zeta and
-    beta are per-unit-mass rates scaled by M (experiments module docstring).
+    This is the only definition of the presets; ``load_preset`` resolves
+    them. ``tnb`` is the conservative base, with cables and stretching and
+    neither damping nor wind. The four canonical 120 s scenarios excite the
+    9th vertical mode at 3 m (all other channels 1e-3 of that) and differ in
+    which effects are switched on:
+
+        free          no damping, no wind, no stretching   (cables only)
+        wind          piston forcing beta = 1e-2, U = 30 m/s
+        wind_stretch  wind plus the stretching nonlinearity S = A*E/(2L)
+        damped        wind_stretch plus structural damping delta = zeta = 0.01
+
+    The quoted damping and flow coefficients (delta, zeta, beta) are
+    per-unit-mass rates with units 1/s: they are the numbers that multiply
+    the velocities once the vertical equation is divided by M. ModelParams
+    stores the coefficients of the unscaled equations (the ones whose inertia
+    terms are M w_tt and (M l^2/3) th_tt), so the presets multiply each rate
+    by M. With the bare values instead, the induced rates beta/M ~ 1e-6 1/s
+    would leave every scenario indistinguishable from `free` over 120 s;
+    under the rate reading the scenarios separate (wind grows the 2nd
+    torsional envelope relative to `free`, damping shrinks every torsional
+    envelope), and at M = 1 the two readings agree. At the 10+4 truncation
+    the windy cell's ratio is 1.732, which classifies as "neutral", not
+    "growth": how far the envelope grows depends on which torsional modes are
+    retained (see the README's truncation table). wind_stretch's 120 s ratio
+    (1.414 at dt, 1.286 at dt/2) is not resolved in dt; its trajectories part
+    at about 0.2/s (README).
     """
     if name not in PRESETS:
         raise ConfigError(name, f"unknown preset; choose from {list(PRESETS)}")
@@ -673,6 +733,11 @@ def preset_text(name: str) -> str:
         "output.channels = w,wdot,th,thdot",
     ]
     return "\n".join(lines) + "\n"
+
+
+def load_preset(name: str) -> SimConfig:
+    """The named preset resolved, as ``load_config`` resolves a config file."""
+    return resolve_config(parse_config_text(preset_text(name)))
 
 
 # ---------------------------------------------------------------- entry point

@@ -8,8 +8,7 @@ rejection) and cubic Hermite dense output at those times, which do not steer
 its steps; the closed-form export of the CLI samples the same clock. The
 controller takes DOPRI5's exponents (Hairer, Norsett & Wanner, 1993), so its
 steps settle where the error is 0.44 of the tolerance (median accepted error
-0.39 on the canonical wind run at rtol 1e-8); Gustafsson's 0.7/5 and 0.4/5
-settled at 0.17 (median 0.16) and took 14% more trial steps.
+0.39 on the canonical wind run at rtol 1e-8).
 Each run returns counters of its work on ``Trajectory.counters``.
 A blow-up raises one ``NonFiniteState``, which names the entry by
 ``dynamics.channel_slices``; the step loops run under an ``np.errstate`` that
@@ -49,7 +48,7 @@ SAFETY = 0.9
 FAC_MIN, FAC_MAX = 0.2, 5.0
 # Hairer, Norsett & Wanner's DOPRI5 exponents (beta = 0.04, alpha = 1/5 - 0.75 beta). At a
 # steady error the step holds when SAFETY err^(PI_BETA - PI_ALPHA) = 1, at err = 0.9^(1/0.13)
-# = 0.44 of the tolerance; Gustafsson's 0.7/5 and 0.4/5 held it at 0.9^(1/0.06) = 0.17.
+# = 0.44 of the tolerance.
 PI_ALPHA, PI_BETA = 0.17, 0.04
 UNDERFLOW_FRACTION = 1e-14
 # DP45 trial steps allowed per step of the RK4 clock. The canonical runs take at most 1.9 at

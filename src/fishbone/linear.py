@@ -123,7 +123,10 @@ def undamped_torsional_frequency(params: ModelParams, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """Closed-form representation; arrays are indexed by mode (entry 0 is j = 1)."""
+    """Closed-form representation; arrays are indexed by mode (entry 0 is j = 1).
+
+    gamma_j covers max(n_w, n_t) modes, the vertical arrays n_w, th_sin and th_cos n_t.
+    """
 
     omega_j: np.ndarray
     gamma_j: np.ndarray
@@ -156,7 +159,7 @@ class LinearSolution:
         hom, hom1 = osc(
             0.5 * self.mu, 0.5 * self.omega_j[:, None], self.c1_j[:, None], self.c2_j[:, None]
         )
-        par, par1 = osc(sigma, omega_t, self.A_j[:, None], self.B_j[:, None])
+        par, par1 = osc(sigma, omega_t[: self.n_w], self.A_j[:, None], self.B_j[:, None])
         w = hom + par + self.static_j[:, None]
         th, th1 = osc(sigma, omega_t[: self.n_t], self.th_sin[:, None], self.th_cos[:, None])
         return np.hstack([w.T, (hom1 + par1).T, th.T, th1.T])
@@ -165,7 +168,8 @@ class LinearSolution:
 def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     """Exact solution of the linear system from y0 (hypotheses checked)."""
     n_w, n_t = y0.n_w, y0.n_t
-    co = mode_coefficients(params, n_w, n_w)  # per unit mass below, as in the paper's formulas
+    # per unit mass below, as in the paper's formulas; gamma for every retained mode
+    co = mode_coefficients(params, n_w, max(n_w, n_t))
     mu, zeta, ell = params.mu * co.inv_m, params.zeta * co.inv_m, params.ell
     ell2 = ell * ell
     k4v, k4t = co.bending * co.inv_m, (co.warping + co.torsion) * co.inv_m
@@ -188,20 +192,24 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         )
     omega = np.sqrt(omega_sq)
     gamma = np.sqrt(gamma_sq)
+    # The vertical particular solution reads gamma_j for j <= n_w.
+    gamma_sq, gamma_w = gamma_sq[:n_w], gamma[:n_w]
 
     res_scale = max(zeta, ell2 * mu / 3.0)
     if abs(zeta - ell2 * mu / 3.0) <= RESONANCE_RTOL * res_scale:
-        freq_scale = np.maximum(omega, 3.0 * gamma / ell2)
-        if np.any(np.abs(omega - 3.0 * gamma / ell2) <= RESONANCE_RTOL * freq_scale):
+        freq_scale = np.maximum(omega, 3.0 * gamma_w / ell2)
+        if np.any(np.abs(omega - 3.0 * gamma_w / ell2) <= RESONANCE_RTOL * freq_scale):
             raise ResonantCase(
                 f"zeta = l^2 mu/3 = {zeta:g} and omega_j = 3 gamma_j / l^2 for a retained "
                 "mode; the representation acquires secular growth and is not provided"
             )
 
+    # The wind couples w_j to th_j on the common prefix j <= min(n_w, n_t) only.
+    m = min(n_w, n_t)
     th0 = np.zeros(n_w)
     th1 = np.zeros(n_w)
-    th0[:n_t] = y0.th
-    th1[:n_t] = y0.thdot
+    th0[:m] = y0.th[:m]
+    th1[:m] = y0.thdot[:m]
     bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m
 
     # Particular-solution coefficients, Eqs. (A-B), transcribed verbatim.
@@ -224,7 +232,7 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     ) + 18.0 * gamma_sq * (3.0 * zeta - ell2 * mu) * (
         (3.0 * zeta * th0 + 2.0 * ell2 * th1) * bu - 3.0 * th0 * zeta * bu + 2.0 * ell2 * th0 * eta
     )
-    big_a = (2.0 * ell2 / (3.0 * gamma * den)) * a_num
+    big_a = (2.0 * ell2 / (3.0 * gamma_w * den)) * a_num
     b_num = p1 * (
         -(2.0 * ell2 * th1 + 3.0 * zeta * th0) * bu
         + 3.0 * th0 * zeta * bu
@@ -241,7 +249,7 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     c1 = (
         2.0 * y0.wdot * ell2
         + y0.w * mu * ell2
-        - 3.0 * big_a * gamma
+        - 3.0 * big_a * gamma_w
         + big_b * (3.0 * zeta - mu * ell2)
         - static * mu * ell2
     ) / (omega * ell2)

@@ -24,14 +24,8 @@ from fishbone.diagnostics import (
 )
 from fishbone import spectral
 from fishbone.dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
-from fishbone.experiments import (
-    GRAVITY,
-    TNB_N_W,
-    TNB_TABLE,
-    envelope_ratio,
-    figure_scenarios,
-    tnb_preset,
-)
+from fishbone.cli import GRAVITY, TNB_N_W, TNB_TABLE, load_preset
+from fishbone.experiments import envelope_ratio
 from fishbone.integrate import IntegratorConfig, integrate, sample_times
 from fishbone.linear import (
     ConditioningWarning,
@@ -107,7 +101,8 @@ def log_peak_growth_rate(traj, mode=2, window=10.0):
 def scenario_runs():
     """All four canonical 120 s scenarios with their wall-clock times."""
     runs = {}
-    for name, scenario in figure_scenarios().items():
+    for name in ("free", "wind", "wind_stretch", "damped"):
+        scenario = load_preset(name).scenario
         start = time.perf_counter()
         runs[name] = (scenario.run(), time.perf_counter() - start)
     return runs
@@ -230,7 +225,7 @@ class TestBridgeTableConsistency:
         t = TNB_TABLE
         tension = t["M"] * GRAVITY * t["L"] ** 2 / (16.0 * t["f"])
         np.testing.assert_allclose(tension, t["H"], rtol=1e-3)
-        _, geometry, _ = tnb_preset()
+        geometry = load_preset("tnb").scenario.geometry
         assert geometry.a == t["M"] * GRAVITY / (2.0 * t["H"])
         np.testing.assert_allclose(geometry.a * t["L"] ** 2 / 8.0, t["f"], rtol=1e-3)
         assert abs(geometry.L0 - t["L0"]) <= 0.05
@@ -296,7 +291,7 @@ class TestScenarioReproduction:
 
 class TestLinearStability:
     def linear_bridge(self):
-        scenario = figure_scenarios()["damped"]
+        scenario = load_preset("damped").scenario
         params = replace(scenario.params, S=0.0, beta=0.0, Upsilon=0.0, Ustream=0.0)
         return params, scenario
 
@@ -397,7 +392,7 @@ class TestStepConvergence:
 
     @pytest.mark.parametrize("name", list(BOUNDS))
     def test_half_step_moves_the_ratio_within_its_bound(self, scenario_runs, name):
-        scenario = figure_scenarios()[name]
+        scenario = load_preset(name).scenario
         half = replace(scenario.integrator, dt=scenario.integrator.dt / 2.0)
         assert np.array_equal(sample_times(half), sample_times(scenario.integrator))
         ratio = envelope_ratio(scenario_runs[name][0], mode=2)
@@ -406,12 +401,11 @@ class TestStepConvergence:
 
     def test_adaptive45_wind_ratio_matches_rk4(self, scenario_runs):
         """DP45 at rtol 1e-8 gives the wind ratio of RK4 at dt to 1e-4 (measured 1.2e-5)
-        in at most 9,300 trial steps (measured 9,135; 10,416 with Gustafsson's exponents,
-        whose controller settled at a sixth of the tolerance).
+        in at most 9,300 trial steps (measured 9,135).
 
         Both sample the same times, so the gap is the integrators' alone.
         """
-        scenario = figure_scenarios()["wind"]
+        scenario = load_preset("wind").scenario
         cfg = replace(scenario.integrator, method="adaptive45", rtol=1e-8)
         adaptive = replace(scenario, integrator=cfg).run()
         rk4 = scenario_runs["wind"][0]
@@ -432,7 +426,7 @@ class TestQuadratureConvergence:
         entry, as the benchmark's RHS check does.
         """
         traj = scenario_runs["wind_stretch"][0]
-        scenario = figure_scenarios()["wind_stretch"]
+        scenario = load_preset("wind_stretch").scenario
         basis = Basis(L=scenario.basis.L, n_w=n_w, n_t=n_t)
         where = channel_slices(n_w, n_t)
         samples = np.linspace(0, len(traj) - 1, 8).astype(int)

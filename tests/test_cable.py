@@ -13,7 +13,7 @@ from fishbone.cable import (
 )
 from fishbone.diagnostics import ROW_BLOCK
 from fishbone.dynamics import ModelParams, channel_slices, make_packed_rhs
-from fishbone.experiments import tnb_preset
+from fishbone.cli import load_preset
 from fishbone.spectral import Basis, make_grid
 
 A, S0, B, C = 0.2, 1.0, 1.0, 1.0
@@ -184,7 +184,8 @@ class TestFoldedForceLaw:
 
     @pytest.mark.parametrize("slope_scale", [1e-4, 1e-2])
     def test_tacoma_geometry(self, slope_scale):
-        _, geo, basis = tnb_preset()
+        tnb = load_preset("tnb").scenario
+        geo, basis = tnb.geometry, tnb.basis
         grid = make_grid(basis)
         assert geo.b * geo.L0 > 2e10
         assert folded_law_error(geo, grid, slope_scale) < 1e-11
@@ -197,7 +198,8 @@ class TestFoldedForceLaw:
 
     def test_tacoma_slack_stretching(self):
         """b = 0 on the dimensional geometry: only the pretension c xi0 is left."""
-        _, tnb, basis = tnb_preset()
+        preset = load_preset("tnb").scenario
+        tnb, basis = preset.geometry, preset.basis
         grid = make_grid(basis)
         geo = make_geometry(tnb.a, tnb.s0, 0.0, tnb.c, basis, grid)
         assert folded_law_error(geo, grid, 1e-2) < 1e-14

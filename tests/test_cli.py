@@ -10,6 +10,7 @@ import fishbone.cable
 from fishbone.cli import (
     ConfigError,
     _fmt,
+    default_timestep,
     load_config,
     main,
     manifest_text,
@@ -264,8 +265,6 @@ class TestDeriveRules:
 
     def test_derived_timestep(self):
         """integrator.dt = derive resolves the stiffest-period rule."""
-        from fishbone.experiments import default_timestep
-
         cfg = resolve_config({"integrator.dt": "derive", "basis.n_w": "3", "basis.n_t": "2"})
         expected = default_timestep(cfg.scenario.params, cfg.scenario.basis)
         np.testing.assert_allclose(cfg.scenario.integrator.dt, expected, rtol=1e-15)
@@ -419,6 +418,18 @@ class TestLinearCommand:
             rows = list(csv.reader(f))
         assert rows[0][0] == "t"
         assert len(rows) == 1 + 21  # t_end 2 at cadence 0.1
+
+    def test_closed_form_csv_with_more_torsional_than_vertical_modes(self, tmp_path, capsys):
+        """A damped 2+3 basis exports its closed form like a 3+2 one."""
+        text = DAMPED_LINEAR.replace("basis.n_w = 3\nbasis.n_t = 2", "basis.n_w = 2\nbasis.n_t = 3")
+        path = write_cfg(tmp_path, text)
+        csv_path = tmp_path / "closed.csv"
+        assert main(["linear", str(path), "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["t", "w_1", "w_2", "wdot_1", "wdot_2", "th_1", "th_2", "th_3",
+                           "thdot_1", "thdot_2", "thdot_3"]
+        assert len(rows) == 1 + 21
 
     def test_closed_form_csv_samples_the_simulate_clock(self, tmp_path, capsys):
         """Where the RK4 step is nudged, the closed form is still sampled at simulate's times."""

@@ -14,7 +14,7 @@ from fishbone.dynamics import (
     make_packed_rhs,
     mode_coefficients,
 )
-from fishbone.experiments import figure_scenarios
+from fishbone.cli import load_preset
 from fishbone.linear import characteristic_roots
 from fishbone.spectral import Basis, make_grid
 
@@ -282,7 +282,7 @@ class TestRhs:
         The work arrays are built once per make_packed_rhs; a call allocates only
         the derivative it returns.
         """
-        scenario = figure_scenarios()[name]
+        scenario = load_preset(name).scenario
         grid = make_grid(scenario.basis)
         rhs = make_packed_rhs(scenario.params, scenario.geometry, scenario.basis, grid)
         y = scenario.initial.pack()

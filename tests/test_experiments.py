@@ -7,22 +7,21 @@ import pytest
 
 from fishbone import experiments
 from fishbone.cable import make_geometry
-from fishbone.cli import PRESETS, parse_config_text, preset_text, resolve_config
-from fishbone.dynamics import ModalState, ModelParams
-from fishbone.experiments import (
+from fishbone.cli import (
     DAMPING_RATE,
     GRAVITY,
+    PRESETS,
     TNB_TABLE,
     WIND_COUPLING_RATE,
     WIND_SPEED,
-    Scenario,
-    classify_ratio,
     default_timestep,
-    envelope_ratio,
-    figure_scenarios,
-    tnb_preset,
-    wind_sweep,
+    load_preset,
+    parse_config_text,
+    preset_text,
+    resolve_config,
 )
+from fishbone.dynamics import ModalState, ModelParams
+from fishbone.experiments import Scenario, classify_ratio, envelope_ratio, wind_sweep
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.linear import undamped_torsional_frequency
 from fishbone.spectral import Basis, displayed_to_modal, make_grid
@@ -50,13 +49,13 @@ def toy_scenario(name="toy", t_end=6.0, **params_over):
 class TestDerivations:
     def test_tension_parameter(self):
         """The preset's a = M g / (2H) lands on the published slope scale."""
-        a = tnb_preset()[1].a
+        a = load_preset("tnb").scenario.geometry.a
         assert a == TNB_TABLE["M"] * GRAVITY / (2.0 * TNB_TABLE["H"])
         np.testing.assert_allclose(a, 7.7665e-4, rtol=1e-4)
 
     def test_sag_consistency(self):
         """The preset's parabolic sag a L^2 / 8 recovers the published 70.71 m."""
-        sag = tnb_preset()[1].a * TNB_TABLE["L"] ** 2 / 8.0
+        sag = load_preset("tnb").scenario.geometry.a * TNB_TABLE["L"] ** 2 / 8.0
         np.testing.assert_allclose(sag, TNB_TABLE["f"], rtol=1e-3)
 
     def test_tension_consistency(self):
@@ -71,26 +70,26 @@ class TestDerivations:
 
     def test_cable_stiffness(self):
         """The preset's b = Ac Ec / L0 is about 2.6148e7 N/m."""
-        b = tnb_preset()[1].b
+        b = load_preset("tnb").scenario.geometry.b
         assert b == TNB_TABLE["Ac"] * TNB_TABLE["Ec"] / TNB_TABLE["L0"]
         np.testing.assert_allclose(b, 2.6148e7, rtol=1e-4)
 
     def test_stretching(self):
         """The preset's S = A E / (2L) is about 2.2761e8 N."""
-        s = tnb_preset()[0].S
+        s = load_preset("tnb").scenario.params.S
         assert s == TNB_TABLE["A"] * TNB_TABLE["E"] / (2.0 * TNB_TABLE["L"])
         np.testing.assert_allclose(s, 2.2761e8, rtol=1e-4)
 
     def test_rest_length_from_geometry(self):
         """The quadrature rest length matches the published L0 within 5 cm."""
-        _, geometry, _ = tnb_preset()
+        geometry = load_preset("tnb").scenario.geometry
         assert abs(geometry.L0 - TNB_TABLE["L0"]) <= 0.05
 
 
 class TestPreset:
     def test_parameter_wiring(self):
         """Every preset derives its coefficients and cables from the feature table."""
-        params, _, _ = tnb_preset()
+        params = load_preset("tnb").scenario.params
         t = TNB_TABLE
         assert params.M == t["M"] and params.L == t["L"] and params.ell == t["ell"]
         assert params.D == t["E"] * t["I"]
@@ -108,7 +107,8 @@ class TestPreset:
 
     def test_default_timestep_rule(self):
         """dt is one two-hundredth of the stiffest retained period."""
-        params, _, basis = tnb_preset()
+        tnb = load_preset("tnb").scenario
+        params, basis = tnb.params, tnb.basis
         omega_w = np.sqrt(params.D / params.M) * (basis.n_w * np.pi / params.L) ** 2
         omega_t = undamped_torsional_frequency(params, basis.n_t)[-1]
         expected = 2.0 * np.pi / max(omega_w, omega_t) / 200.0
@@ -125,7 +125,8 @@ class TestPreset:
 class TestScenarios:
     def test_catalog(self):
         """The four canonical variants differ only in the documented switches."""
-        scenarios = figure_scenarios()
+        names = ("free", "wind", "wind_stretch", "damped")
+        scenarios = {name: load_preset(name).scenario for name in names}
         assert set(scenarios) == {"free", "wind", "wind_stretch", "damped"}
         m = TNB_TABLE["M"]
         free, wind = scenarios["free"].params, scenarios["wind"].params
@@ -147,7 +148,7 @@ class TestScenarios:
 
     def test_initial_excitation(self):
         """The 9th vertical mode is at 3 m displayed, all else at 3 mm."""
-        sc = figure_scenarios()["free"]
+        sc = load_preset("free").scenario
         big = displayed_to_modal(3.0, sc.basis.L)
         small = displayed_to_modal(3e-3, sc.basis.L)
         np.testing.assert_allclose(sc.initial.w[8], big, rtol=1e-15)
@@ -166,7 +167,7 @@ class TestScenarios:
 
     def test_rerun_is_deterministic(self):
         """Running one scenario twice yields bit-identical trajectories."""
-        sc = figure_scenarios()["damped"]
+        sc = load_preset("damped").scenario
         short = Scenario(
             name=sc.name,
             params=sc.params,
@@ -190,7 +191,7 @@ class TestScenarios:
 
     def test_free_torsion_matches_closed_form_without_cables(self):
         """With cables removed the free scenario's twist is the exact oscillator."""
-        sc = figure_scenarios()["free"]
+        sc = load_preset("free").scenario
         grid = make_grid(sc.basis)
         bare = make_geometry(
             sc.geometry.a, sc.geometry.s0, 0.0, 0.0, sc.basis, grid
@@ -351,7 +352,7 @@ class TestWindSweep:
         to the "growth" threshold 2: at the canonical 10+4 truncation it is
         set by which torsional modes are kept, not by the wind.
         """
-        base = figure_scenarios()["free"]
+        base = load_preset("free").scenario
         unforced, reference = wind_sweep([0.0, 1e-2], [30.0], base, workers=1)
         assert reference.ratio > 1.0
         assert reference.ratio > unforced.ratio

@@ -330,17 +330,19 @@ class TestClosedFormODEResidual:
         np.testing.assert_allclose(res_w, 0.0, atol=1e-6)
         np.testing.assert_allclose(res_t, 0.0, atol=1e-6)
 
-    def test_matches_time_integration(self):
-        """The representation tracks an RK4 run of the same linear system."""
+    @pytest.mark.parametrize("n_w, n_t", [(3, 2), (2, 3)])
+    def test_matches_time_integration(self, n_w, n_t):
+        """The representation tracks an RK4 run of the same linear system, whichever
+        of the vertical and torsional truncations is the longer."""
         params = make_params(M=1.5, D=0.8)
-        basis = Basis(L=params.L, n_w=3, n_t=2)
+        basis = Basis(L=params.L, n_w=n_w, n_t=n_t)
         grid = make_grid(basis)
         geo = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
         y0 = ModalState(
-            np.array([0.3, -0.1, 0.05]),
-            np.array([0.0, 0.2, 0.0]),
-            np.array([0.2, -0.1]),
-            np.array([0.1, 0.0]),
+            np.array([0.3, -0.1, 0.05])[:n_w],
+            np.array([0.0, 0.2, 0.0])[:n_w],
+            np.array([0.2, -0.1, 0.05])[:n_t],
+            np.array([0.1, 0.0, -0.03])[:n_t],
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=0.25)
         traj = integrate(y0, params, geo, basis, cfg)

@@ -1,6 +1,7 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
-the packed layout is written in one module, a serial run leaves heavy numpy and stdlib
-modules unloaded, and the benchmark's tracer fits the package."""
+the packed layout is written in one module, no module but ``cli`` imports ``cli``, a serial
+run leaves heavy numpy and stdlib modules unloaded, and the benchmark's tracer fits the
+package."""
 
 import ast
 import importlib
@@ -57,6 +58,27 @@ def test_packed_layout_written_once():
         if re.search(r"\b2 \* (self\.)?n_w\b", line)
     ]
     assert not offenders, f"packed layout spelled out outside dynamics.py: {offenders}"
+
+
+def test_no_module_imports_cli():
+    """``cli`` is the front end: no other module imports it, not even inside a function,
+    so the presets and config live in one module and the package has no import cycle."""
+    offenders = []
+    for path in sorted((ROOT / "src" / "fishbone").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                package = "." * node.level + (node.module or "")
+                joint = "" if package.endswith(".") else "."
+                names = [package] + [f"{package}{joint}{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name in (".cli", "fishbone.cli") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"modules importing cli: {offenders}"
 
 
 SERIAL_RUN = """
