@@ -678,8 +678,9 @@ def preset_text(name: str) -> str:
     the windy cell's ratio is 1.732, which classifies as "neutral", not
     "growth": how far the envelope grows depends on which torsional modes are
     retained (see the README's truncation table). wind_stretch's 120 s ratio
-    (1.414 at dt, 1.286 at dt/2) is not resolved in dt; its trajectories part
-    at about 0.2/s (README).
+    (about 1.414 at dt, its later digits set by the host's BLAS kernels, and
+    1.286 at dt/2) is not resolved in dt; its trajectories part at about 0.2/s
+    (README).
     """
     if name not in PRESETS:
         raise ConfigError(name, f"unknown preset; choose from {list(PRESETS)}")

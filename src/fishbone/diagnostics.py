@@ -19,9 +19,8 @@ per row, or a ``ModalState``, packed into one row and answered with floats.
 Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 80 KB temporaries
 at 320 nodes, where a 1,099-sample trajectory makes 2.8 MB (64-row blocks raised
 the tacoma peak RSS by 0.45 MB). A row's values do not depend on the block.
-``random_state_blocks`` yields ``random_states``' rows ROW_BLOCK at a time from
-the same stream, drawn DRAW_BLOCK rows at a time, so ``lemma_suite`` holds one draw
-of its samples, not all of them (20,000 pairs: a 1.0 MB traced peak, not 5.4 MB).
+``lemma_suite`` draws its samples DRAW_BLOCK pairs at a time, so it holds one draw,
+not all of them (20,000 pairs: a 0.67 MB traced peak, not 5.4 MB).
 """
 
 from __future__ import annotations
@@ -51,12 +50,11 @@ __all__ = [
     "format_report",
     "difference_energy",
     "random_states",
-    "random_state_blocks",
 ]
 
 SLACK_RTOL = 1e-9  # floating-point forgiveness when testing inequalities
 ROW_BLOCK = 32  # rows per cable call
-DRAW_BLOCK = 8 * ROW_BLOCK  # rows per draw of random_state_blocks: 20 KB of normals at 10 modes
+DRAW_BLOCK = 8 * ROW_BLOCK  # pairs per draw in lemma_suite: 20 KB of normals a set at 10 modes
 
 
 @dataclass(frozen=True)
@@ -312,39 +310,13 @@ def random_states(
 
     Coefficients decay like j^-3 (representative smooth states, not white
     noise), then each vector is rescaled to a uniformly drawn H^2 norm. The
-    stream is ``count`` rows of normals, then ``count`` uniform radii; the rows
-    are ``random_state_blocks``' blocks joined.
-    """
-    states = np.empty((count, basis.max_modes))
-    for block, rows in zip(_blocks(count), random_state_blocks(rng, basis, radius, count)):
-        states[block] = rows
-    return states
-
-
-def random_state_blocks(rng: np.random.Generator, basis: Basis, radius: float, count: int):
-    """``random_states(rng, basis, radius, count)``'s rows, ROW_BLOCK at a time, bit for bit.
-
-    The call leaves rng where ``random_states`` does: it advances rng through the
-    normals, then draws the radii. The returned iterator replays the normals from a
-    copy of rng's state DRAW_BLOCK rows at a time, one set of numpy calls per eight
-    blocks, and never holds more of them.
+    stream is ``count`` rows of normals, then ``count`` uniform radii.
     """
     n = basis.max_modes
-    replay = np.random.Generator(type(rng.bit_generator)())
-    replay.bit_generator.state = rng.bit_generator.state
-    for draw in _blocks(count, DRAW_BLOCK):
-        rng.standard_normal((draw.stop - draw.start, n))
+    raw = rng.standard_normal((count, n)) * np.arange(1, n + 1) ** -3.0
     targets = radius * rng.uniform(0.0, 1.0, size=count)
-    decay, k4 = np.arange(1, n + 1) ** -3.0, basis.wavenumbers(n) ** 4
-
-    def blocks():
-        for draw in _blocks(count, DRAW_BLOCK):
-            raw = replay.standard_normal((draw.stop - draw.start, n)) * decay
-            norms = np.sqrt(np.vecdot(raw * raw, k4))  # a row's bits do not depend on the draw's shape
-            rows = raw * (targets[draw] / np.where(norms > 0.0, norms, 1.0))[:, None]
-            yield from (rows[block] for block in _blocks(len(rows)))
-
-    return blocks()
+    norms = np.sqrt(np.vecdot(raw * raw, basis.wavenumbers(n) ** 4))  # row bits independent of count
+    return raw * (targets / np.where(norms > 0.0, norms, 1.0))[:, None]
 
 
 class _Check:
@@ -383,8 +355,9 @@ def lemma_suite(
     at gamma = 0.1 (an existence check; the max required C is reported). A block of
     ROW_BLOCK pairs takes the slopes of v and z once, L and Pi of each from one Xi pass
     (``cable.length_and_energy``) and h(v) from ``cable.h_of``: three Xi passes in all.
-    v and z come a block at a time from ``random_state_blocks``, the stream of two
-    ``random_states`` calls, so no call holds more than one draw of samples.
+    v and z come from two ``random_states`` calls per draw of DRAW_BLOCK pairs, so no
+    call holds more than one draw of samples; up to DRAW_BLOCK samples the stream is
+    that of two whole-sample calls.
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
@@ -407,29 +380,31 @@ def lemma_suite(
     checks = {name: _Check() for name in names}
     max_required_c = -math.inf
 
-    v_blocks = random_state_blocks(rng, basis, radius, samples)
-    z_blocks = random_state_blocks(rng, basis, radius, samples)
-    for v, z in zip(v_blocks, z_blocks):
-        vx, zx = np.vecmat(v, grid.dmodes), np.vecmat(z, grid.dmodes)
-        l1_diff = np.vecdot(np.abs(vx - zx), grid.weights)
-        l1_v = np.vecdot(np.abs(vx), grid.weights)
-        arc_v, pi_v = _cable.length_and_energy(vx, geometry, grid)
-        arc_z, pi_z = _cable.length_and_energy(zx, geometry, grid)
-        checks["arc_lipschitz"].record(np.abs(arc_v - arc_z), l1_diff)
-        checks["pi_lipschitz"].record(np.abs(pi_v - pi_z), c_pi * l1_diff)
-        h_v = _cable.h_of(v, geometry, grid)
-        checks["h_weak"].record(np.vecdot(h_v * vx, grid.weights), -pi_v + c_c * l1_v + c_c_bar)
-        checks["h_l2"].record(
-            np.vecdot(h_v * h_v, grid.weights),
-            2.0 * geometry.b**2 * span * l1_v**2 + 2.0 * geometry.c**2 * geometry.int_xi0_sq,
-        )
-        v2 = v * v
-        n0, n1, n2 = np.vecdot(v, v), np.vecdot(v2, k2), np.vecdot(v2, k2**2)
-        checks["interpolation"].record(n1 * n1, n0 * n2)
-        if include_spectral:
-            checks["spectral"].record(n0, n1)
-            checks["spectral"].record(n1, n2)
-        max_required_c = max(max_required_c, float(np.max(n1 - lemma_gamma * (n2 + n1 * n1))))
+    for draw in _blocks(samples, DRAW_BLOCK):
+        count = draw.stop - draw.start
+        vs, zs = random_states(rng, basis, radius, count), random_states(rng, basis, radius, count)
+        for block in _blocks(count):
+            v, z = vs[block], zs[block]
+            vx, zx = np.vecmat(v, grid.dmodes), np.vecmat(z, grid.dmodes)
+            l1_diff = np.vecdot(np.abs(vx - zx), grid.weights)
+            l1_v = np.vecdot(np.abs(vx), grid.weights)
+            arc_v, pi_v = _cable.length_and_energy(vx, geometry, grid)
+            arc_z, pi_z = _cable.length_and_energy(zx, geometry, grid)
+            checks["arc_lipschitz"].record(np.abs(arc_v - arc_z), l1_diff)
+            checks["pi_lipschitz"].record(np.abs(pi_v - pi_z), c_pi * l1_diff)
+            h_v = _cable.h_of(v, geometry, grid)
+            checks["h_weak"].record(np.vecdot(h_v * vx, grid.weights), -pi_v + c_c * l1_v + c_c_bar)
+            checks["h_l2"].record(
+                np.vecdot(h_v * h_v, grid.weights),
+                2.0 * geometry.b**2 * span * l1_v**2 + 2.0 * geometry.c**2 * geometry.int_xi0_sq,
+            )
+            v2 = v * v
+            n0, n1, n2 = np.vecdot(v, v), np.vecdot(v2, k2), np.vecdot(v2, k2**2)
+            checks["interpolation"].record(n1 * n1, n0 * n2)
+            if include_spectral:
+                checks["spectral"].record(n0, n1)
+                checks["spectral"].record(n1, n2)
+            max_required_c = max(max_required_c, float(np.max(n1 - lemma_gamma * (n2 + n1 * n1))))
 
     report: dict = {"samples": samples, "radius": radius, "seed": seed}
     for name, check in checks.items():

@@ -192,30 +192,27 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         )
     omega = np.sqrt(omega_sq)
     gamma = np.sqrt(gamma_sq)
-    # The vertical particular solution reads gamma_j for j <= n_w.
-    gamma_sq, gamma_w = gamma_sq[:n_w], gamma[:n_w]
+    # The wind couples w_j to th_j on the common prefix j <= min(n_w, n_t) only: the
+    # particular solution, its resonance and its conditioning live there, and the
+    # vertical modes beyond it are unforced (A_j = B_j = 0).
+    m = min(n_w, n_t)
+    th0, th1 = y0.th[:m], y0.thdot[:m]
+    gamma_sq, gamma_m, omega_m, k4v_m = gamma_sq[:m], gamma[:m], omega[:m], k4v[:m]
+    bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m
 
     res_scale = max(zeta, ell2 * mu / 3.0)
     if abs(zeta - ell2 * mu / 3.0) <= RESONANCE_RTOL * res_scale:
-        freq_scale = np.maximum(omega, 3.0 * gamma_w / ell2)
-        if np.any(np.abs(omega - 3.0 * gamma_w / ell2) <= RESONANCE_RTOL * freq_scale):
+        freq_scale = np.maximum(omega_m, 3.0 * gamma_m / ell2)
+        if np.any(np.abs(omega_m - 3.0 * gamma_m / ell2) <= RESONANCE_RTOL * freq_scale):
             raise ResonantCase(
                 f"zeta = l^2 mu/3 = {zeta:g} and omega_j = 3 gamma_j / l^2 for a retained "
                 "mode; the representation acquires secular growth and is not provided"
             )
 
-    # The wind couples w_j to th_j on the common prefix j <= min(n_w, n_t) only.
-    m = min(n_w, n_t)
-    th0 = np.zeros(n_w)
-    th1 = np.zeros(n_w)
-    th0[:m] = y0.th[:m]
-    th1[:m] = y0.thdot[:m]
-    bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m
-
     # Particular-solution coefficients, Eqs. (A-B), transcribed verbatim.
-    p1 = 4.0 * ell2**2 * k4v - 9.0 * gamma_sq - 6.0 * ell2 * zeta * mu + 9.0 * zeta**2
+    p1 = 4.0 * ell2**2 * k4v_m - 9.0 * gamma_sq - 6.0 * ell2 * zeta * mu + 9.0 * zeta**2
     den = p1**2 + 36.0 * gamma_sq * (ell2 * mu - 3.0 * zeta) ** 2
-    lead = (4.0 * ell2**2 * k4v) ** 2
+    lead = (4.0 * ell2**2 * k4v_m) ** 2
     if np.any(den < CONDITIONING_RTOL * lead):
         worst = int(np.argmin(den / lead))
         warnings.warn(
@@ -232,7 +229,8 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     ) + 18.0 * gamma_sq * (3.0 * zeta - ell2 * mu) * (
         (3.0 * zeta * th0 + 2.0 * ell2 * th1) * bu - 3.0 * th0 * zeta * bu + 2.0 * ell2 * th0 * eta
     )
-    big_a = (2.0 * ell2 / (3.0 * gamma_w * den)) * a_num
+    big_a, big_b = np.zeros(n_w), np.zeros(n_w)
+    big_a[:m] = (2.0 * ell2 / (3.0 * gamma_m * den)) * a_num
     b_num = p1 * (
         -(2.0 * ell2 * th1 + 3.0 * zeta * th0) * bu
         + 3.0 * th0 * zeta * bu
@@ -242,14 +240,14 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         + 12.0 * ell2 * th1 * zeta * bu
         - 4.0 * ell2 * (3.0 * zeta * th0 + 2.0 * ell2 * th1) * eta
     )
-    big_b = (2.0 * ell2 / den) * b_num
+    big_b[:m] = (2.0 * ell2 / den) * b_num
 
     # Homogeneous coefficients, Eqs. (c1-c2).
     c2 = y0.w - big_b - static
     c1 = (
         2.0 * y0.wdot * ell2
         + y0.w * mu * ell2
-        - 3.0 * big_a * gamma_w
+        - 3.0 * big_a * gamma[:n_w]
         + big_b * (3.0 * zeta - mu * ell2)
         - static * mu * ell2
     ) / (omega * ell2)

@@ -384,8 +384,9 @@ class TestStepConvergence:
 
     Both step sizes sample the same times, so a difference is step error alone.
     Measured: free 1.40e-3, wind 1.2e-5 and damped 1.95e-3; the bounds are 3e-3,
-    1e-4 and 3e-3. wind_stretch is left out: its ratio reads 1.4141 at dt and
-    1.2857 at dt/2, so it is not resolved in dt (README).
+    1e-4 and 3e-3. wind_stretch is left out: its ratio reads about 1.414 at dt
+    (the later digits depend on the host) and 1.286 at dt/2, so it is not
+    resolved in dt (README).
     """
 
     BOUNDS = {"free": 3e-3, "wind": 1e-4, "damped": 3e-3}

@@ -19,7 +19,6 @@ from fishbone.diagnostics import (
     format_report,
     lemma_suite,
     lyapunov_value,
-    random_state_blocks,
     random_states,
     sandwich_constants,
 )
@@ -37,7 +36,10 @@ def cable_setup(n_w=4, n_t=3, L=np.pi, a=0.2, b=1.0, c=1.0, **over):
 
 
 def reference_lemma_suite(samples, radius, geo, basis, grid, seed):
-    """The lemma suite's checks one sample at a time, from the public cable functions."""
+    """The lemma suite's checks one sample at a time, from the public cable functions.
+
+    v and z are drawn DRAW_BLOCK pairs at a time, a v call then a z call per draw.
+    """
     rng = np.random.default_rng(seed)
     span = basis.L
     k2 = basis.wavenumbers() ** 2
@@ -47,9 +49,12 @@ def reference_lemma_suite(samples, radius, geo, basis, grid, seed):
     names = ("arc_lipschitz", "pi_lipschitz", "h_weak", "h_l2", "interpolation", "spectral")
     sides = {name: [] for name in names}  # (lhs, rhs) of each inequality
     required = []
-    vs = random_states(rng, basis, radius, samples)
-    zs = random_states(rng, basis, radius, samples)
-    for v, z in zip(vs, zs):
+    pairs = []
+    for start in range(0, samples, DRAW_BLOCK):
+        count = min(DRAW_BLOCK, samples - start)
+        vs = random_states(rng, basis, radius, count)
+        pairs += zip(vs, random_states(rng, basis, radius, count))
+    for v, z in pairs:
         vx, zx = v @ grid.dmodes, z @ grid.dmodes
         l1_diff = grid.weights @ np.abs(vx - zx)
         l1_v = grid.weights @ np.abs(vx)
@@ -74,6 +79,15 @@ def reference_lemma_suite(samples, radius, geo, basis, grid, seed):
         report[f"{name}.violations"] = int(np.sum(slack < -1e-9 * scale))
         report[f"{name}.worst_slack"] = slack.min()
     return report
+
+
+def assert_matches_reference(report, expected):
+    """The reference's violation counts exactly, its slacks and growth constant to 1e-12."""
+    for key, value in expected.items():
+        if key.endswith(".violations"):
+            assert report[key] == value, key
+        else:
+            np.testing.assert_allclose(report[key], value, rtol=1e-12, err_msg=key)
 
 
 def random_modal_state(rng, basis, radius=1.0):
@@ -475,11 +489,15 @@ class TestLemmaSuite:
         expected = reference_lemma_suite(samples, 5.0, geo, basis, grid, seed=11)
         assert (report["h_weak.violations"] > 0) == (scale < 0.0)
         assert (report["h_l2.violations"] == samples) == (scale > 1.0)
-        for key, value in expected.items():
-            if key.endswith(".violations"):
-                assert report[key] == value, key
-            else:
-                np.testing.assert_allclose(report[key], value, rtol=1e-12, err_msg=key)
+        assert_matches_reference(report, expected)
+
+    def test_draws_match_per_sample_reference(self):
+        """DRAW_BLOCK + ROW_BLOCK + 1 samples, two draws with a partial block in the second,
+        give the reference's counts and slacks: the v/z pairing follows the draws."""
+        _, geo, basis, grid = cable_setup(n_w=6, n_t=4)
+        samples = DRAW_BLOCK + ROW_BLOCK + 1
+        report = lemma_suite(samples, 5.0, geo, basis, grid, seed=13)
+        assert_matches_reference(report, reference_lemma_suite(samples, 5.0, geo, basis, grid, seed=13))
 
     def test_random_states_radius_and_determinism(self):
         """Sampled states stay in the H^2 ball and are seed-deterministic."""
@@ -497,29 +515,7 @@ class TestLemmaSuite:
 
 
 class TestRandomStateBlocks:
-    """The block sampler is ``random_states`` a block at a time, from the same stream."""
-
-    BIT_GENERATORS = [np.random.PCG64, np.random.Philox]
-    COUNTS = [0, 1, ROW_BLOCK, ROW_BLOCK + 1, DRAW_BLOCK + 1]
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
-    @pytest.mark.parametrize("count", COUNTS)
-    def test_blocks_join_to_random_states(self, bit_generator, count):
-        """Joined blocks equal random_states bit for bit; both leave the stream at one place,
-        after count rows of normals and count radii, so the next draw is equal."""
-        basis = Basis(L=np.pi, n_w=10, n_t=4)
-        rng, joined_rng, stream = (np.random.Generator(bit_generator(3)) for _ in range(3))
-        states = random_states(rng, basis, 2.5, count)
-        blocks = list(random_state_blocks(joined_rng, basis, 2.5, count))
-        sizes = [len(states[start:start + ROW_BLOCK]) for start in range(0, count, ROW_BLOCK)]
-        assert [len(block) for block in blocks] == sizes
-        assert np.array_equal(np.concatenate([np.empty((0, basis.max_modes)), *blocks]), states)
-        normals = stream.standard_normal((count, basis.max_modes))
-        targets = 2.5 * stream.uniform(0.0, 1.0, size=count)
-        assert rng.random() == joined_rng.random() == stream.random()
-        raw = normals * np.arange(1, basis.max_modes + 1) ** -3.0
-        norms = np.sqrt(np.sum(raw * raw * basis.wavenumbers() ** 4, axis=1))
-        np.testing.assert_allclose(states, raw * (targets / norms)[:, None], rtol=1e-14, atol=0.0)
+    """``random_states`` rows do not depend on the draw's size, and ``lemma_suite`` holds one draw."""
 
     @pytest.mark.parametrize("draw", [ROW_BLOCK, DRAW_BLOCK])
     @pytest.mark.parametrize("count", [33, 65, 97, 129, 257])
@@ -538,21 +534,6 @@ class TestRandomStateBlocks:
             targets = 2.5 * stream.uniform(0.0, 1.0, size=count)
             norms = np.sqrt(np.vecdot(raw * raw, k4))
             assert np.array_equal(states, raw * (targets / norms)[:, None]), f"seed {seed}"
-
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
-    def test_interleaved_samplers_match_sequential_calls(self, bit_generator):
-        """Two samplers of one rng, consumed block by block in turn as lemma_suite does,
-        give two consecutive random_states calls; later draws from rng do not reach the blocks."""
-        basis = Basis(L=np.pi, n_w=6, n_t=4)
-        rng, sequential = np.random.Generator(bit_generator(8)), np.random.Generator(bit_generator(8))
-        count = DRAW_BLOCK + 3 * ROW_BLOCK + 5
-        v_blocks = random_state_blocks(rng, basis, 5.0, count)
-        z_blocks = random_state_blocks(rng, basis, 5.0, count)
-        after = rng.random()
-        vs, zs = (np.concatenate(blocks) for blocks in zip(*zip(v_blocks, z_blocks)))
-        assert np.array_equal(vs, random_states(sequential, basis, 5.0, count))
-        assert np.array_equal(zs, random_states(sequential, basis, 5.0, count))
-        assert after == sequential.random()
 
     def test_lemma_suite_memory_is_bounded(self):
         """20,000 pairs of verify's setup hold one draw of samples, not both 20,000-row sets.

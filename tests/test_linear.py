@@ -352,6 +352,26 @@ class TestClosedFormODEResidual:
             sol.sample(traj.times), traj.data, rtol=0, atol=1e-7 * scale
         )
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta", [0.0, 0.02])
+    def test_resonance_beyond_the_torsional_truncation_is_unforced(self, beta):
+        """zeta = l^2 mu / 3 with omega_2 = 3 gamma_2 / l^2 at 2+1 modes: the second vertical
+        mode has no torsional partner, so the wind does not force it, the case is not resonant
+        and the representation tracks RK4 with no particular part beyond the first mode."""
+        params = make_params(
+            ell=np.sqrt(3.0), eps=0.75, kappa=1.0, delta=0.1 - beta, zeta=0.1, beta=beta
+        )
+        basis = Basis(L=params.L, n_w=2, n_t=1)
+        geo = make_geometry(0.0, 1.0, 0.0, 0.0, basis, make_grid(basis))
+        y0 = ModalState(np.array([0.3, -0.1]), np.array([0.0, 0.2]), np.array([0.2]), np.array([0.1]))
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=0.25)
+        traj = integrate(y0, params, geo, basis, cfg)
+        sol = closed_form(y0, params)
+        assert sol.A_j[1] == sol.B_j[1] == 0.0
+        np.testing.assert_allclose(
+            sol.sample(traj.times), traj.data, rtol=0, atol=1e-7 * np.abs(traj.data).max()
+        )
+
 
 class TestClosedFormEvaluation:
     def test_reproduces_initial_state(self):

@@ -1,7 +1,7 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
-the packed layout is written in one module, no module but ``cli`` imports ``cli``, a serial
-run leaves heavy numpy and stdlib modules unloaded, and the benchmark's tracer fits the
-package."""
+the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
+name only names and tests that exist, a serial run leaves heavy numpy and stdlib modules
+unloaded, and the benchmark's tracer fits the package."""
 
 import ast
 import importlib
@@ -80,6 +80,48 @@ def test_no_module_imports_cli():
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"modules importing cli: {offenders}"
 
+
+
+def doc_texts():
+    """README.md and every docstring of ``src/fishbone``, as (where, text) pairs."""
+    yield "README.md", (ROOT / "README.md").read_text()
+    for path in sorted((ROOT / "src" / "fishbone").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if (doc := ast.get_docstring(node)) is not None:
+                    yield f"{path.name}:{getattr(node, 'lineno', 1)}", doc
+
+
+# Config keys the README names as removed (a config carrying one is refused).
+REMOVED_KEYS = {"meta.seed", "model.f", "cable.s0"}
+
+
+def test_doc_references_resolve():
+    """A backticked ``<module>.<name>`` of a fishbone module in README.md or a docstring
+    names an attribute of that module, config keys such as ``cable.a`` (current or
+    removed) aside, and a quoted
+    ``tests/<file>.py::<Class>::<test>`` id names a test that exists, so a deleted or
+    renamed name leaves no stale reference in the docs."""
+    from fishbone.cli import _KEYS
+
+    stale = []
+    for where, text in doc_texts():
+        for module, name in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)", text):
+            if module in MODULES and f"{module}.{name}" not in {*_KEYS, *REMOVED_KEYS}:
+                if not hasattr(importlib.import_module(f"fishbone.{module}"), name):
+                    stale.append(f"{where}: {module}.{name}")
+        for test_id in re.findall(r"tests/\w+\.py(?:::\w+)+", text):
+            path, *names = test_id.split("::")
+            scope = ast.parse((ROOT / path).read_text()) if (ROOT / path).exists() else None
+            for name in names:
+                found = [
+                    node for node in getattr(scope, "body", [])
+                    if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+                ]
+                scope = found[0] if found else None
+            if scope is None:
+                stale.append(f"{where}: {test_id}")
+    assert not stale, f"docs name what does not exist: {stale}"
 
 SERIAL_RUN = """
 import sys
