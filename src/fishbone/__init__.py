@@ -15,8 +15,8 @@ dynamics     model parameters, per-mode coefficient table, the ODE right-hand si
 integrate    fixed-step RK4 and adaptive embedded RK45 integration
 linear       characteristic roots, closed-form solution, decay rates
 diagnostics  energy channels, identity residual, Lyapunov and lemma checks
-experiments  TNB preset, figure scenarios, wind sweeps
-cli          command-line entry point (simulate / linear / verify / sweep / preset)
+experiments  the Scenario record, envelope classification, wind sweeps
+cli          config schema, TNB presets, commands simulate/linear/verify/sweep/preset
 """
 
 __version__ = "0.1.0"

@@ -24,8 +24,8 @@ kind and default (those of ``ModelParams`` and ``IntegratorConfig`` for
 ``_DERIVE`` maps each of the eight derivable keys to the keys its rule reads
 and the rule, and is the one place each derive formula is written. A setting
 that changes no result has no key: the cable hanger datum is fixed, since
-only the slope of the rest shape enters. Every number must be finite, and a
-swept mode within 1..basis.n_t. The Tacoma Narrows bridge table
+only the slope of the rest shape enters. Every number must be finite, swept
+betas nonnegative, a swept n_t >= ``SWEEP_MODE``. The Tacoma Narrows bridge table
 (``TNB_TABLE``), the presets' rates and the presets themselves live here too:
 ``preset_text`` is their one definition and ``load_preset`` resolves one.
 
@@ -55,7 +55,7 @@ from . import __version__
 from .cable import make_geometry
 from .diagnostics import attach_energies, format_report, lemma_suite
 from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices, mode_coefficients
-from .experiments import DECAY_BELOW, GROWTH_ABOVE, SWEEP_MODE, Scenario, wind_sweep
+from .experiments import SWEEP_MODE, Scenario, wind_sweep
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, sample_times
 from .linear import (
     OverdampedBranch,
@@ -145,22 +145,15 @@ _KEYS: dict[str, tuple] = {
     "output.channels": ((str,), CHANNELS),
     "sweep.beta": ((float,), ()),
     "sweep.U": ((float,), ()),
-    "sweep.mode": (int, SWEEP_MODE),
-    "sweep.decay_below": (float, DECAY_BELOW),
-    "sweep.growth_above": (float, GROWTH_ABOVE),
 }
 # Sections resolved into one dataclass whose fields are the section's keys.
 _SECTIONS = {"model": ModelParams, "basis": Basis, "integrator": IntegratorConfig}
 # Keys resolved into a SimConfig field of another name.
 _SIM_FIELDS = {
-    "meta.name": "name",
     "output.directory": "output_dir",
     "output.channels": "channels",
     "sweep.beta": "sweep_betas",
     "sweep.U": "sweep_speeds",
-    "sweep.mode": "sweep_mode",
-    "sweep.decay_below": "decay_below",
-    "sweep.growth_above": "growth_above",
 }
 # Keys a manifest leaves out: the inputs of derive rules, whose results it records.
 _UNRECORDED = {"cable.L0", *_TABLE_KEYS}
@@ -281,16 +274,12 @@ def _build(section: str, values: dict):
 class SimConfig:
     """A fully resolved run: scenario plus output and sweep settings."""
 
-    name: str
     scenario: Scenario
     output_dir: Path
     channels: tuple[str, ...]
     initial_displayed: dict[str, np.ndarray]
     sweep_betas: tuple[float, ...]
     sweep_speeds: tuple[float, ...]
-    sweep_mode: int
-    decay_below: float
-    growth_above: float
 
 
 def _resolve_initial(
@@ -331,10 +320,11 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
 
     values["model.L"] = values["basis.L"]  # the span has one key, basis.L
     basis = _build("basis", values)
-    # A run without a sweep never reads the default mode, so n_t = 1 stays valid.
-    sweeps = "sweep.mode" in flat or values["sweep.beta"] or values["sweep.U"]
-    if sweeps and not 1 <= values["sweep.mode"] <= basis.n_t:
-        raise ConfigError("sweep.mode", f"torsional mode out of range 1..{basis.n_t}")
+    # A run without a sweep classifies no mode, so n_t = 1 stays valid.
+    if (values["sweep.beta"] or values["sweep.U"]) and basis.n_t < SWEEP_MODE:
+        raise ConfigError("basis.n_t", f"must be at least {SWEEP_MODE}, the swept torsional mode")
+    if any(beta < 0.0 for beta in values["sweep.beta"]):
+        raise ConfigError("sweep.beta", "rates must be nonnegative")
 
     for key, (reads, rule) in _DERIVE.items():
         if flat.get(key) != "derive":
@@ -401,17 +391,16 @@ def manifest_text(cfg: SimConfig) -> str:
     """Canonical resolved-config echo; itself a valid config, no timestamps.
 
     Every key of ``_KEYS`` but the ``_UNRECORDED`` ones is written, in table
-    order, as the resolved value of the field it fills; unset keys are left
-    out, and the sweep section unless a grid is set. ``initial.all`` stands
-    for the nonzero entries of the displayed initial data.
+    order, as the resolved value of the field it fills; unset keys and empty
+    sweep grids are left out. ``initial.all`` stands for the nonzero entries
+    of the displayed initial data.
     """
     s = cfg.scenario
-    owners = {"model": s.params, "cable": s.geometry, "basis": s.basis, "integrator": s.integrator}
-    swept = bool(cfg.sweep_betas or cfg.sweep_speeds)
+    owners = dict(meta=s, model=s.params, cable=s.geometry, basis=s.basis, integrator=s.integrator)
     lines = ["# resolved fishbone configuration (re-runnable; derived keys are literals)"]
     for key in _KEYS:
         section, name = key.split(".")
-        if key in _UNRECORDED or (section == "sweep" and not swept):
+        if key in _UNRECORDED:
             continue
         if key == "initial.all":
             lines += [
@@ -419,10 +408,10 @@ def manifest_text(cfg: SimConfig) -> str:
                 for ch in CHANNELS for j, x in enumerate(cfg.initial_displayed[ch], start=1) if x
             ]
             continue
-        owner = cfg if key in _SIM_FIELDS else owners.get(section)
+        owner = cfg if key in _SIM_FIELDS else owners[section]
         value = __version__ if key == "meta.version" else getattr(owner, _SIM_FIELDS.get(key, name))
         if value is None or isinstance(value, tuple) and not value:
-            continue  # unset, or the one sweep grid not given
+            continue  # unset, or a sweep grid not given
         lines.append(f"{key} = {_text(value)}")
     return "\n".join(lines) + "\n"
 
@@ -518,9 +507,12 @@ def run_linear(
     print(f"stability class: {report.classification}")
     print(f"spectral abscissa: {_fmt(report.max_real_part)}")
     print(f"decay rate (j = 1): {_fmt(decay_rate(params))}")
-    print("characteristic roots (vertical pair, torsional pair):")
-    for j, roots in enumerate(report.roots, start=1):
-        print(f"  j={j}: " + "  ".join(f"{r.real:+.9e}{r.imag:+.9e}j" for r in roots))
+    # Stiffness grows with j, so the class and abscissa above come from retained j = 1 roots.
+    for branch, pairs in (("vertical", report.roots[: basis.n_w, :2]),
+                          ("torsional", report.roots[: basis.n_t, 2:])):
+        print(f"characteristic roots, {branch} pairs:")
+        for j, roots in enumerate(pairs, start=1):
+            print(f"  j={j}: " + "  ".join(f"{r.real:+.9e}{r.imag:+.9e}j" for r in roots))
 
     try:
         solution = closed_form(scenario.initial, params)
@@ -619,14 +611,7 @@ def run_sweep(config_path: str | Path) -> Path:
         raise ConfigError("sweep.beta", "missing required key")
     if not cfg.sweep_speeds:
         raise ConfigError("sweep.U", "missing required key")
-    rows = wind_sweep(
-        cfg.sweep_betas,
-        cfg.sweep_speeds,
-        cfg.scenario,
-        mode=cfg.sweep_mode,
-        decay_below=cfg.decay_below,
-        growth_above=cfg.growth_above,
-    )
+    rows = wind_sweep(cfg.sweep_betas, cfg.sweep_speeds, cfg.scenario)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / "sweep.csv"
     with _open_csv(path) as f:

@@ -13,9 +13,9 @@ with r < DECAY_BELOW -> "decay", r > GROWTH_ABOVE -> "growth", else "neutral".
 Cells sample on the base cadence, so a cell's ratio is the one ``simulate``
 gives; sampling every step moves a canonical ratio by 2.2e-3 at most (README).
 The thresholds (0.5, 2.0) are classification conventions of this package, not
-measured constants. They and SWEEP_MODE = 2 are written once, here, as the
-defaults of ``envelope_ratio``, ``classify_ratio``, ``wind_sweep`` and the
-``sweep.*`` config keys.
+measured constants. They and SWEEP_MODE = 2 are written once, here, and no
+keyword or config key sets them: no caller did. ``envelope_ratio`` alone
+takes a mode, any retained one; its default is SWEEP_MODE.
 """
 
 from __future__ import annotations
@@ -87,12 +87,10 @@ def envelope_ratio(traj: Trajectory, mode: int = SWEEP_MODE) -> float:
     return tail / head
 
 
-def classify_ratio(
-    ratio: float, decay_below: float = DECAY_BELOW, growth_above: float = GROWTH_ABOVE
-) -> str:
-    if ratio < decay_below:
+def classify_ratio(ratio: float) -> str:
+    if ratio < DECAY_BELOW:
         return "decay"
-    if ratio > growth_above:
+    if ratio > GROWTH_ABOVE:
         return "growth"
     return "neutral"
 
@@ -108,10 +106,10 @@ class SweepRow:
     note: str = ""
 
 
-def _run_cell(args: tuple[Scenario, float, float, int, float, float]) -> SweepRow:
-    scenario, beta, speed, mode, decay_below, growth_above = args
+def _run_cell(args: tuple[Scenario, float, float]) -> SweepRow:
+    scenario, beta, speed = args
     try:
-        ratio = envelope_ratio(scenario.run(), mode)
+        ratio = envelope_ratio(scenario.run())
     except IntegrationError as exc:
         return SweepRow(
             beta=beta,
@@ -124,7 +122,7 @@ def _run_cell(args: tuple[Scenario, float, float, int, float, float]) -> SweepRo
         beta=beta,
         U=speed,
         ratio=ratio,
-        classification=classify_ratio(ratio, decay_below, growth_above),
+        classification=classify_ratio(ratio),
     )
 
 
@@ -141,9 +139,6 @@ def wind_sweep(
     U_grid,
     base: Scenario,
     *,
-    mode: int = SWEEP_MODE,
-    decay_below: float = DECAY_BELOW,
-    growth_above: float = GROWTH_ABOVE,
     workers: int | None = None,
 ) -> list[SweepRow]:
     """Classify the torsional end behavior on a (beta, U) grid.
@@ -153,11 +148,11 @@ def wind_sweep(
     grid values. Rows come back grid-major (beta outer, U inner) regardless
     of worker count; failed cells are marked and do not abort the sweep.
     beta = 0 is a meaningful unforced baseline and does not warn; values off
-    the studied ranges beta in [1e-5, 1e-2], |U| <= 30 do. A mode that the
-    basis does not retain raises ValueError.
+    the studied ranges beta in [1e-5, 1e-2], |U| <= 30 do. A basis that does
+    not retain mode SWEEP_MODE raises ValueError before any cell runs.
     """
-    if not 1 <= mode <= base.basis.n_t:
-        raise ValueError(f"torsional mode {mode} not retained (n_t = {base.basis.n_t})")
+    if base.basis.n_t < SWEEP_MODE:
+        raise ValueError(f"torsional mode {SWEEP_MODE} not retained (n_t = {base.basis.n_t})")
     betas = _dedup(list(beta_grid), "beta")
     speeds = _dedup(list(U_grid), "U")
     if not betas or not speeds:
@@ -178,7 +173,7 @@ def wind_sweep(
             scenario = replace(
                 base, name=f"{base.name}/beta={beta:g}/U={speed:g}", params=params
             )
-            cells.append((scenario, beta, speed, mode, decay_below, growth_above))
+            cells.append((scenario, beta, speed))
     if workers is None:
         workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestParsing:
     def test_defaults(self):
         """An empty config resolves to the nondimensional defaults."""
         cfg = resolve_config({})
-        assert cfg.name == "run"
+        assert cfg.scenario.name == "run"
         assert cfg.scenario.params.L == math.pi
         assert (cfg.scenario.basis.n_w, cfg.scenario.basis.n_t) == (10, 4)
         assert cfg.scenario.integrator.dt == 1e-3
@@ -407,6 +408,15 @@ class TestLinearCommand:
         assert "--linearize" in capsys.readouterr().err
         assert main(["linear", str(path), "--linearize"]) == 0
 
+    def test_roots_printed_for_retained_modes_only(self, tmp_path, capsys):
+        """A damped 3+2 basis prints three vertical and two torsional root pairs."""
+        path = write_cfg(tmp_path, DAMPED_LINEAR)
+        assert main(["linear", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "stability class: exponentially_stable" in out
+        roots = re.findall(r"[+-]\d\.\d{9}e[+-]\d+[+-]\d\.\d{9}e[+-]\d+j", out)
+        assert len(roots) == 2 * (3 + 2)
+
     def test_damped_closed_form_and_csv(self, tmp_path, capsys):
         """Underdamped parameters print coefficients and can export samples."""
         path = write_cfg(tmp_path, DAMPED_LINEAR)
@@ -517,12 +527,27 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 2
         assert "sweep.beta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", [0, 3])
-    def test_unretained_mode_exits_two(self, tmp_path, capsys, mode):
-        """A sweep mode outside 1..basis.n_t exits 2 before any cell runs."""
-        path = write_cfg(tmp_path, TOY + f"sweep.beta = 1e-3\nsweep.U = 2\nsweep.mode = {mode}\n")
+    def test_unretained_mode_exits_two(self, tmp_path, capsys):
+        """A sweep on a basis without the classified torsional mode exits 2 before any cell runs."""
+        text = TOY.replace("basis.n_t = 2", "basis.n_t = 1")
+        path = write_cfg(tmp_path, text + "sweep.beta = 1e-3\nsweep.U = 2\n")
         assert main(["sweep", str(path)]) == 2
-        assert "config error: sweep.mode" in capsys.readouterr().err
+        assert "config error: basis.n_t" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["sweep.mode", "sweep.decay_below", "sweep.growth_above"])
+    def test_removed_sweep_key_exits_two(self, tmp_path, capsys, key):
+        """The classified mode and thresholds are constants: a config that sets one is refused."""
+        path = write_cfg(tmp_path, TOY + f"sweep.beta = 1e-3\nsweep.U = 2\n{key} = 2\n")
+        assert main(["sweep", str(path)]) == 2
+        assert f"config error: {key}: unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_beta_exits_two(self, tmp_path, capsys):
+        """A negative grid rate is a config error naming sweep.beta, not a traceback."""
+        path = write_cfg(tmp_path, TOY + "sweep.beta = -1e-3\nsweep.U = 2\n")
+        assert main(["sweep", str(path)]) == 2
+        assert "config error: sweep.beta" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_all_failed_cells_exit_three(self, tmp_path, capsys):
@@ -547,7 +572,7 @@ class TestPresets:
         """Every preset parses, resolves, and keeps the 10+4 bridge basis."""
         for name in ("tnb", "free", "wind", "wind_stretch", "damped"):
             cfg = resolve_config(parse_config_text(preset_text(name)))
-            assert cfg.name == name
+            assert cfg.scenario.name == name
             assert (cfg.scenario.basis.n_w, cfg.scenario.basis.n_t) == (10, 4)
             assert cfg.scenario.integrator.t_end == 120.0
 

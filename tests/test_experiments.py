@@ -245,13 +245,11 @@ class TestEnvelopeRatio:
         assert envelope_ratio(traj2, mode=1) == np.inf
 
     def test_classify_thresholds(self):
-        """Classification is strict at both configurable thresholds."""
+        """Classification is strict at both thresholds."""
         assert classify_ratio(0.4) == "decay"
         assert classify_ratio(0.5) == "neutral"
         assert classify_ratio(2.0) == "neutral"
         assert classify_ratio(2.1) == "growth"
-        assert classify_ratio(0.8, decay_below=0.9) == "decay"
-        assert classify_ratio(1.1, growth_above=1.0) == "growth"
 
 
 class TestWindSweep:
@@ -318,16 +316,24 @@ class TestWindSweep:
         with pytest.raises(ValueError, match="nonempty"):
             wind_sweep([], [2.0], toy_scenario(), workers=1)
 
-    @pytest.mark.parametrize("mode", [0, 3])
-    def test_unretained_mode_rejected_before_any_cell(self, monkeypatch, mode):
-        """A mode outside 1..n_t raises before any cell is integrated."""
+    def test_unretained_mode_rejected_before_any_cell(self, monkeypatch):
+        """A basis without the classified torsional mode raises before any cell is integrated."""
+        from dataclasses import replace
 
         def integrate_nothing(*args, **kwargs):
             raise AssertionError("a cell was integrated")
 
+        base = toy_scenario()
+        base = replace(
+            base,
+            basis=Basis(L=np.pi, n_w=3, n_t=1),
+            initial=ModalState(
+                base.initial.w, base.initial.wdot, base.initial.th[:1], base.initial.thdot[:1]
+            ),
+        )
         monkeypatch.setattr(experiments, "integrate", integrate_nothing)
-        with pytest.raises(ValueError, match="not retained"):
-            wind_sweep([1e-3], [2.0], toy_scenario(), mode=mode, workers=1)
+        with pytest.raises(ValueError, match="torsional mode 2 not retained"):
+            wind_sweep([1e-3], [2.0], base, workers=1)
 
     def test_failed_cell_is_marked_not_fatal(self):
         """A blowup cell is classified 'failed' and the sweep continues."""

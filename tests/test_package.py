@@ -1,7 +1,7 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
 the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
-name only names and tests that exist, a serial run leaves heavy numpy and stdlib modules
-unloaded, and the benchmark's tracer fits the package."""
+name only names, config keys and tests that exist, a serial run leaves heavy numpy and
+stdlib modules unloaded, and the benchmark's tracer fits the package."""
 
 import ast
 import importlib
@@ -93,7 +93,9 @@ def doc_texts():
 
 
 # Config keys the README names as removed (a config carrying one is refused).
-REMOVED_KEYS = {"meta.seed", "model.f", "cable.s0"}
+REMOVED_KEYS = {
+    "meta.seed", "model.f", "cable.s0", "sweep.mode", "sweep.decay_below", "sweep.growth_above"
+}
 
 
 def test_doc_references_resolve():
@@ -122,6 +124,31 @@ def test_doc_references_resolve():
             if scope is None:
                 stale.append(f"{where}: {test_id}")
     assert not stale, f"docs name what does not exist: {stale}"
+
+
+CONFIG_SECTIONS = ("meta", "model", "cable", "basis", "integrator", "initial", "output", "sweep")
+
+
+def test_doc_config_keys_resolve():
+    """A backticked ``<section>.<key>`` of a config section in README.md or a docstring is a
+    key of ``cli._KEYS``, a removed key, an ``initial.<channel>.<mode|all>`` entry or, in
+    ``cable``, an attribute of the ``cable`` module, so a misspelt or deleted key leaves no
+    stale reference in the docs."""
+    from fishbone import cable
+    from fishbone.cli import _KEYS
+    from fishbone.dynamics import CHANNELS
+
+    initial_entry = re.compile(rf"initial\.(?:{'|'.join(CHANNELS)})\.(?:\d+|all)")
+    stale = []
+    for where, text in doc_texts():
+        for key in re.findall(rf"`((?:{'|'.join(CONFIG_SECTIONS)})(?:\.\w+)+)", text):
+            section, _, name = key.partition(".")
+            if not (
+                key in _KEYS or key in REMOVED_KEYS or initial_entry.fullmatch(key)
+                or section == "cable" and hasattr(cable, name)
+            ):
+                stale.append(f"{where}: {key}")
+    assert not stale, f"docs name config keys that do not exist: {stale}"
 
 SERIAL_RUN = """
 import sys
