@@ -527,7 +527,15 @@ class TestSweepCommand:
         assert main(["sweep", str(path)]) == 2
         assert "sweep.beta" in capsys.readouterr().err
 
-    def test_unretained_mode_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_unretained_mode_exits_two(self, tmp_path, capsys, mode):
+        """An old config asking for a mode outside 1..basis.n_t exits 2 on the removed sweep.mode key."""
+        path = write_cfg(tmp_path, TOY + f"sweep.beta = 1e-3\nsweep.U = 2\nsweep.mode = {mode}\n")
+        assert main(["sweep", str(path)]) == 2
+        assert "config error: sweep.mode: unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_basis_without_swept_mode_exits_two(self, tmp_path, capsys):
         """A sweep on a basis without the classified torsional mode exits 2 before any cell runs."""
         text = TOY.replace("basis.n_t = 2", "basis.n_t = 1")
         path = write_cfg(tmp_path, text + "sweep.beta = 1e-3\nsweep.U = 2\n")
@@ -535,9 +543,9 @@ class TestSweepCommand:
         assert "config error: basis.n_t" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key", ["sweep.mode", "sweep.decay_below", "sweep.growth_above"])
+    @pytest.mark.parametrize("key", ["sweep.decay_below", "sweep.growth_above"])
     def test_removed_sweep_key_exits_two(self, tmp_path, capsys, key):
-        """The classified mode and thresholds are constants: a config that sets one is refused."""
+        """The classification thresholds are constants: a config that sets one is refused."""
         path = write_cfg(tmp_path, TOY + f"sweep.beta = 1e-3\nsweep.U = 2\n{key} = 2\n")
         assert main(["sweep", str(path)]) == 2
         assert f"config error: {key}: unknown configuration key" in capsys.readouterr().err

@@ -316,7 +316,18 @@ class TestWindSweep:
         with pytest.raises(ValueError, match="nonempty"):
             wind_sweep([], [2.0], toy_scenario(), workers=1)
 
-    def test_unretained_mode_rejected_before_any_cell(self, monkeypatch):
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_unretained_mode_rejected_before_any_cell(self, monkeypatch, mode):
+        """wind_sweep takes no mode: asking for one, even an unretained one, fails before any cell."""
+
+        def integrate_nothing(*args, **kwargs):
+            raise AssertionError("a cell was integrated")
+
+        monkeypatch.setattr(experiments, "integrate", integrate_nothing)
+        with pytest.raises(TypeError, match="'mode'"):
+            wind_sweep([1e-3], [2.0], toy_scenario(), mode=mode, workers=1)
+
+    def test_basis_without_swept_mode_rejected_before_any_cell(self, monkeypatch):
         """A basis without the classified torsional mode raises before any cell is integrated."""
         from dataclasses import replace
 
