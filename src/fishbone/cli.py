@@ -29,11 +29,10 @@ betas nonnegative, a swept n_t >= ``SWEEP_MODE``. The Tacoma Narrows bridge tabl
 (``TNB_TABLE``), the presets' rates and the presets themselves live here too:
 ``preset_text`` is their one definition and ``load_preset`` resolves one.
 
-Broadcast precedence for initial data: ``initial.all`` fills every channel,
-``initial.<channel>.all`` overrides one channel, ``initial.<channel>.<mode>``
-overrides one entry — independent of file order. Unknown keys are rejected
-with their full path. Trajectory CSVs hold displayed amplitudes (the modal
-coefficients times sqrt(2/L)), one column per retained mode and channel.
+Initial data: ``initial.all`` fills every channel and ``initial.<channel>.<mode>``
+sets one entry over it, in any file order. Unknown keys are rejected with their
+full path. Trajectory CSVs hold displayed amplitudes (the modal coefficients
+times sqrt(2/L)), one column per retained mode of each of the four channels.
 
 Exit codes: 0 ok, 2 configuration error, 3 numeric/analysis failure,
 4 verification failure.
@@ -140,9 +139,8 @@ _KEYS: dict[str, tuple] = {
         f"integrator.{f.name}": (str if f.name == "method" else float, f.default)
         for f in fields(IntegratorConfig)
     },
-    "initial.all": (float, 0.0),  # initial.<channel>.<mode|all> are read with it
+    "initial.all": (float, 0.0),  # initial.<channel>.<mode> are read with it
     "output.directory": (Path, Path("out")),
-    "output.channels": ((str,), CHANNELS),
     "sweep.beta": ((float,), ()),
     "sweep.U": ((float,), ()),
 }
@@ -151,7 +149,6 @@ _SECTIONS = {"model": ModelParams, "basis": Basis, "integrator": IntegratorConfi
 # Keys resolved into a SimConfig field of another name.
 _SIM_FIELDS = {
     "output.directory": "output_dir",
-    "output.channels": "channels",
     "sweep.beta": "sweep_betas",
     "sweep.U": "sweep_speeds",
 }
@@ -276,7 +273,6 @@ class SimConfig:
 
     scenario: Scenario
     output_dir: Path
-    channels: tuple[str, ...]
     initial_displayed: dict[str, np.ndarray]
     sweep_betas: tuple[float, ...]
     sweep_speeds: tuple[float, ...]
@@ -285,22 +281,17 @@ class SimConfig:
 def _resolve_initial(
     entries: dict[str, str], broadcast: float, basis: Basis
 ) -> dict[str, np.ndarray]:
-    """Displayed-amplitude vectors per channel from ``initial.all`` and the sparse entries."""
+    """Displayed-amplitude vectors per channel: ``initial.all``, then the per-mode entries."""
     slices = channel_slices(basis.n_w, basis.n_t)._asdict()
     displayed = {ch: np.full(where.stop - where.start, broadcast) for ch, where in slices.items()}
-    # channel broadcasts first, so that a per-mode entry wins in any file order
-    for key in sorted(entries, key=lambda key: not key.endswith(".all")):
+    for key, raw in entries.items():
         parts = key.split(".")
-        if len(parts) != 3 or parts[1] not in displayed:
+        if len(parts) != 3 or parts[1] not in displayed or not parts[2].isdecimal():
             raise ConfigError(key, "unknown configuration key")
-        vec = displayed[parts[1]]
-        if parts[2] == "all":
-            vec[:] = _parse(key, entries[key], float)
-            continue
-        mode = _parse(key, parts[2], int)
+        vec, mode = displayed[parts[1]], int(parts[2])
         if not 1 <= mode <= vec.size:
             raise ConfigError(key, f"mode out of range 1..{vec.size}")
-        vec[mode - 1] = _parse(key, entries[key], float)
+        vec[mode - 1] = _parse(key, raw, float)
     return displayed
 
 
@@ -354,15 +345,6 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
     integrator = _build("integrator", values)
 
     displayed = _resolve_initial(initial, values["initial.all"], basis)
-    requested = values["output.channels"]
-    bad = [ch for ch in requested if ch not in CHANNELS]
-    if bad:
-        message = f"unknown channel(s) {bad}; choose from {list(CHANNELS)}"
-        raise ConfigError("output.channels", message)
-    values["output.channels"] = tuple(ch for ch in CHANNELS if ch in requested)
-    if not values["output.channels"]:
-        raise ConfigError("output.channels", "at least one channel required")
-
     initial_state = ModalState(*(displayed_to_modal(displayed[ch], basis.L) for ch in CHANNELS))
     scenario = Scenario(values["meta.name"], params, geometry, basis, initial_state, integrator)
     settings = {name: values[key] for key, name in _SIM_FIELDS.items()}
@@ -431,11 +413,11 @@ def _write_table(path: Path, header: list[str], table: np.ndarray) -> None:
         f.writelines(line % tuple(row) for row in table.tolist())
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis, channels) -> None:
-    """Displayed-amplitude trajectory table: t, then one column per mode."""
+def write_trajectory_csv(path: Path, traj: Trajectory, basis: Basis) -> None:
+    """Displayed-amplitude trajectory table: t, then one column per mode of each channel."""
     header = ["t"]
     columns = [traj.times]
-    for channel in channels:
+    for channel in CHANNELS:
         block = getattr(traj, channel)
         header += [f"{channel}_{j}" for j in range(1, block.shape[1] + 1)]
         columns.append(modal_to_displayed(block, basis.L))
@@ -475,7 +457,7 @@ def run_simulate(config_path: str | Path) -> OutputBundle:
         energy=cfg.output_dir / "energy.csv",
         manifest=cfg.output_dir / "manifest.cfg",
     )
-    write_trajectory_csv(bundle.trajectory, traj, scenario.basis, cfg.channels)
+    write_trajectory_csv(bundle.trajectory, traj, scenario.basis)
     write_energy_csv(bundle.energy, traj)
     bundle.manifest.write_text(manifest_text(cfg))
     print(f"wrote {bundle.trajectory} ({len(traj)} samples)")
@@ -539,7 +521,7 @@ def run_linear(
         traj = Trajectory(times, solution.sample(times), solution.n_w, solution.n_t)
         csv_path = Path(csv_path)
         csv_path.parent.mkdir(parents=True, exist_ok=True)
-        write_trajectory_csv(csv_path, traj, basis, cfg.channels)
+        write_trajectory_csv(csv_path, traj, basis)
         print(f"wrote {csv_path} ({len(traj)} samples)")
 
 
@@ -716,7 +698,6 @@ def preset_text(name: str) -> str:
         "initial.all = 0.003",
         "initial.w.9 = 3",
         f"output.directory = out/{name}",
-        "output.channels = w,wdot,th,thdot",
     ]
     return "\n".join(lines) + "\n"
 
@@ -727,6 +708,14 @@ def load_preset(name: str) -> SimConfig:
 
 
 # ---------------------------------------------------------------- entry point
+
+
+def _sample_count(text: str) -> int:
+    """A nonnegative ``--samples``; argparse refuses anything else with exit 2."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {count}")
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -749,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="randomized inequality and oracle suite")
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=_sample_count, default=1000)
 
     p_swp = sub.add_parser("sweep", help="classify a (beta, U) grid")
     p_swp.add_argument("config")

@@ -16,6 +16,8 @@ The channels are written once, in ``_energy_rows`` over packed rows (the
 ``Trajectory.data`` layout of ``dynamics.channel_slices``), which every energy
 function shares. ``energies`` and ``lyapunov_value`` take (k, n) rows, one value
 per row, or a ``ModalState``, packed into one row and answered with floats.
+``attach_energies`` writes a trajectory's E, Eplus and Efull series and the
+identity's residual series, all from one pass over its rows.
 Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 80 KB temporaries
 at 320 nodes, where a 1,099-sample trajectory makes 2.8 MB (64-row blocks raised
 the tacoma peak RSS by 0.45 MB). A row's values do not depend on the block.
@@ -42,7 +44,6 @@ __all__ = [
     "LyapunovParams",
     "energies",
     "attach_energies",
-    "energy_identity_residual",
     "lyapunov_value",
     "sandwich_constants",
     "absorbing_params",
@@ -163,40 +164,22 @@ def attach_energies(
     basis: Basis,
     grid: QuadratureGrid,
 ) -> Trajectory:
-    """Fill traj.diagnostics with E/Eplus/Efull series and the identity residual."""
+    """Fill traj.diagnostics with E/Eplus/Efull series and the identity residual.
+
+    The residual is that of the energy identity,
+    R(t) = Efull(t) - Efull(0) + mu int ||w_t||^2 + zeta int ||th_t||^2
+           + beta Upsilon int (th_t, w_t) + eta int (th, w_t),
+    time integrals by composite trapezoid on the samples, as the series
+    R(t) / max(|Efull(0)|, 1); it needs at least 3 samples and is left out
+    with fewer. Every series is computed from the arguments, so a second call
+    with another model replaces the first call's.
+    """
     check_span(params, basis)
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
-    if len(traj) >= 3:
-        traj.diagnostics["residual"] = _identity_residual(traj, params, rows.Efull)
-    return traj
-
-
-def energy_identity_residual(
-    traj: Trajectory,
-    params: ModelParams,
-    geometry: CableGeometry,
-    basis: Basis,
-    grid: QuadratureGrid,
-) -> np.ndarray:
-    """Relative residual series of the energy identity along a trajectory.
-
-    R(t) = Efull(t) - Efull(0) + mu int ||w_t||^2 + zeta int ||th_t||^2
-           + beta Upsilon int (th_t, w_t) + eta int (th, w_t),
-    time integrals by composite trapezoid on the samples; the returned series
-    is R(t) / max(|Efull(0)|, 1). Efull is computed from the arguments, never read
-    from traj.diagnostics, which may hold another model's energies.
-    """
-    check_span(params, basis)
     if len(traj) < 3:
-        raise ValueError(f"need at least 3 samples for the residual, got {len(traj)}")
-    efull = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid).Efull
-    return _identity_residual(traj, params, efull)
-
-
-def _identity_residual(traj: Trajectory, params: ModelParams, efull: np.ndarray) -> np.ndarray:
-    """The residual series of ``energy_identity_residual`` from the Efull series of traj."""
-    nc = min(traj.n_w, traj.n_t)
+        return traj
+    efull, nc = rows.Efull, min(traj.n_w, traj.n_t)
     wdot, thdot, th = traj.wdot, traj.thdot, traj.th
     power = (  # the rate at which damping and wind drain Efull
         params.mu * np.vecdot(wdot, wdot)
@@ -206,7 +189,8 @@ def _identity_residual(traj: Trajectory, params: ModelParams, efull: np.ndarray)
     )
     trapezoids = 0.5 * np.diff(traj.times) * (power[1:] + power[:-1])
     drained = np.concatenate([[0.0], np.cumsum(trapezoids)])
-    return (efull - efull[0] + drained) / max(abs(float(efull[0])), 1.0)
+    traj.diagnostics["residual"] = (efull - efull[0] + drained) / max(abs(float(efull[0])), 1.0)
+    return traj
 
 
 def lyapunov_value(

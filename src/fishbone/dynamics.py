@@ -111,13 +111,12 @@ def channel_slices(n_w: int, n_t: int) -> _ChannelSlices:
 
 @dataclass
 class ModalState:
-    """Modal coefficients and velocities of (w, theta) at time t."""
+    """Modal coefficients and velocities of (w, theta)."""
 
     w: np.ndarray
     wdot: np.ndarray
     th: np.ndarray
     thdot: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         for channel in CHANNELS:
@@ -136,16 +135,16 @@ class ModalState:
         return self.th.size
 
     @classmethod
-    def zero(cls, basis: Basis, t: float = 0.0) -> "ModalState":
-        return cls(np.zeros(basis.n_w), np.zeros(basis.n_w), np.zeros(basis.n_t), np.zeros(basis.n_t), t)
+    def zero(cls, basis: Basis) -> "ModalState":
+        return cls(np.zeros(basis.n_w), np.zeros(basis.n_w), np.zeros(basis.n_t), np.zeros(basis.n_t))
 
     def pack(self) -> np.ndarray:
         """Flatten to one packed row for the integrator."""
         return np.concatenate([getattr(self, channel) for channel in CHANNELS])
 
     @classmethod
-    def unpack(cls, y: np.ndarray, n_w: int, n_t: int, t: float = 0.0) -> "ModalState":
-        return cls(*(y[where] for where in channel_slices(n_w, n_t)), t)
+    def unpack(cls, y: np.ndarray, n_w: int, n_t: int) -> "ModalState":
+        return cls(*(y[where] for where in channel_slices(n_w, n_t)))
 
 
 def g_load_projection(params: ModelParams, n: int) -> np.ndarray:

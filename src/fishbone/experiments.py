@@ -170,10 +170,7 @@ def wind_sweep(
     for beta in betas:
         for speed in speeds:
             params = replace(base.params, beta=beta * base.params.M, Ustream=speed)
-            scenario = replace(
-                base, name=f"{base.name}/beta={beta:g}/U={speed:g}", params=params
-            )
-            cells.append((scenario, beta, speed))
+            cells.append((replace(base, params=params), beta, speed))
     if workers is None:
         workers = min(len(cells), os.cpu_count() or 1)
     if workers > 1:

@@ -2,7 +2,8 @@
 
 Both methods sample on ``sample_times``: dt is nudged to a whole number of
 steps over t_end and sample_every to a whole number of those steps, so samples
-are uniform. The adaptive path is the Dormand-Prince 5(4) embedded pair with a
+are uniform. Runs start at t = 0: the flow is autonomous. The adaptive path is
+the Dormand-Prince 5(4) embedded pair with the absolute tolerance rtol / 100, a
 PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain halving on
 rejection) and cubic Hermite dense output at those times, which do not steer
 its steps; the closed-form export of the CLI samples the same clock. The
@@ -83,22 +84,21 @@ class NonFiniteState(IntegrationError):
 class IntegratorConfig:
     method: str = "rk4"  # "rk4" | "adaptive45"
     dt: float = 1e-3  # rk4 step; initial step in adaptive mode
-    rtol: float = 1e-8
-    atol: float = 1e-10
+    rtol: float = 1e-8  # adaptive45 only; its absolute tolerance is rtol / 100
     t_end: float = 10.0
     sample_every: float | None = None  # output cadence, rounded to whole nudged steps; None: every step
 
     def __post_init__(self) -> None:
         if self.method not in ("rk4", "adaptive45"):
             raise ValueError(f"unknown method {self.method!r}; use rk4 or adaptive45")
-        for name in ("dt", "rtol", "atol", "t_end", "sample_every"):
+        for name in ("dt", "rtol", "t_end", "sample_every"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.dt > 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ValueError(f"tolerances must be positive, got rtol={self.rtol}, atol={self.atol}")
+        if not self.rtol > 0.0:
+            raise ValueError(f"rtol must be positive, got {self.rtol}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.sample_every is not None and self.sample_every < self.dt:
@@ -125,7 +125,7 @@ class Trajectory:
     thdot = property(lambda self: self.data[:, channel_slices(self.n_w, self.n_t).thdot])
 
     def state(self, i: int) -> ModalState:
-        return ModalState.unpack(self.data[i].copy(), self.n_w, self.n_t, float(self.times[i]))
+        return ModalState.unpack(self.data[i].copy(), self.n_w, self.n_t)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -165,13 +165,13 @@ def _rk4_steps(cfg: IntegratorConfig) -> tuple[int, int]:
     return stride * math.ceil(n_steps / stride), stride
 
 
-def sample_times(cfg: IntegratorConfig, t0: float = 0.0) -> np.ndarray:
-    """The times at which ``integrate`` samples a run from t0: every stride-th nudged RK4 step."""
+def sample_times(cfg: IntegratorConfig) -> np.ndarray:
+    """The times at which ``integrate`` samples a run: every stride-th nudged RK4 step."""
     n_steps, stride = _rk4_steps(cfg)
-    return t0 + np.arange(0, n_steps + 1, stride) * (cfg.t_end / n_steps)
+    return np.arange(0, n_steps + 1, stride) * (cfg.t_end / n_steps)
 
 
-def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
+def _rk4_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
     n_steps, stride = _rk4_steps(cfg)
     dt = cfg.t_end / n_steps
     half, third, sixth = 0.5 * dt, dt / 3.0, dt / 6.0
@@ -182,7 +182,7 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
     data = np.empty((n_steps // stride + 1, y0.size))
     stack, spare = np.zeros((2, 5, y0.size))  # run-long; each update fills the other's row 0
     data[0] = stack[0] = y0
-    y, t, stage = stack[0], t0, np.empty(y0.size)
+    y, t, stage = stack[0], 0.0, np.empty(y0.size)
     dot, isfinite = np.dot, math.isfinite  # bound once per run
     for i in range(1, n_steps + 1):
         stack[1] = f(t, y)
@@ -191,13 +191,13 @@ def _rk4_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
         stack[4] = f(t + dt, dot(to_k4, stack, stage))
         y = dot(to_y, stack, spare[0])
         stack, spare = spare, stack
-        t = t0 + i * dt
+        t = i * dt
         # One reduction is finite whenever y is; it can also overflow on a finite y.
         if not isfinite(dot(y, y)) and not np.isfinite(y).all():
             raise _nonfinite(y, t, basis)
         if i % stride == 0:
             data[i // stride] = y
-    return sample_times(cfg, t0), data, {"steps": n_steps, "rhs_calls": 4 * n_steps, "dt": dt}
+    return sample_times(cfg), data, {"steps": n_steps, "rhs_calls": 4 * n_steps, "dt": dt}
 
 
 def _hermite(theta: float, y0, f0, y1, f1, h: float):
@@ -210,12 +210,12 @@ def _hermite(theta: float, y0, f0, y1, f1, h: float):
     )
 
 
-def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Basis):
-    out_times = sample_times(cfg, t0)
-    t_final = t0 + cfg.t_end
+def _adaptive_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
+    out_times = sample_times(cfg)
+    t_final = cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
     budget, trials = TRIALS_PER_RK4_STEP * _rk4_steps(cfg)[0], 0
-    t, h = t0, min(cfg.dt, cfg.t_end)
+    t, h = 0.0, min(cfg.dt, cfg.t_end)
     data = np.empty((len(out_times), y0.size))
     stack = np.zeros((8, y0.size))  # [y, k0, ..., k6]; stages and y5 read [y, k0, ..., k5]
     y, head, k = stack[0], stack[:7], stack[1:]
@@ -228,7 +228,8 @@ def _adaptive_run(f, y0: np.ndarray, t0: float, cfg: IntegratorConfig, basis: Ba
     tableau[1:8, 0] = 1.0
     scaled, rows, err_row = tableau[:, 1:], [row[:7] for row in tableau], tableau[8, 1:]
     add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
-    absolute, maximum, divide, atol, rtol = np.absolute, np.maximum, np.divide, cfg.atol, cfg.rtol
+    absolute, maximum, divide = np.absolute, np.maximum, np.divide
+    rtol, atol = cfg.rtol, cfg.rtol / 100
 
     while t < t_final - 0.5 * h_min:
         h = min(h, t_final - t)
@@ -287,7 +288,7 @@ def integrate(
     cfg: IntegratorConfig,
     grid: QuadratureGrid | None = None,
 ) -> Trajectory:
-    """Integrate the modal system from y0 over [y0.t, y0.t + t_end].
+    """Integrate the modal system from y0 over [0, t_end]; the flow is autonomous.
 
     The trajectory's ``counters`` say what the run cost. RK4: ``steps``, ``rhs_calls``
     (4 per step) and the nudged ``dt``. DP45: ``accepted`` and ``rejected`` trial steps,
@@ -304,5 +305,5 @@ def integrate(
     f = make_packed_rhs(params, geometry, basis, grid)
     run = _rk4_run if cfg.method == "rk4" else _adaptive_run
     with np.errstate(over="ignore", invalid="ignore"):
-        times, data, counters = run(f, y0.pack(), y0.t, cfg, basis)
+        times, data, counters = run(f, y0.pack(), cfg, basis)
     return Trajectory(times=times, data=data, n_w=basis.n_w, n_t=basis.n_t, counters=counters)

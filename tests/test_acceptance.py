@@ -17,8 +17,8 @@ import pytest
 from fishbone.cable import make_geometry
 from fishbone.diagnostics import (
     absorbing_params,
+    attach_energies,
     energies,
-    energy_identity_residual,
     lemma_suite,
     random_states,
 )
@@ -203,7 +203,7 @@ class TestEnergyConservation:
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=1e-3)
         traj = integrate(y0, params, geometry, basis, cfg, grid)
-        residual = energy_identity_residual(traj, params, geometry, basis, grid)
+        residual = attach_energies(traj, params, geometry, basis, grid).diagnostics["residual"]
         assert np.abs(residual).max() <= 1e-5
 
 

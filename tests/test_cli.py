@@ -23,7 +23,6 @@ from fishbone.cli import (
     write_energy_csv,
     write_trajectory_csv,
 )
-from fishbone.dynamics import CHANNELS
 from fishbone.integrate import Trajectory
 from fishbone.spectral import Basis, displayed_to_modal
 
@@ -140,33 +139,17 @@ class TestParsing:
         assert (cfg.scenario.basis.n_w, cfg.scenario.basis.n_t) == (10, 4)
         assert cfg.scenario.integrator.dt == 1e-3
         assert cfg.scenario.integrator.t_end == 10.0
-        assert cfg.channels == ("w", "wdot", "th", "thdot")
         assert np.all(cfg.scenario.initial.pack() == 0.0)
-
-    def test_channel_selection(self):
-        """Channels are validated and reported in canonical order."""
-        cfg = resolve_config({"output.channels": "thdot, w"})
-        assert cfg.channels == ("w", "thdot")
-        with pytest.raises(ConfigError, match="unknown channel"):
-            resolve_config({"output.channels": "w,tilt"})
-        with pytest.raises(ConfigError, match="at least one"):
-            resolve_config({"output.channels": ","})
 
 
 class TestInitialData:
     def test_broadcast_precedence(self):
-        """initial.all < initial.<ch>.all < initial.<ch>.<mode>, any file order."""
-        flat = {
-            "basis.n_w": "3",
-            "basis.n_t": "2",
-            "initial.th.2": "0.5",
-            "initial.all": "0.1",
-            "initial.th.all": "0.2",
-        }
+        """initial.all < initial.<ch>.<mode>, any file order."""
+        flat = {"basis.n_w": "3", "basis.n_t": "2", "initial.th.2": "0.5", "initial.all": "0.1"}
         cfg = resolve_config(flat)
         np.testing.assert_allclose(cfg.initial_displayed["w"], [0.1, 0.1, 0.1])
         np.testing.assert_allclose(cfg.initial_displayed["wdot"], [0.1, 0.1, 0.1])
-        np.testing.assert_allclose(cfg.initial_displayed["th"], [0.2, 0.5])
+        np.testing.assert_allclose(cfg.initial_displayed["th"], [0.1, 0.5])
         np.testing.assert_allclose(cfg.initial_displayed["thdot"], [0.1, 0.1])
 
     def test_displayed_to_modal_conversion(self):
@@ -337,13 +320,6 @@ class TestSimulateOutputs:
         for row in rows:
             assert all(cell == "0" for cell in row[1:])
 
-    def test_channel_subset(self, tmp_path):
-        """output.channels restricts the trajectory columns."""
-        path = write_cfg(tmp_path, TOY + "output.channels = th\n")
-        bundle = run_simulate(path)
-        header, _ = self.read_csv(bundle.trajectory)
-        assert header == ["t", "th_1", "th_2"]
-
     def test_values_round_trip_through_text(self, tmp_path):
         """CSV cells are full-precision decimal forms of the computed floats."""
         path = write_cfg(tmp_path, TOY)
@@ -369,7 +345,7 @@ class TestSimulateOutputs:
         traj = Trajectory(times=table[:, 0], data=table[:, 1:], n_w=1, n_t=1)
         traj.diagnostics = dict(zip(("E", "Eplus", "Efull", "residual"), table[:, 1:].T))
         want = "".join(",".join(map(_fmt, row)) + "\n" for row in table.tolist())
-        write_trajectory_csv(tmp_path / "trajectory.csv", traj, Basis(L=2.0, n_w=1, n_t=1), CHANNELS)
+        write_trajectory_csv(tmp_path / "trajectory.csv", traj, Basis(L=2.0, n_w=1, n_t=1))
         write_energy_csv(tmp_path / "energy.csv", traj)
         assert (tmp_path / "trajectory.csv").read_text() == "t,w_1,wdot_1,th_1,thdot_1\n" + want
         assert (tmp_path / "energy.csv").read_text() == "t,E,Eplus,Efull,residual\n" + want
@@ -506,6 +482,14 @@ class TestVerifyCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines.count("seed: 3") == 1 and lines.count("samples: 25") == 1
 
+    def test_negative_samples_exit_two(self, capsys):
+        """A negative --samples is refused by the parser with exit 2, before anything runs."""
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--samples", "-1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--samples: must be nonnegative, got -1" in captured.err and captured.out == ""
+
 
 class TestSweepCommand:
     def test_sweep_writes_summary(self, tmp_path, capsys):
@@ -629,6 +613,18 @@ class TestExitCodes:
         path = write_cfg(tmp_path, line + "\n")
         assert main(["simulate", str(path)]) == 2
         assert f"{line.split()[0]}: unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line", ["output.channels = th", "integrator.atol = 1e-12", "initial.w.all = 0.1"]
+    )
+    def test_keys_no_caller_sets_exit_two(self, tmp_path, capsys, line):
+        """Output channels, DP45's atol and a channel-wide initial level have no key: a config
+        with one exits 2 naming it and writes nothing."""
+        key = line.split()[0]
+        path = write_cfg(tmp_path, TOY + line + "\n")
+        assert main(["simulate", str(path)]) == 2
+        assert f"config error: {key}: unknown configuration key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         """An unreadable config path is a configuration error."""

@@ -15,7 +15,6 @@ from fishbone.diagnostics import (
     attach_energies,
     difference_energy,
     energies,
-    energy_identity_residual,
     format_report,
     lemma_suite,
     lyapunov_value,
@@ -192,7 +191,7 @@ class TestEnergyIdentity:
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=5e-2)
         traj = integrate(y0, params, geo, basis, cfg)
-        residual = energy_identity_residual(traj, params, geo, basis, grid)
+        residual = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"]
         efull = energies(traj.data, params, geo, basis, grid).Efull
         drift = (efull - efull[0]) / max(abs(efull[0]), 1.0)
         np.testing.assert_allclose(residual, drift, rtol=1e-12, atol=1e-16)
@@ -220,12 +219,12 @@ class TestEnergyIdentity:
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0)
         traj = integrate(y0, params, geo, basis, cfg)
-        residual = energy_identity_residual(traj, params, geo, basis, grid)
+        residual = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"]
         assert residual[0] == 0.0
         assert np.max(np.abs(residual)) <= 1e-5
 
     def test_needs_three_samples(self):
-        """Trapezoid residual refuses trajectories with fewer than 3 samples."""
+        """The trapezoid residual needs 3 samples: with 2, attach_energies writes the energies only."""
         params, geo, basis, grid = cable_setup()
         traj = Trajectory(
             times=np.array([0.0, 1.0]),
@@ -233,11 +232,12 @@ class TestEnergyIdentity:
             n_w=basis.n_w,
             n_t=basis.n_t,
         )
-        with pytest.raises(ValueError, match="at least 3 samples"):
-            energy_identity_residual(traj, params, geo, basis, grid)
+        attach_energies(traj, params, geo, basis, grid)
+        assert sorted(traj.diagnostics) == ["E", "Efull", "Eplus"]
 
     def test_residual_reads_its_own_params_not_attached_energies(self):
-        """After attach_energies under one model, the residual under another uses that model's Efull."""
+        """attach_energies under a second model replaces the residual with one from that model's
+        Efull, not the Efull the first call attached."""
         params, geo, basis, grid = cable_setup(S=2.0, delta=0.1)
         y0 = ModalState(
             np.array([0.3, -0.1, 0.0, 0.0]), np.zeros(4), np.array([0.05, 0.0, 0.0]), np.zeros(3)
@@ -245,15 +245,13 @@ class TestEnergyIdentity:
         cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0, sample_every=0.1)
         traj = integrate(y0, params, geo, basis, cfg)
         bare = Trajectory(traj.times, traj.data, traj.n_w, traj.n_t)
-        attach_energies(traj, params, geo, basis, grid)
+        attached = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"].copy()
         unstretched = ModelParams(delta=0.1)
-        residual = energy_identity_residual(traj, unstretched, geo, basis, grid)
-        expected = energy_identity_residual(bare, unstretched, geo, basis, grid)
+        residual = attach_energies(traj, unstretched, geo, basis, grid).diagnostics["residual"]
+        expected = attach_energies(bare, unstretched, geo, basis, grid).diagnostics["residual"]
         np.testing.assert_array_equal(residual, expected)
         assert np.max(np.abs(residual)) > 1e-3  # dropping S breaks the identity on this run
-        np.testing.assert_array_equal(
-            traj.diagnostics["residual"], energy_identity_residual(bare, params, geo, basis, grid)
-        )
+        assert np.max(np.abs(attached)) < 1e-3
 
     def test_attach_energies_fills_diagnostics(self):
         """attach_energies records the E series and the residual in place."""

@@ -93,7 +93,7 @@ class TestModalState:
         rng = np.random.default_rng(0)
         basis = Basis(L=np.pi, n_w=4, n_t=2)
         state = random_state(rng, basis)
-        back = ModalState.unpack(state.pack(), 4, 2, t=state.t)
+        back = ModalState.unpack(state.pack(), 4, 2)
         for field in ("w", "wdot", "th", "thdot"):
             np.testing.assert_array_equal(getattr(back, field), getattr(state, field))
 

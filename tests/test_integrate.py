@@ -45,11 +45,11 @@ BENCH_STATE = dict(
 
 class TestConfigValidation:
     def test_positive_requirements(self):
-        """dt, tolerances, and horizon must be positive; they and the cadence must be finite."""
-        for kwargs in (dict(dt=0.0), dict(rtol=0.0), dict(atol=-1.0), dict(t_end=0.0)):
+        """dt, rtol, and horizon must be positive; they and the cadence must be finite."""
+        for kwargs in (dict(dt=0.0), dict(rtol=0.0), dict(t_end=0.0)):
             with pytest.raises(ValueError):
                 IntegratorConfig(**kwargs)
-        for name in ("dt", "rtol", "atol", "t_end", "sample_every"):
+        for name in ("dt", "rtol", "t_end", "sample_every"):
             for value in (np.nan, np.inf):
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     IntegratorConfig(**{name: value})
@@ -127,7 +127,6 @@ class TestTrajectoryShape:
         mid = traj.state(3)
         np.testing.assert_array_equal(mid.w, traj.w[3])
         np.testing.assert_array_equal(mid.thdot, traj.thdot[3])
-        assert mid.t == traj.times[3]
 
 
 class TestAgainstClosedForms:
@@ -191,9 +190,7 @@ class TestAdaptive:
         params, geo, basis, grid = cable_setup(delta=0.05, g=0.3, eps=0.5, kappa=0.3)
         y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
         fine = IntegratorConfig(method="rk4", dt=2e-4, t_end=2.0, sample_every=0.1)
-        loose = IntegratorConfig(
-            method="adaptive45", rtol=1e-10, atol=1e-12, t_end=2.0, sample_every=0.1
-        )
+        loose = IntegratorConfig(method="adaptive45", rtol=1e-10, t_end=2.0, sample_every=0.1)
         ref = integrate(y0, params, geo, basis, fine)
         adaptive = integrate(y0, params, geo, basis, loose)
         np.testing.assert_allclose(adaptive.times, ref.times, atol=1e-12)
@@ -201,14 +198,14 @@ class TestAdaptive:
         np.testing.assert_allclose(adaptive.data, ref.data, rtol=0, atol=1e-7 * scale)
 
     def test_tolerance_controls_error(self):
-        """Loosening rtol by 1e4 visibly degrades accuracy."""
+        """Loosening rtol by 1e4, and with it atol = rtol / 100, visibly degrades accuracy."""
         params, geo, basis, grid = cable_setup(g=0.3, eps=0.5, kappa=0.3)
         y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
         ref_cfg = IntegratorConfig(method="rk4", dt=1e-4, t_end=2.0)
         ref = integrate(y0, params, geo, basis, ref_cfg).data[-1]
         errs = []
         for rtol in (1e-4, 1e-8):
-            cfg = IntegratorConfig(method="adaptive45", rtol=rtol, atol=1e-12, t_end=2.0)
+            cfg = IntegratorConfig(method="adaptive45", rtol=rtol, t_end=2.0)
             traj = integrate(y0, params, geo, basis, cfg)
             errs.append(np.abs(traj.data[-1] - ref).max())
         assert errs[1] < errs[0] / 10.0
@@ -417,7 +414,7 @@ class TestRunLongBuffers:
 
     def test_dp45_matches_a_fresh_array_loop(self):
         """The whole controller on fresh arrays; the large first step makes it reject some."""
-        cfg = IntegratorConfig(method="adaptive45", dt=0.2, rtol=1e-8, atol=1e-10, t_end=3.0, sample_every=0.2)
+        cfg = IntegratorConfig(method="adaptive45", dt=0.2, rtol=1e-8, t_end=3.0, sample_every=0.2)
         params, geo, basis, grid = self.model
         traj = integrate(self.y0, params, geo, basis, cfg, grid)
         f = make_packed_rhs(params, geo, basis, grid)
@@ -435,7 +432,7 @@ class TestRunLongBuffers:
             for i in range(1, 7):
                 stack[i + 1] = f(t + fi._DP_C[i] * h, tableau[i, :7] @ stack[:7])
             y5 = tableau[7, :7] @ stack[:7]
-            e = (tableau[8, 1:] @ stack[1:]) / (cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
+            e = (tableau[8, 1:] @ stack[1:]) / (cfg.rtol / 100 + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
             err = math.sqrt(float(e @ e) / e.size)
             if err > 1.0:
                 h, rejected = 0.5 * h, rejected + 1

@@ -352,6 +352,25 @@ class TestClosedFormODEResidual:
             sol.sample(traj.times), traj.data, rtol=0, atol=1e-7 * scale
         )
 
+    def test_restart_from_a_sample_matches_closed_form(self):
+        """A run restarted from a sample starts at t = 0, the clock the closed form of that
+        sample reads, so the two agree as on a fresh run (``fishbone verify``'s oracle model,
+        restarted at its last sample, 5 s in)."""
+        params = ModelParams(
+            eps=0.3, kappa=0.2, ell=1.2, delta=0.1, zeta=0.05,
+            beta=0.02, Upsilon=0.6, Ustream=5.0, g=0.3,
+        )
+        basis = Basis(L=np.pi, n_w=3, n_t=2)
+        grid = make_grid(basis)
+        geo = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
+        y0 = ModalState([0.2, -0.1, 0.05], [0.0, 0.05, -0.02], [0.1, -0.04], [0.02, 0.01])
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=0.05)
+        restart = integrate(y0, params, geo, basis, cfg, grid).state(-1)
+        restarted = integrate(restart, params, geo, basis, cfg, grid)
+        exact = closed_form(restart, params).sample(restarted.times)
+        assert np.abs(restarted.data - exact).max() <= 1e-5 * np.abs(exact).max()
+        assert restarted.times[0] == 0.0
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("beta", [0.0, 0.02])
     def test_resonance_beyond_the_torsional_truncation_is_unforced(self, beta):

@@ -1,7 +1,8 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
 the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
-name only names, config keys and tests that exist, a serial run leaves heavy numpy and
-stdlib modules unloaded, and the benchmark's tracer fits the package."""
+name only names, config keys and tests that exist, every config key has a caller, a
+serial run leaves heavy numpy and stdlib modules unloaded, and the benchmark's tracer fits
+the package."""
 
 import ast
 import importlib
@@ -94,7 +95,8 @@ def doc_texts():
 
 # Config keys the README names as removed (a config carrying one is refused).
 REMOVED_KEYS = {
-    "meta.seed", "model.f", "cable.s0", "sweep.mode", "sweep.decay_below", "sweep.growth_above"
+    "meta.seed", "model.f", "cable.s0", "sweep.mode", "sweep.decay_below", "sweep.growth_above",
+    "output.channels", "integrator.atol",
 }
 
 
@@ -131,14 +133,14 @@ CONFIG_SECTIONS = ("meta", "model", "cable", "basis", "integrator", "initial", "
 
 def test_doc_config_keys_resolve():
     """A backticked ``<section>.<key>`` of a config section in README.md or a docstring is a
-    key of ``cli._KEYS``, a removed key, an ``initial.<channel>.<mode|all>`` entry or, in
+    key of ``cli._KEYS``, a removed key, an ``initial.<channel>.<mode>`` entry or, in
     ``cable``, an attribute of the ``cable`` module, so a misspelt or deleted key leaves no
     stale reference in the docs."""
     from fishbone import cable
     from fishbone.cli import _KEYS
     from fishbone.dynamics import CHANNELS
 
-    initial_entry = re.compile(rf"initial\.(?:{'|'.join(CHANNELS)})\.(?:\d+|all)")
+    initial_entry = re.compile(rf"initial\.(?:{'|'.join(CHANNELS)})\.\d+")
     stale = []
     for where, text in doc_texts():
         for key in re.findall(rf"`((?:{'|'.join(CONFIG_SECTIONS)})(?:\.\w+)+)", text):
@@ -149,6 +151,28 @@ def test_doc_config_keys_resolve():
             ):
                 stale.append(f"{where}: {key}")
     assert not stale, f"docs name config keys that do not exist: {stale}"
+
+
+# Config keys no preset writes, each with the caller that sets it.
+KEYS_WITHOUT_PRESET = {
+    "meta.version": "written by every manifest",
+    "integrator.rtol": "the benchmark's DP45 run; the README's DP45 figures at 1e-6 to 1e-10",
+    "sweep.beta": "fishbone sweep",
+    "sweep.U": "fishbone sweep",
+}
+
+
+def test_every_config_key_has_a_caller():
+    """Every key of ``cli._KEYS`` is written by some ``preset_text`` or sits in
+    ``KEYS_WITHOUT_PRESET`` with the caller that sets it, so a key that only tests set fails
+    here when it lands; an allowlisted key that a preset comes to write leaves the list."""
+    from fishbone.cli import PRESETS, _KEYS, parse_config_text, preset_text
+
+    written = {key for name in PRESETS for key in parse_config_text(preset_text(name))}
+    assert set(KEYS_WITHOUT_PRESET) <= set(_KEYS) - written
+    uncalled = sorted(set(_KEYS) - written - set(KEYS_WITHOUT_PRESET))
+    assert not uncalled, f"config keys that no preset writes and no caller sets: {uncalled}"
+
 
 SERIAL_RUN = """
 import sys
