@@ -110,9 +110,10 @@ def make_geometry(
         b_weights=b_weights,
         gap0=gap0,
         L0=L0,
-        int_abs_sx=float(grid.weights @ np.abs(sx)),
-        # The rest slope peaks at the span ends, which Gauss nodes exclude, so
-        # the supremum is taken in closed form rather than over the nodes.
+        # |s_x| has a kink at L/2, inside a panel when the panel count is odd, and
+        # the rest slope peaks at the span ends, which Gauss nodes exclude, so both
+        # are taken in closed form rather than over the nodes.
+        int_abs_sx=0.25 * a * basis.L**2,
         max_xi0=float(np.sqrt(1.0 + (0.5 * a * basis.L) ** 2)),
         int_xi0_sq=float(grid.weights @ (xi0 * xi0)),
     )

@@ -284,6 +284,7 @@ def _resolve_initial(
     """Displayed-amplitude vectors per channel: ``initial.all``, then the per-mode entries."""
     slices = channel_slices(basis.n_w, basis.n_t)._asdict()
     displayed = {ch: np.full(where.stop - where.start, broadcast) for ch, where in slices.items()}
+    seen: dict[tuple[str, int], str] = {}
     for key, raw in entries.items():
         parts = key.split(".")
         if len(parts) != 3 or parts[1] not in displayed or not parts[2].isdecimal():
@@ -291,6 +292,9 @@ def _resolve_initial(
         vec, mode = displayed[parts[1]], int(parts[2])
         if not 1 <= mode <= vec.size:
             raise ConfigError(key, f"mode out of range 1..{vec.size}")
+        if (parts[1], mode) in seen:
+            raise ConfigError(key, f"mode {mode} is already set by {seen[parts[1], mode]}")
+        seen[parts[1], mode] = key
         vec[mode - 1] = _parse(key, raw, float)
     return displayed
 

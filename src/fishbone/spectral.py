@@ -10,14 +10,25 @@ values v are ``grid.modes[:n] @ (grid.weights * v)``.
 The quadrature is composite Gauss-Legendre rather than a mode-count-matched
 rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
-non-polynomial integrands keep uniform accuracy. A convergence test sets the
-rule: along the canonical wind_stretch run at 10+4 to 20+10 modes the RHS is
-within 1e-10 per acceleration block of a 16 times finer rule. The error grows
-with amplitude, which the rule does not follow: on the damped 4+3 model (320
-nodes) it is at rounding up to Eplus = 100, ~1e-9 at 1e3 (bounded by a test),
-1e-7 at 1e4 and 2e-4 at 1.9e6, as Xi = sqrt(1 + (u_x + s_x)^2) steepens.
-The 5-point reference rule is written out (``GAUSS_NODES``, ``GAUSS_WEIGHTS``), equal
-to numpy's ``leggauss(5)`` bit for bit, so building a grid never imports numpy.polynomial.
+non-polynomial integrands keep uniform accuracy. The rule is 12-point panels,
+one per mode and at least 20: 240 nodes up to 20 modes. For analytic
+integrands a higher-order Gauss rule converges faster per node (Trefethen
+2008, "Is Gauss quadrature better than Clenshaw-Curtis?"), so 240 nodes do what
+320 on 5-point panels did. A convergence test sets the rule: along the
+canonical wind_stretch run at 10+4 to 24+12 modes the RHS is within 1e-10 per
+acceleration block of a 16 times finer rule (1.0e-11 measured, a rounding
+floor). The error grows with amplitude, which the rule does not follow. On the
+damped 4+3 model, worst over 20 seeds of six states (tools/quadrature_study.py):
+
+    Eplus            1        10       100      1e3     1e4
+    12 x 20 panels   6.7e-16  5.1e-16  6.0e-16  3.7e-9  2.3e-5
+    5 x 64 (before)  7.5e-16  8.2e-16  2.6e-13  6.0e-9  3.1e-6
+
+so at Eplus 1e4 this rule is seven times worse than the 5-point one; no test
+or benchmark workload reaches that energy. It grows as Xi = sqrt(1 + (u_x +
+s_x)^2) steepens. The 12-point reference rule is written out (``GAUSS_NODES``,
+``GAUSS_WEIGHTS``), equal to numpy's ``leggauss(12)`` bit for bit, so building a
+grid never imports numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -35,13 +46,19 @@ __all__ = [
 ]
 
 # The reference rule on [-1, 1]; numpy.polynomial, which computes it, costs ~1.2 MB resident.
-GAUSS_NODES = (-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664)
+GAUSS_NODES = (
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+)
 GAUSS_WEIGHTS = (
-    0.23692688505618928, 0.4786286704993663, 0.5688888888888887, 0.4786286704993663, 0.23692688505618928
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
 )
 POINTS_PER_PANEL = len(GAUSS_NODES)
-MIN_PANELS = 64
-PANELS_PER_MODE = 4
+MIN_PANELS = 20
+PANELS_PER_MODE = 1
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class QuadratureGrid:
 
 
 def make_grid(basis: Basis) -> QuadratureGrid:
-    """Build the quadrature grid for a basis: 5-point panels, >= 4 per mode and >= 64 in all."""
+    """Build the quadrature grid for a basis: 12-point panels, >= 1 per mode and >= 20 in all."""
     panels = max(MIN_PANELS, PANELS_PER_MODE * basis.max_modes)
     ref_x, ref_w = np.array(GAUSS_NODES), np.array(GAUSS_WEIGHTS)
     width = basis.L / panels

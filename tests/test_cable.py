@@ -52,6 +52,16 @@ class TestGeometry:
         np.testing.assert_allclose(geo.max_xi0, np.sqrt(1.0 + (A * L / 2.0) ** 2), rtol=1e-12)
         np.testing.assert_allclose(geo.int_xi0_sq, L + A**2 * L**3 / 12.0, rtol=1e-12)
 
+    def test_abs_slope_integral_is_exact_on_an_odd_panel_count(self):
+        """int |s_x| = a L^2 / 4 also when the kink of |s_x| at L/2 falls inside a panel.
+
+        At 21 modes the grid has 21 panels, so L/2 is the middle of one; a quadrature
+        of |s_x| there is off by about 1e-5 relative.
+        """
+        basis, grid, geo = default_setup(n_w=21, n_t=3)
+        assert grid.panels % 2 == 1
+        np.testing.assert_allclose(geo.int_abs_sx, A * basis.L**2 / 4.0, rtol=1e-15)
+
     def test_rest_arc_length_analytic(self):
         """L0 matches the closed-form parabola arc length and its frozen value."""
         basis, grid, geo = default_setup()

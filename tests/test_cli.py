@@ -626,6 +626,15 @@ class TestExitCodes:
         assert f"config error: {key}: unknown configuration key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_two_spellings_of_one_mode_exit_two(self, tmp_path, capsys):
+        """initial.w.1 and initial.w.01 set the same mode: the config exits 2 naming both
+        keys and writes nothing, rather than letting the later line win."""
+        path = write_cfg(tmp_path, TOY + "initial.w.01 = 0.2\n")
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: initial.w.01: mode 1 is already set by initial.w.1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         """An unreadable config path is a configuration error."""
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == 2

@@ -536,7 +536,7 @@ class TestRandomStateBlocks:
     def test_lemma_suite_memory_is_bounded(self):
         """20,000 pairs of verify's setup hold one draw of samples, not both 20,000-row sets.
 
-        The traced peak is 0.67 MB; drawing both sets whole took it to 5.4 MB.
+        The traced peak is 0.54 MB at 240 nodes; drawing both sets whole took it to 5.4 MB.
         """
         _, geo, basis, grid = cable_setup(n_w=10, n_t=4)
         lemma_suite(ROW_BLOCK, 5.0, geo, basis, grid, seed=1)  # first-call caches

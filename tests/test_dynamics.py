@@ -294,7 +294,7 @@ class TestRhs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grid.n_nodes == 320
+        assert grid.n_nodes == 240
         assert peak < 2 * grid.n_nodes * 8
 
     def test_linear_operator_alone_without_cables_and_stretching(self):

@@ -1,8 +1,8 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
 the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
 name only names, config keys and tests that exist, every config key has a caller, a
-serial run leaves heavy numpy and stdlib modules unloaded, and the benchmark's tracer fits
-the package."""
+serial run leaves heavy numpy and stdlib modules unloaded, the benchmark's tracer fits
+the package, and the quadrature study runs."""
 
 import ast
 import importlib
@@ -203,6 +203,21 @@ def test_serial_run_leaves_polynomial_and_futures_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "", f"loaded: {proc.stdout.strip()}"
+
+
+def test_quadrature_study_prints_the_rule_row():
+    """tools/quadrature_study.py, at one seed, prints make_grid's rule and one error per shell."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "quadrature_study.py"), "--seeds", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, _, row = proc.stdout.strip().splitlines()
+    assert header == "| Eplus | 1 | 10 | 100 | 1000 | 10000 |"
+    label, *errors = row.strip("| ").split(" | ")
+    assert label == "12 x 20 (240 nodes)" and len(errors) == 5
+    assert all(0.0 <= float(error) < 1e-3 for error in errors), row
 
 
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):

@@ -47,13 +47,13 @@ class TestQuadratureGrid:
             np.testing.assert_allclose(grid.weights.sum(), L, rtol=1e-12)
 
     def test_panel_count_scales_with_modes(self):
-        """Panels = max(64, 4 * max_modes)."""
+        """Panels = max(20, max_modes)."""
         small = make_grid(Basis(L=np.pi, n_w=3, n_t=2))
-        assert small.panels == 64
-        floor = make_grid(Basis(L=np.pi, n_w=12, n_t=4))
-        assert floor.panels == 64
+        assert small.panels == 20
+        floor = make_grid(Basis(L=np.pi, n_w=20, n_t=4))
+        assert floor.panels == 20
         large = make_grid(Basis(L=np.pi, n_w=24, n_t=4))
-        assert large.panels == 96
+        assert large.panels == 24
 
     def test_gram_identity(self):
         """The cached mode table is orthonormal under the weights."""
@@ -89,14 +89,14 @@ class TestQuadratureGrid:
         """The literal reference rule is numpy's Gauss-Legendre rule bit for bit, and sets the panel size."""
         nodes, weights = np.polynomial.legendre.leggauss(POINTS_PER_PANEL)
         assert np.array_equal(GAUSS_NODES, nodes) and np.array_equal(GAUSS_WEIGHTS, weights)
-        assert POINTS_PER_PANEL == len(GAUSS_NODES) == len(GAUSS_WEIGHTS) == 5
+        assert POINTS_PER_PANEL == len(GAUSS_NODES) == len(GAUSS_WEIGHTS) == 12
 
     def test_polynomial_exactness(self):
-        """5-point panels integrate degree-9 polynomials to round-off."""
+        """12-point panels integrate degree-23 polynomials to round-off."""
         basis = Basis(L=2.0, n_w=1, n_t=1)
         grid = make_grid(basis)
-        exact = 2.0**10 / 10.0
-        np.testing.assert_allclose(grid.weights @ grid.nodes**9, exact, rtol=1e-13)
+        exact = 2.0**24 / 24.0
+        np.testing.assert_allclose(grid.weights @ grid.nodes**23, exact, rtol=1e-13)
 
 
 class TestEvalProject:
