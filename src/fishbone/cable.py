@@ -66,6 +66,7 @@ class CableGeometry:
     s0: float
     b: float
     c: float
+    span: float  # the construction grid's span; the arrays below hold one entry per node
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
     b_weights: np.ndarray = field(repr=False)  # -b times the weights: Xi @ b_weights = -b int Xi
@@ -105,6 +106,7 @@ def make_geometry(
         s0=s0,
         b=b,
         c=c,
+        span=grid.L,
         sx=sx,
         xi0=xi0,
         b_weights=b_weights,

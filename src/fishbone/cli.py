@@ -451,8 +451,8 @@ def run_simulate(config_path: str | Path) -> OutputBundle:
     """Integrate one scenario and persist trajectory, energies, and manifest."""
     cfg = load_config(config_path)
     scenario = cfg.scenario
-    traj = scenario.run()
-    grid = make_grid(scenario.basis)
+    grid = make_grid(scenario.basis)  # one grid for the run and its energies
+    traj = scenario.run(grid)
     attach_energies(traj, scenario.params, scenario.geometry, scenario.basis, grid)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     bundle = OutputBundle(

@@ -148,8 +148,11 @@ def energies(
     basis: Basis,
     grid: QuadratureGrid,
 ) -> EnergyBreakdown:
-    """All energy channels of (k, n) packed rows, one value per row, or of a ModalState, as floats."""
-    check_span(params, basis)
+    """All energy channels of (k, n) packed rows, one value per row, or of a ModalState, as floats.
+
+    The grid and the geometry must fit the basis's span (``dynamics.check_span``).
+    """
+    check_span(params, basis, grid, geometry)
     rows = _as_rows(state, basis)
     channels = _energy_rows(rows, basis.n_w, basis.n_t, params, geometry, grid)
     if isinstance(state, ModalState):
@@ -174,7 +177,7 @@ def attach_energies(
     with fewer. Every series is computed from the arguments, so a second call
     with another model replaces the first call's.
     """
-    check_span(params, basis)
+    check_span(params, basis, grid, geometry)
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
     if len(traj) < 3:

@@ -185,13 +185,34 @@ def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficie
     )
 
 
-def check_span(params: ModelParams, basis: Basis) -> None:
-    """Refuse a model and a basis on different spans.
+def check_span(
+    params: ModelParams,
+    basis: Basis,
+    grid: QuadratureGrid | None = None,
+    geometry: CableGeometry | None = None,
+) -> None:
+    """Refuse a model, basis, grid and cable geometry that do not fit one span.
 
-    The wavenumbers read params.L, the grid and the cables basis.L.
+    The wavenumbers read params.L, the grid and the cables basis.L. The grid must
+    cover that span for every retained mode (a finer grid is accepted), and the
+    geometry must be built on a grid of the same span and nodes.
     """
     if params.L != basis.L:
         raise ValueError(f"span mismatch: ModelParams.L = {params.L}, Basis.L = {basis.L}")
+    if grid is None:
+        return
+    if grid.L != basis.L:
+        raise ValueError(f"span mismatch: QuadratureGrid.L = {grid.L}, Basis.L = {basis.L}")
+    if len(grid.modes) < basis.max_modes:
+        raise ValueError(
+            f"mode capacity mismatch: the grid tabulates {len(grid.modes)} modes, "
+            f"the basis retains {basis.max_modes}"
+        )
+    if geometry is not None and (geometry.span, geometry.sx.size) != (grid.L, grid.n_nodes):
+        raise ValueError(
+            f"cable geometry built on {geometry.sx.size} nodes over a span of {geometry.span}, "
+            f"the grid has {grid.n_nodes} nodes over {grid.L}"
+        )
 
 
 def linear_operator(params: ModelParams, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
@@ -229,15 +250,17 @@ def make_packed_rhs(
     The tables and work arrays are built here, once per run, so a call allocates
     only the derivative it returns. The table has n + 1 + 2 (n_w + n_t) + n_w rows
     whatever the node count. The cable term (b = c = 0) and stretching (S = 0)
-    are skipped when off, and the slopes product with them: no 0 * inf.
+    are skipped when off, and the slopes product with them: no 0 * inf. The grid
+    and the geometry must fit the basis's span (``check_span``).
     """
+    check_span(params, basis, grid, geometry)
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
     n, nodes, modes = len(c), grid.n_nodes, n_w + n_t
     w, acc_w, th, acc_t = channel_slices(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
     dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
-    dot, multiply = np.dot, np.multiply  # bound once per run
+    multiply = np.multiply  # bound once per run
     stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
     # [y, 1] @ slopes: total slopes of the lines w + l th and w - l th, then k^2 w
@@ -270,16 +293,21 @@ def make_packed_rhs(
     pull = np.empty(2)
     work = np.empty((2, nodes)), np.empty((2, nodes)), pull, pull[:, None]  # xi, gap, pull, column
     mix, mixed = np.array([[1.0, 1.0], [1.0, -1.0]]), np.empty((2, nodes))  # mixed: [f; f-bar/l]
+    # Each product's left operand is fixed, so its ndarray.dot is bound here: the C routine of
+    # np.dot (the BLAS call of @) without np.dot's Python-level __array_function__ dispatcher.
+    slope_dot, mix_dot, mixed_dot = head.dot, mix.dot, mixed.dot
+    stretch_dot, table_dot = k2w_w.dot, row.dot
 
     def packed_rhs(t: float, y: np.ndarray) -> np.ndarray:
         row[slots] = y
         if cables_on or stretch:
-            dot(head, slopes, nodal)  # np.dot: the BLAS call of @, less dispatch
+            slope_dot(slopes, nodal)
         if cables_on:
             _h_from_slope(lines, geometry, *work)
-            dot(dot(mix, lines, mixed), projection, forces)  # h_up +- h_down, one rounding each
+            mix_dot(lines, mixed)  # h_up +- h_down, one rounding each
+            mixed_dot(projection, forces)
         if stretch:
-            multiply(k2w_w, stretch * dot(k2w_w, y_w), stretch_part)
-        return dot(row, table)
+            multiply(k2w_w, stretch * stretch_dot(y_w), stretch_part)
+        return table_dot(table)
 
     return packed_rhs

@@ -30,7 +30,7 @@ import numpy as np
 from .cable import CableGeometry
 from .dynamics import ModalState, ModelParams
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate
-from .spectral import Basis
+from .spectral import Basis, QuadratureGrid
 
 __all__ = [
     "DECAY_BELOW",
@@ -68,8 +68,9 @@ class Scenario:
                 f"but the basis declares ({self.basis.n_w}, {self.basis.n_t})"
             )
 
-    def run(self) -> Trajectory:
-        return integrate(self.initial, self.params, self.geometry, self.basis, self.integrator)
+    def run(self, grid: QuadratureGrid | None = None) -> Trajectory:
+        """Integrate the scenario, on ``grid`` if given (else ``integrate`` builds one)."""
+        return integrate(self.initial, self.params, self.geometry, self.basis, self.integrator, grid)
 
 
 def envelope_ratio(traj: Trajectory, mode: int = SWEEP_MODE) -> float:

@@ -17,10 +17,14 @@ keeps numpy's overflow warnings from coming first. DP45 raises ``StepBudgetExcee
 after TRIALS_PER_RK4_STEP trial steps per step of the RK4 clock, so a step that keeps
 shrinking without reaching the underflow floor ends the run. Stage inputs, updates and
 error weights live in buffers built once per run; y is copied only to samples.
-Each method keeps y and its stages in one stack [y, k...]: a stage input, RK4's
-update (into row 0 of a second stack; the two swap) and DP45's y5 are each one product
-of a step-scaled tableau row with it. Zero tableau entries meet only k rows that are
-zeros or from a step whose y was finite, so they add nothing.
+Each method keeps y and its stages in one stack, RK4's [y, k...] and DP45's [y5, y, k...]
+(one np.absolute reads |y5| and |y| for the error weights): a stage input, RK4's update
+(into row 0 of a second stack; the two swap) and DP45's y5 are each one product of a
+step-scaled tableau row with [y, k...]. Zero tableau entries meet only k rows that are
+zeros or from a step whose y was finite, so they add nothing. Every product and
+reduction is an ndarray.dot (a tableau row's bound once per run): np.dot's C routine,
+with its bits, without np.dot's Python-level __array_function__ dispatcher. So a step
+runs no numpy Python code, only f and C calls.
 """
 
 from __future__ import annotations
@@ -182,18 +186,20 @@ def _rk4_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
     data = np.empty((n_steps // stride + 1, y0.size))
     stack, spare = np.zeros((2, 5, y0.size))  # run-long; each update fills the other's row 0
     data[0] = stack[0] = y0
-    y, t, stage = stack[0], 0.0, np.empty(y0.size)
-    dot, isfinite = np.dot, math.isfinite  # bound once per run
+    y, y_next, t, stage = stack[0], spare[0], 0.0, np.empty(y0.size)
+    # Each tableau row's ndarray.dot, bound once per run: np.dot's C routine, no dispatcher.
+    k2_from, k3_from, k4_from, y_from = to_k2.dot, to_k3.dot, to_k4.dot, to_y.dot
+    isfinite = math.isfinite
     for i in range(1, n_steps + 1):
         stack[1] = f(t, y)
-        stack[2] = f(t + half, dot(to_k2, stack, stage))
-        stack[3] = f(t + half, dot(to_k3, stack, stage))
-        stack[4] = f(t + dt, dot(to_k4, stack, stage))
-        y = dot(to_y, stack, spare[0])
-        stack, spare = spare, stack
+        stack[2] = f(t + half, k2_from(stack, stage))
+        stack[3] = f(t + half, k3_from(stack, stage))
+        stack[4] = f(t + dt, k4_from(stack, stage))
+        y_from(stack, y_next)
+        stack, spare, y, y_next = spare, stack, y_next, y
         t = i * dt
         # One reduction is finite whenever y is; it can also overflow on a finite y.
-        if not isfinite(dot(y, y)) and not np.isfinite(y).all():
+        if not isfinite(y.dot(y)) and not np.isfinite(y).all():
             raise _nonfinite(y, t, basis)
         if i % stride == 0:
             data[i // stride] = y
@@ -212,22 +218,28 @@ def _hermite(theta: float, y0, f0, y1, f1, h: float):
 
 def _adaptive_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
     out_times = sample_times(cfg)
+    clock, n_out = out_times.tolist(), len(out_times)  # the sample clock, walked as floats
     t_final = cfg.t_end
     h_min = UNDERFLOW_FRACTION * cfg.t_end
     budget, trials = TRIALS_PER_RK4_STEP * _rk4_steps(cfg)[0], 0
     t, h = 0.0, min(cfg.dt, cfg.t_end)
-    data = np.empty((len(out_times), y0.size))
-    stack = np.zeros((8, y0.size))  # [y, k0, ..., k6]; stages and y5 read [y, k0, ..., k5]
-    y, head, k = stack[0], stack[:7], stack[1:]
+    data = np.empty((n_out, y0.size))
+    stack = np.zeros((9, y0.size))  # [y5, y, k0, ..., k6]; stages and y5 read [y, k0, ..., k5]
+    y5, y, y5_y, head, k = stack[0], stack[1], stack[:2], stack[1:8], stack[2:]
     data[0] = y[...] = y0
     k[0] = f(t, y)
     err_prev, next_out, accepted = 1.0, 1, 0
     h_lo, h_hi, h_last = math.inf, 0.0, math.nan  # bounds of the accepted steps before h_last
-    # Run-long buffers: the tableau [1, h _DP_TABLEAU], a trial y5, a stage input, error weights.
-    tableau, (y5, stage, scale), fractions = np.zeros((9, 8)), np.empty((3, y0.size)), _DP_C.tolist()
+    # Run-long buffers: the tableau [1, h _DP_TABLEAU], a stage input, error weights, |y5| and |y|.
+    tableau, (stage, scale), fractions = np.zeros((9, 8)), np.empty((2, y0.size)), _DP_C.tolist()
+    magnitudes = np.empty((2, y0.size))
+    abs_y5, abs_y = magnitudes
     tableau[1:8, 0] = 1.0
-    scaled, rows, err_row = tableau[:, 1:], [row[:7] for row in tableau], tableau[8, 1:]
-    add, multiply, dot, isfinite = np.add, np.multiply, np.dot, math.isfinite  # bound once per run
+    scaled = tableau[:, 1:]
+    # Each tableau row's ndarray.dot, bound once per run: np.dot's C routine, no dispatcher.
+    # Row i < 7 gives stage i and row 7 y5, from [y, k0, ..., k5]; row 8 the error, from k.
+    from_head, err_from = [row[:7].dot for row in tableau[:8]], tableau[8, 1:].dot
+    add, multiply, isfinite = np.add, np.multiply, math.isfinite  # bound once per run
     absolute, maximum, divide = np.absolute, np.maximum, np.divide
     rtol, atol = cfg.rtol, cfg.rtol / 100
 
@@ -245,19 +257,20 @@ def _adaptive_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
         trials += 1
         multiply(h, _DP_TABLEAU, scaled)
         for i in range(1, 7):
-            k[i] = f(t + fractions[i] * h, dot(rows[i], head, stage))
-        dot(rows[7], head, y5)
-        if not isfinite(dot(y5, y5)) and not np.isfinite(y5).all():
+            k[i] = f(t + fractions[i] * h, from_head[i](head, stage))
+        from_head[7](head, y5)
+        if not isfinite(y5.dot(y5)) and not np.isfinite(y5).all():
             raise _nonfinite(y5, t + h, basis)
-        # e = (err_row @ k) / (atol + rtol * max(|y|, |y5|))
-        maximum(absolute(y, scale), absolute(y5, stage), out=scale)  # out by keyword only here
+        # e = (err_row @ k) / (atol + rtol * max(|y5|, |y|)); one absolute reads both rows
+        absolute(y5_y, magnitudes)
+        maximum(abs_y5, abs_y, out=scale)  # np.maximum takes out by keyword only
         add(atol, multiply(rtol, scale, scale), scale)
-        e = divide(dot(err_row, k, stage), scale, stage)
-        err = math.sqrt(float(e @ e) / e.size)
+        e = divide(err_from(k, stage), scale, stage)
+        err = math.sqrt(float(e.dot(e)) / e.size)
 
         if err <= 1.0:
-            while next_out < len(out_times) and out_times[next_out] <= t + h * (1 + 1e-12):
-                theta = min(1.0, max(0.0, (out_times[next_out] - t) / h))
+            while next_out < n_out and clock[next_out] <= t + h * (1 + 1e-12):
+                theta = min(1.0, max(0.0, (clock[next_out] - t) / h))
                 data[next_out] = _hermite(theta, y, k[0], y5, k[6], h)
                 next_out += 1
             y[...], t = y5, t + h

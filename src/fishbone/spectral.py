@@ -6,7 +6,8 @@ quantities; ``displayed_to_modal``/``modal_to_displayed`` convert between them.
 The grid caches every mode's values and first two derivatives at the nodes:
 the nodal values of a modal vector c are ``c @ grid.modes[:len(c)]`` (``dmodes``
 and ``d2modes`` for the derivatives), and the projections (v, e_j)_0 of nodal
-values v are ``grid.modes[:n] @ (grid.weights * v)``.
+values v are ``grid.modes[:n] @ (grid.weights * v)``. A grid records its span L,
+which ``dynamics.check_span`` compares with the basis's.
 The quadrature is composite Gauss-Legendre rather than a mode-count-matched
 rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
@@ -96,6 +97,7 @@ class QuadratureGrid:
     mode at every node) are static geometry, computed once here.
     """
 
+    L: float  # the span the grid covers
     nodes: np.ndarray
     weights: np.ndarray
     panels: int
@@ -126,7 +128,7 @@ def make_grid(basis: Basis) -> QuadratureGrid:
     d2modes = -scale * k**2 * np.sin(phase)
     for arr in (nodes, weights, modes, dmodes, d2modes):
         arr.setflags(write=False)
-    return QuadratureGrid(nodes, weights, panels, modes, dmodes, d2modes)
+    return QuadratureGrid(basis.L, nodes, weights, panels, modes, dmodes, d2modes)
 
 
 def displayed_to_modal(amplitude: float | np.ndarray, L: float):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import fishbone.cable
+import fishbone.cli
+import fishbone.experiments
 from fishbone.cli import (
     ConfigError,
     _fmt,
@@ -299,6 +301,15 @@ class TestSimulateOutputs:
         assert eheader == ["t", "E", "Eplus", "Efull", "residual"]
         assert len(erows) == 21
         assert all(np.isfinite(float(v)) for v in erows[-1])
+
+    def test_run_and_energies_share_one_grid(self, tmp_path, monkeypatch):
+        """simulate builds one quadrature grid and hands it to the run and to attach_energies."""
+        grids = []
+        run, attach = fishbone.experiments.integrate, fishbone.cli.attach_energies
+        monkeypatch.setattr(fishbone.experiments, "integrate", lambda *a: grids.append(a[-1]) or run(*a))
+        monkeypatch.setattr(fishbone.cli, "attach_energies", lambda *a: grids.append(a[-1]) or attach(*a))
+        run_simulate(write_cfg(tmp_path, TOY))
+        assert len(grids) == 2 and grids[0] is grids[1]
 
     def test_displayed_amplitudes_in_csv(self, tmp_path):
         """The t = 0 row reports the displayed initial amplitudes."""

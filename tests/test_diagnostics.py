@@ -169,6 +169,25 @@ class TestEnergyBreakdown:
         with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
             attach_energies(traj, ModelParams(), geo, basis, grid)
 
+    def test_grid_and_geometry_must_fit_the_basis(self):
+        """energies, attach_energies and lyapunov_value refuse a grid of another span and a
+        geometry built on another grid."""
+        params, geo, basis, grid = cable_setup()
+        state = random_modal_state(np.random.default_rng(1), basis)
+        traj = Trajectory(np.zeros(3), np.zeros((3, 14)), basis.n_w, basis.n_t)
+        wrong_grid = make_grid(Basis(L=2.0 * np.pi, n_w=4, n_t=3))
+        wrong_geo = cable_setup(L=2.0 * np.pi)[1]
+        for grid_, geo_, message in (
+            (wrong_grid, geo, r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"),
+            (grid, wrong_geo, r"built on 240 nodes over a span of 6.28\d*, the grid has 240 nodes over 3.14"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                energies(state, params, geo_, basis, grid_)
+            with pytest.raises(ValueError, match=message):
+                attach_energies(traj, params, geo_, basis, grid_)
+            with pytest.raises(ValueError, match=message):
+                lyapunov_value(state, params, geo_, basis, grid_, 0.02)
+
     def test_state_must_fit_the_basis(self):
         """A state whose mode counts differ from the basis is refused, even at the same row width."""
         params, geo, basis, grid = cable_setup(n_w=4, n_t=3)

@@ -366,6 +366,45 @@ class TestLinearOperator:
             make_packed_rhs(ModelParams(), geometry, basis, grid)
 
 
+class TestGridFit:
+    """make_packed_rhs refuses a grid or a cable geometry that does not fit the basis."""
+
+    def test_grid_of_another_span(self):
+        params, geo, basis, _ = cable_setup()
+        wrong = make_grid(Basis(L=2.0 * np.pi, n_w=3, n_t=2))
+        with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
+            make_packed_rhs(params, geo, basis, wrong)
+
+    def test_grid_for_fewer_modes(self):
+        params, geo, basis, _ = cable_setup(n_w=3, n_t=2)
+        small = make_grid(Basis(L=np.pi, n_w=2, n_t=1))  # the same 240 nodes
+        with pytest.raises(ValueError, match="the grid tabulates 2 modes, the basis retains 3"):
+            make_packed_rhs(params, geo, basis, small)
+
+    def test_geometry_on_another_grid(self):
+        """Another node count, or the same count over another span, is refused."""
+        params, _, basis, grid = cable_setup()
+        finer = Basis(L=np.pi, n_w=30, n_t=2)  # 30 panels: 360 nodes
+        geo_360 = make_geometry(0.2, 1.0, 1.0, 1.0, finer, make_grid(finer))
+        with pytest.raises(ValueError, match=r"built on 360 nodes over a span of 3.14\d*, the grid has 240"):
+            make_packed_rhs(params, geo_360, basis, grid)
+        geo_2pi = cable_setup(L=2.0 * np.pi)[1]
+        message = r"built on 240 nodes over a span of 6.28\d*, the grid has 240 nodes over 3.14"
+        with pytest.raises(ValueError, match=message):
+            make_packed_rhs(params, geo_2pi, basis, grid)
+
+    def test_finer_grid_accepted(self):
+        """More modes and nodes on the same span, with a geometry on them, give the same RHS
+        to quadrature accuracy."""
+        params, geo, basis, grid = cable_setup(S=1.0)
+        fine_grid = make_grid(Basis(L=np.pi, n_w=30, n_t=2))
+        fine_geo = make_geometry(0.2, 1.0, 1.0, 1.0, basis, fine_grid)
+        y = random_state(np.random.default_rng(2), basis).pack()
+        want = make_packed_rhs(params, geo, basis, grid)(0.0, y)
+        got = make_packed_rhs(params, fine_geo, basis, fine_grid)(0.0, y)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestModeCoefficients:
     def test_formulas(self):
         """Each field of the table is the coefficient its comment names, mode by mode."""

@@ -1,7 +1,9 @@
 """Tests for fixed-step RK4 and the adaptive embedded 5(4) integrator."""
 
 import math
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -448,6 +450,71 @@ class TestRunLongBuffers:
         rows += [y] * (len(times) - len(rows))
         assert rejected > 0
         assert np.array_equal(traj.data, np.array(rows))
+
+
+def test_grid_of_another_span_is_refused():
+    """A 3+2 cable model on a grid built for 2 pi instead of pi would end 0.13 (max entry)
+    away from the right run after 1 s; integrate refuses the grid, naming both spans."""
+    params, geo, basis, _ = cable_setup(S=1.0, delta=0.1)
+    y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+    cfg = IntegratorConfig(dt=0.01, t_end=1.0)
+    wrong = make_grid(Basis(L=2.0 * np.pi, n_w=3, n_t=2))
+    with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
+        integrate(y0, params, geo, basis, cfg, wrong)
+
+
+def numpy_frames(run):
+    """run()'s Python-level calls into the numpy package, counted under sys.setprofile, and
+    its result.
+
+    np.dot's __array_function__ dispatcher is one such call; ufuncs, ndarray methods and
+    indexing run in C and make none.
+    """
+    package, count = os.path.dirname(np.__file__) + os.sep, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return count, result
+
+
+class TestNoNumpyCallsPerStep:
+    """The hot loops make no Python-level numpy call per RHS call, RK4 step or DP45 trial:
+    on the 4+3 model of TestRunLongBuffers, N and 2N of them make the same count."""
+
+    setup_method = TestRunLongBuffers.setup_method
+
+    def test_rhs_calls(self):
+        f = make_packed_rhs(*self.model)
+        y = self.y0.pack()
+
+        def calls(n):
+            return numpy_frames(lambda: [f(0.0, y) for _ in range(n)])[0]
+
+        calls(1)  # first-use set-up
+        assert calls(50) == calls(100)
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive45"])
+    def test_steps(self, method):
+        params, geo, basis, grid = self.model
+
+        def run(t_end):
+            cfg = IntegratorConfig(method=method, dt=0.01, rtol=1e-8, t_end=t_end, sample_every=0.1)
+            frames, traj = numpy_frames(lambda: integrate(self.y0, params, geo, basis, cfg, grid))
+            return frames, traj.counters["rhs_calls"]
+
+        run(0.5)  # first-use set-up
+        (frames, calls), (frames_2, calls_2) = run(1.0), run(2.0)
+        assert calls_2 > 1.8 * calls
+        assert frames == frames_2
 
 
 class TestOrderOfAccuracy:

@@ -220,6 +220,26 @@ def test_quadrature_study_prints_the_rule_row():
     assert all(0.0 <= float(error) < 1e-3 for error in errors), row
 
 
+def test_hot_loop_times_prints_a_row_per_model():
+    """tools/hot_loop_times.py, one short run each, prints three models' timings and counters."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "hot_loop_times.py"), "--repeats", "1", "--seconds", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, _, *rows = proc.stdout.strip().splitlines()
+    assert header.startswith("| model | nodes | RHS µs/call | RK4 µs/step | RK4 counters |")
+    assert [row.split(" | ")[0] for row in rows] == ["| free", "| wind_stretch", "| analysis 4+3"]
+    for row in rows:
+        _, nodes, rhs_us, rk4_us, rk4, dp45_us, dp45 = row.strip("| ").split(" | ")
+        assert nodes == "240" and min(float(rhs_us), float(rk4_us), float(dp45_us)) > 0.0
+        steps, calls = (int(word) for word in rk4.split()[1::2])
+        assert calls == 4 * steps
+        accepted, rejected, calls = (int(word) for word in dp45.split()[1::2])
+        assert calls == 1 + 6 * (accepted + rejected)
+
+
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
     """The benchmark's tracer wraps package attributes by name; each must exist and come back.
 
