@@ -17,12 +17,13 @@ torsional channels feel the two cables through
 and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0),
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
-The force law is written once, in ``_h_from_slope``, which writes h over the
-total slopes u_x + s_x of one line or a stack, into work arrays its caller
-owns: ``h_of`` passes fresh ones, and the RHS of ``dynamics`` (both lines
-w +- l th at once) the ones it builds once per run. The geometry folds b into
-the quadrature weights, so b (L0 - L(u)) - c xi0 is one weighted sum
-Xi @ (-b weights) less the stored c xi0 - b L0: seven numpy calls. L and Pi are
+The force law is written once, in ``force_law(geometry, shape)``, which binds
+its work arrays for lines of one shape and returns h(total), writing h over the
+total slopes u_x + s_x: ``h_of`` binds it once per call, and the RHS of
+``dynamics`` (both lines w +- l th at once) once per run. The geometry folds b
+into the quadrature weights and stores the rows [1; -(c xi0 - b L0)], so with
+the pull Xi @ (-b weights) the gap b (L0 - L(u)) - c xi0 is [pull, 1] @ rows:
+two exact products, whose sum rounds once, as one subtraction would. L and Pi are
 written once, in ``length_and_energy``: both from one Xi pass over nodal slopes,
 for ``arc_length``, ``pi_energy`` and ``diagnostics.lemma_suite``. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
@@ -46,6 +47,7 @@ __all__ = [
     "big_xi",
     "length_and_energy",
     "arc_length",
+    "force_law",
     "h_of",
     "pi_energy",
 ]
@@ -59,7 +61,7 @@ class CableGeometry:
     construction grid, so that Xi(0) = xi0 and Pi(0) = 0 hold exactly; a
     tabulated arc length only ever enters the *derivation* of b (see the cli
     module), never the force law itself. The force law reads b, c and L0 only
-    through ``b_weights`` and ``gap0``, so h(0) = -c s_x holds to rounding of b L0.
+    through ``b_weights`` and ``gap_rows``, so h(0) = -c s_x holds to rounding of b L0.
     """
 
     a: float
@@ -70,7 +72,8 @@ class CableGeometry:
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
     b_weights: np.ndarray = field(repr=False)  # -b times the weights: Xi @ b_weights = -b int Xi
-    gap0: np.ndarray = field(repr=False)  # c xi0 - b L0: h = (Xi @ b_weights - gap0) (u_x + s_x) / Xi
+    # [1; -(c xi0 - b L0)]: h = ([Xi @ b_weights, 1] @ gap_rows) (u_x + s_x) / Xi
+    gap_rows: np.ndarray = field(repr=False)
     L0: float = 0.0
     int_abs_sx: float = 0.0  # int |s_x|, used by lemma constants
     max_xi0: float = 1.0
@@ -98,8 +101,9 @@ def make_geometry(
     sx = a * (0.5 * basis.L - grid.nodes)
     xi0 = np.sqrt(1.0 + sx * sx)
     L0 = float(np.vecdot(xi0, grid.weights))  # arc_length(0) bit for bit
-    b_weights, gap0 = -b * grid.weights, c * xi0 - b * L0
-    for arr in (sx, xi0, b_weights, gap0):
+    b_weights = -b * grid.weights
+    gap_rows = np.array([[1.0] * xi0.size, -(c * xi0 - b * L0)])
+    for arr in (sx, xi0, b_weights, gap_rows):
         arr.setflags(write=False)
     return CableGeometry(
         a=a,
@@ -110,7 +114,7 @@ def make_geometry(
         sx=sx,
         xi0=xi0,
         b_weights=b_weights,
-        gap0=gap0,
+        gap_rows=gap_rows,
         L0=L0,
         # |s_x| has a kink at L/2, inside a panel when the panel count is odd, and
         # the rest slope peaks at the span ends, which Gauss nodes exclude, so both
@@ -127,22 +131,30 @@ def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
     return np.sqrt(1.0 + total * total)
 
 
-def _h_from_slope(
-    total: np.ndarray, geometry: CableGeometry, xi: np.ndarray, gap: np.ndarray, pull, column,
-    multiply=np.multiply, add=np.add, sqrt=np.sqrt, vecdot=np.vecdot,
-    subtract=np.subtract, divide=np.divide,
-) -> np.ndarray:
-    """h at the nodes, written over the total slopes u_x + s_x; one line per leading index.
+def force_law(geometry: CableGeometry, shape: tuple[int, ...]):
+    """h(total): h at the nodes, written over the total slopes u_x + s_x of lines of ``shape``.
 
-    Work arrays: xi, gap (total's shape), pull (one per line) and column = pull[..., None].
-    Seven ufunc calls (bound as defaults, positional out): Xi, the pull Xi @ (-b weights), the
-    gap pull - (c xi0 - b L0), then (total / Xi) gap. The gap is good to a few ulp of b L0.
+    One line per leading index. The work arrays (Xi, the gap and each line's [pull, 1]),
+    the ufuncs, the 1 of 1 + t^2 (a 0-d array, so no call converts a Python float) and the
+    geometry's arrays are bound here, once. A call makes seven numpy calls with positional
+    out: Xi, the pull Xi @ (-b weights) into column 0 of [pull, 1], the gap
+    [pull, 1] @ [1; -(c xi0 - b L0)], then (total / Xi) gap. Both products of the gap are
+    exact, so it is pull - (c xi0 - b L0) rounded once, good to a few ulp of b L0.
     """
-    multiply(total, total, xi)
-    sqrt(add(1.0, xi, xi), xi)  # Xi(u)
-    vecdot(xi, geometry.b_weights, pull)
-    subtract(column, geometry.gap0, gap)
-    return multiply(divide(total, xi, total), gap, total)
+    xi, gap, pull_one = np.empty(shape), np.empty(shape), np.zeros((*shape[:-1], 2))
+    pull_one[..., 1] = 1.0
+    pull, one = pull_one[..., 0], np.array(1.0)
+    b_weights, gap_rows, gap_from = geometry.b_weights, geometry.gap_rows, pull_one.dot
+    multiply, add, sqrt, vecdot, divide = np.multiply, np.add, np.sqrt, np.vecdot, np.divide
+
+    def h(total: np.ndarray) -> np.ndarray:
+        multiply(total, total, xi)
+        sqrt(add(one, xi, xi), xi)  # Xi(u)
+        vecdot(xi, b_weights, pull)
+        gap_from(gap_rows, gap)
+        return multiply(divide(total, xi, total), gap, total)
+
+    return h
 
 
 def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
@@ -173,8 +185,7 @@ def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
     total = _slope(u, grid) + geometry.sx
-    xi, gap, pull = np.empty_like(total), np.empty_like(total), np.empty(total.shape[:-1])
-    return _h_from_slope(total, geometry, xi, gap, pull, pull[..., None])
+    return force_law(geometry, total.shape)(total)
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:

@@ -177,12 +177,12 @@ def _tension(H: float, M: float, g: float) -> float:
     return M * g / (2.0 * H)
 
 
-def _cable_stiffness(Ac: float, Ec: float, L0: float | None, a: float, basis: Basis) -> float:
+def _cable_stiffness(Ac: float, Ec: float, L0: float | None, a: float, basis: Basis, grid) -> float:
     """b = Ac Ec / L0, with L0 the arc length of the rest shape when cable.L0 is unset."""
     if L0 is None:
         if not a > 0.0:
             raise ValueError("cable.L0 or cable.a > 0")
-        L0 = make_geometry(a, _HANGER_DATUM, 0.0, 0.0, basis, make_grid(basis)).L0
+        L0 = make_geometry(a, _HANGER_DATUM, 0.0, 0.0, basis, grid).L0
     return Ac * Ec / L0
 
 
@@ -204,8 +204,9 @@ def default_timestep(params: ModelParams, basis: Basis) -> float:
 
 # key = derive: (keys the rule reads, rule), applied in this order, so cable.b
 # reads the cable.a derived above it. "model" and "basis" read the resolved
-# section. Every mechanical-table key a rule reads must be set, and a rule
-# raises ValueError naming any other condition it needs.
+# section, "grid" the config's quadrature grid. Every mechanical-table key a
+# rule reads must be set, and a rule raises ValueError naming any other
+# condition it needs.
 _DERIVE = {
     "model.D": (("model.E", "model.I"), operator.mul),
     "model.eps": (("model.E", "model.J"), operator.mul),
@@ -213,7 +214,7 @@ _DERIVE = {
     "model.S": (("model.A", "model.E", "basis.L"), lambda A, E, L: A * E / (2.0 * L)),
     "cable.a": (("model.H", "model.M", "model.g"), _tension),
     "cable.c": (("model.H",), float),
-    "cable.b": (("model.Ac", "model.Ec", "cable.L0", "cable.a", "basis"), _cable_stiffness),
+    "cable.b": (("model.Ac", "model.Ec", "cable.L0", "cable.a", "basis", "grid"), _cable_stiffness),
     "integrator.dt": (("model", "basis"), default_timestep),
 }
 
@@ -315,6 +316,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
 
     values["model.L"] = values["basis.L"]  # the span has one key, basis.L
     basis = _build("basis", values)
+    values["grid"] = grid = make_grid(basis)  # the config's one grid: L0, geometry and runs
     # A run without a sweep classifies no mode, so n_t = 1 stays valid.
     if (values["sweep.beta"] or values["sweep.U"]) and basis.n_t < SWEEP_MODE:
         raise ConfigError("basis.n_t", f"must be at least {SWEEP_MODE}, the swept torsional mode")
@@ -340,7 +342,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
     if "cable.a" not in flat and (b > 0.0 or c > 0.0):
         raise ConfigError("cable.a", "required when cable stiffnesses are nonzero")
     try:
-        geometry = make_geometry(a, _HANGER_DATUM, b, c, basis, make_grid(basis))
+        geometry = make_geometry(a, _HANGER_DATUM, b, c, basis, grid)
     except ValueError as exc:
         raise ConfigError("cable", str(exc)) from None
     method = values["integrator.method"]
@@ -350,7 +352,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
 
     displayed = _resolve_initial(initial, values["initial.all"], basis)
     initial_state = ModalState(*(displayed_to_modal(displayed[ch], basis.L) for ch in CHANNELS))
-    scenario = Scenario(values["meta.name"], params, geometry, basis, initial_state, integrator)
+    scenario = Scenario(values["meta.name"], params, geometry, basis, initial_state, integrator, grid)
     settings = {name: values[key] for key, name in _SIM_FIELDS.items()}
     return SimConfig(scenario=scenario, initial_displayed=displayed, **settings)
 
@@ -451,9 +453,8 @@ def run_simulate(config_path: str | Path) -> OutputBundle:
     """Integrate one scenario and persist trajectory, energies, and manifest."""
     cfg = load_config(config_path)
     scenario = cfg.scenario
-    grid = make_grid(scenario.basis)  # one grid for the run and its energies
-    traj = scenario.run(grid)
-    attach_energies(traj, scenario.params, scenario.geometry, scenario.basis, grid)
+    traj = scenario.run()  # on the config's grid, as are its energies
+    attach_energies(traj, scenario.params, scenario.geometry, scenario.basis, scenario.grid)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     bundle = OutputBundle(
         directory=cfg.output_dir,

@@ -20,9 +20,9 @@ in row order and ``channel_slices`` gives their slices. On packed y,
 adds the cubic stretching term and the cable projections on every call, so the
 integrator sees the exact semi-discrete flow. On the internal row [w, th, 1,
 wdot, thdot, F, stretching], [w, th, 1] @ slopes gives the nodal slopes of both
-hanger lines and k_j^2 w_j; after ``cable._h_from_slope``, [f; f-bar / l] @
-projection gives F, their projections onto the modes, and row @ [A^T; c; picks]
-(rows in that order) gives f(y).
+hanger lines and k_j^2 w_j; after the force law (``cable.force_law``, bound
+once per run), [f; f-bar / l] @ projection gives F, their projections onto the
+modes, and row @ [A^T; c; picks] (rows in that order) gives f(y).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cable import CableGeometry, _h_from_slope
+from .cable import CableGeometry, force_law
 from .spectral import Basis, QuadratureGrid
 
 __all__ = [
@@ -290,8 +290,7 @@ def make_packed_rhs(
     head, y_w = row[:lead], row[:n_w]
     forces, stretch_part = row[n + 1 : n + 1 + 2 * modes].reshape(2, modes), row[-n_w:]
     lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
-    pull = np.empty(2)
-    work = np.empty((2, nodes)), np.empty((2, nodes)), pull, pull[:, None]  # xi, gap, pull, column
+    h = force_law(geometry, (2, nodes))
     mix, mixed = np.array([[1.0, 1.0], [1.0, -1.0]]), np.empty((2, nodes))  # mixed: [f; f-bar/l]
     # Each product's left operand is fixed, so its ndarray.dot is bound here: the C routine of
     # np.dot (the BLAS call of @) without np.dot's Python-level __array_function__ dispatcher.
@@ -303,7 +302,7 @@ def make_packed_rhs(
         if cables_on or stretch:
             slope_dot(slopes, nodal)
         if cables_on:
-            _h_from_slope(lines, geometry, *work)
+            h(lines)
             mix_dot(lines, mixed)  # h_up +- h_down, one rounding each
             mixed_dot(projection, forces)
         if stretch:

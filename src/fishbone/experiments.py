@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,7 +50,7 @@ SWEEP_MODE, DECAY_BELOW, GROWTH_ABOVE = 2, 0.5, 2.0
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, fully resolved simulation setup."""
+    """A named, fully resolved simulation setup, with the grid its geometry was built on."""
 
     name: str
     params: ModelParams
@@ -58,6 +58,7 @@ class Scenario:
     basis: Basis
     initial: ModalState
     integrator: IntegratorConfig
+    grid: QuadratureGrid | None = field(default=None, repr=False, compare=False)  # None: per run
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -68,9 +69,9 @@ class Scenario:
                 f"but the basis declares ({self.basis.n_w}, {self.basis.n_t})"
             )
 
-    def run(self, grid: QuadratureGrid | None = None) -> Trajectory:
-        """Integrate the scenario, on ``grid`` if given (else ``integrate`` builds one)."""
-        return integrate(self.initial, self.params, self.geometry, self.basis, self.integrator, grid)
+    def run(self) -> Trajectory:
+        """Integrate the scenario on its grid (``integrate`` builds one if it has none)."""
+        return integrate(self.initial, self.params, self.geometry, self.basis, self.integrator, self.grid)
 
 
 def envelope_ratio(traj: Trajectory, mode: int = SWEEP_MODE) -> float:

@@ -16,7 +16,8 @@ A blow-up raises one ``NonFiniteState``, which names the entry by
 keeps numpy's overflow warnings from coming first. DP45 raises ``StepBudgetExceeded``
 after TRIALS_PER_RK4_STEP trial steps per step of the RK4 clock, so a step that keeps
 shrinking without reaching the underflow floor ends the run. Stage inputs, updates and
-error weights live in buffers built once per run; y is copied only to samples.
+error weights live in buffers built once per run, and rtol and atol are 0-d arrays bound
+once, so no trial converts a Python float; y is copied only to samples.
 Each method keeps y and its stages in one stack, RK4's [y, k...] and DP45's [y5, y, k...]
 (one np.absolute reads |y5| and |y| for the error weights): a stage input, RK4's update
 (into row 0 of a second stack; the two swap) and DP45's y5 are each one product of a
@@ -241,7 +242,7 @@ def _adaptive_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
     from_head, err_from = [row[:7].dot for row in tableau[:8]], tableau[8, 1:].dot
     add, multiply, isfinite = np.add, np.multiply, math.isfinite  # bound once per run
     absolute, maximum, divide = np.absolute, np.maximum, np.divide
-    rtol, atol = cfg.rtol, cfg.rtol / 100
+    rtol, atol = np.array(cfg.rtol), np.array(cfg.rtol / 100)  # 0-d: no trial converts a float
 
     while t < t_final - 0.5 * h_min:
         h = min(h, t_final - t)

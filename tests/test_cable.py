@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fishbone.cable import (
-    _h_from_slope,
     arc_length,
     big_xi,
+    force_law,
     h_of,
     make_geometry,
     pi_energy,
@@ -161,7 +161,7 @@ class TestForceDensity:
 
 
 def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
-    """Worst |h - h_ref| / max |h_ref| of _h_from_slope on random (k, nodes) slope stacks.
+    """Worst |h - h_ref| / max |h_ref| of force_law on random (k, nodes) slope stacks.
 
     h_ref = [b (L0 - int Xi) - c xi0] (u_x + s_x) / Xi, written out without the folded weights.
     """
@@ -173,8 +173,7 @@ def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
         xi = np.sqrt(1.0 + total**2)
         pull = geo.b * (geo.L0 - xi @ grid.weights)
         expected = (pull[:, None] - geo.c * geo.xi0) * total / xi
-        pull = np.empty(k)
-        h = _h_from_slope(total.copy(), geo, np.empty_like(total), np.empty_like(total), pull, pull[:, None])
+        h = force_law(geo, total.shape)(total.copy())
         worst = max(worst, np.abs(h - expected).max() / np.abs(expected).max())
     return worst
 
@@ -213,6 +212,55 @@ class TestFoldedForceLaw:
         grid = make_grid(basis)
         geo = make_geometry(tnb.a, tnb.s0, 0.0, tnb.c, basis, grid)
         assert folded_law_error(geo, grid, 1e-2) < 1e-14
+
+
+def subtraction_law(total, geo):
+    """The force law as it was written before ``force_law``, in seven ufunc calls: Xi, the
+    pull Xi @ (-b weights), the gap pull - (c xi0 - b L0) as one subtraction, then
+    (total / Xi) gap."""
+    xi = np.sqrt(np.add(1.0, np.multiply(total, total)))
+    gap = np.subtract(np.vecdot(xi, geo.b_weights)[..., None], geo.c * geo.xi0 - geo.b * geo.L0)
+    return np.multiply(np.divide(total, xi), gap)
+
+
+def law_geometry(name):
+    """A cable geometry and a slope scale of its states: the Tacoma bridge, where b L0 > 2e10,
+    the nondimensional one, and that one without b or without c."""
+    if name == "tnb":
+        scenario = load_preset("tnb").scenario
+        assert scenario.geometry.b * scenario.geometry.L0 > 2e10
+        return scenario.geometry, 1e-2
+    return default_setup(**{"nondimensional": {}, "b = 0": {"b": 0.0}, "c = 0": {"c": 0.0}}[name])[2], 0.5
+
+
+class TestForceLawBits:
+    """force_law gives the subtraction law's bits: [pull, 1] @ [1; -(c xi0 - b L0)] sums two
+    exact products, so it rounds once, where the subtraction rounds."""
+
+    @pytest.mark.parametrize("name", ["tnb", "nondimensional", "b = 0", "c = 0"])
+    @pytest.mark.parametrize("lead", [(), (1,), (2,), (7,)], ids=["line", "1 line", "2 lines", "7 lines"])
+    def test_lines_and_stacks(self, name, lead):
+        geo, scale = law_geometry(name)
+        rng = np.random.default_rng(sum(lead))
+        total = geo.sx + scale * rng.standard_normal((*lead, geo.sx.size))
+        h = force_law(geo, total.shape)(total.copy())
+        np.testing.assert_array_equal(h.view(np.uint64), subtraction_law(total, geo).view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["tnb", "nondimensional", "b = 0", "c = 0"])
+    def test_non_finite_lines_stay_where_they_were(self, name):
+        """A line with an inf slope and one with a nan slope give the subtraction law's values,
+        so a blow-up shows in the same entries; the finite line beside them keeps its bits."""
+        geo, scale = law_geometry(name)
+        total = geo.sx + scale * np.random.default_rng(3).standard_normal((3, geo.sx.size))
+        total[1, 17], total[2, 40] = np.inf, np.nan
+        line = total[1].copy()
+        with np.errstate(invalid="ignore"):  # as integrate runs the law
+            h, expected = force_law(geo, total.shape)(total.copy()), subtraction_law(total, geo)
+            h_line, expected_line = force_law(geo, line.shape)(line.copy()), subtraction_law(line, geo)
+        assert not np.isfinite(h[1]).any() and not np.isfinite(h[2]).any()
+        np.testing.assert_array_equal(h, expected)
+        np.testing.assert_array_equal(h[0].view(np.uint64), expected[0].view(np.uint64))
+        np.testing.assert_array_equal(h_line, expected_line)
 
 
 class TestVariationalIdentity:

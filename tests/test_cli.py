@@ -10,6 +10,7 @@ import pytest
 import fishbone.cable
 import fishbone.cli
 import fishbone.experiments
+import fishbone.integrate
 from fishbone.cli import (
     ConfigError,
     _fmt,
@@ -310,6 +311,26 @@ class TestSimulateOutputs:
         monkeypatch.setattr(fishbone.cli, "attach_energies", lambda *a: grids.append(a[-1]) or attach(*a))
         run_simulate(write_cfg(tmp_path, TOY))
         assert len(grids) == 2 and grids[0] is grids[1]
+
+    @pytest.mark.parametrize("rest_length", ["tabulated", "derived"])
+    def test_one_grid_per_config(self, tmp_path, monkeypatch, rest_length):
+        """simulate on tnb builds one quadrature grid, in load_config: the derived L0 (when
+        cable.L0 is unset), the cable geometry, the run and its energies all read it."""
+        lines = [
+            line for line in preset_text("tnb").splitlines()
+            if not line.startswith("output.directory")
+            and not (rest_length == "derived" and line.startswith("cable.L0"))
+        ]
+        text = "\n".join(lines).replace("integrator.t_end = 120", "integrator.t_end = 1") + "\n"
+        built, grids = [], []
+        for module in (fishbone.cli, fishbone.integrate):
+            make_grid = module.make_grid
+            monkeypatch.setattr(module, "make_grid", lambda basis, make=make_grid: built.append(make(basis)) or built[-1])
+        run, attach = fishbone.experiments.integrate, fishbone.cli.attach_energies
+        monkeypatch.setattr(fishbone.experiments, "integrate", lambda *a: grids.append(a[-1]) or run(*a))
+        monkeypatch.setattr(fishbone.cli, "attach_energies", lambda *a: grids.append(a[-1]) or attach(*a))
+        run_simulate(write_cfg(tmp_path, text))
+        assert len(built) == 1 and len(grids) == 2 and all(grid is built[0] for grid in grids)
 
     def test_displayed_amplitudes_in_csv(self, tmp_path):
         """The t = 0 row reports the displayed initial amplitudes."""

@@ -448,7 +448,7 @@ class TestLemmaSuite:
     @pytest.mark.parametrize("samples", [0, ROW_BLOCK, ROW_BLOCK + 1])
     def test_one_xi_pass_per_stack(self, samples, monkeypatch):
         """A block takes Xi once for v and once for z (L and Pi of each) and once inside h(v)."""
-        calls = {"big_xi": 0, "_h_from_slope": 0}
+        calls = {"big_xi": 0, "force_law": 0}
 
         def counted(name):
             true_fn = getattr(cable, name)
@@ -464,7 +464,7 @@ class TestLemmaSuite:
         _, geo, basis, grid = cable_setup(n_w=6, n_t=4)
         report = lemma_suite(samples, 5.0, geo, basis, grid, seed=2)
         blocks = -(-samples // ROW_BLOCK)
-        assert calls == {"big_xi": 2 * blocks, "_h_from_slope": blocks}
+        assert calls == {"big_xi": 2 * blocks, "force_law": blocks}
         assert report["samples"] == samples and report["violations"] == 0
 
     def test_negative_samples_rejected(self):

@@ -240,6 +240,29 @@ def test_hot_loop_times_prints_a_row_per_model():
         assert calls == 1 + 6 * (accepted + rejected)
 
 
+def test_hot_loop_times_against_its_own_tree():
+    """tools/hot_loop_times.py --against, this tree against itself: three figures per model,
+    each tree's median and their ratio, and equal counters, since both trees run the same code."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "hot_loop_times.py"), "--repeats", "2", "--seconds", "0.5",
+         "--against", str(ROOT)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, header, _, *rows = proc.stdout.strip().splitlines()
+    assert header == "| model | figure | this µs | other µs | ratio | this won | counters |"
+    cells = [row.strip("| ").split(" | ") for row in rows]
+    assert [(model, figure) for model, figure, *_ in cells] == [
+        (model, figure) for model in ("free", "wind_stretch", "analysis 4+3")
+        for figure in ("RHS µs/call", "RK4 µs/step", "DP45 µs/trial")
+    ]
+    for _, _, this_us, other_us, ratio, won, counters in cells:
+        assert min(float(this_us), float(other_us)) > 0.0
+        assert float(ratio) == pytest.approx(float(this_us) / float(other_us), rel=0.01)
+        assert won in ("0/2", "1/2", "2/2") and counters == "same"
+
+
 def test_bench_tracer_finds_and_restores_its_patches(monkeypatch):
     """The benchmark's tracer wraps package attributes by name; each must exist and come back.
 
