@@ -2,7 +2,9 @@
 
 Two parabolic cables at rest height s(x) = -(a/2)x^2 + (aL/2)x + s0 hang the
 deck through rigid hangers; ``make_geometry`` takes a = 0, the straight
-cable, only when it is slack (b = c = 0). A deflection u of the hanger
+cable, only when it is slack (b = c = 0), and refuses a grid of another span
+than its basis (``spectral.check_grid``): s_x reads the basis's span, L0 the
+grid's nodes. A deflection u of the hanger
 attachment line changes the cable arc length from L0 = int sqrt(1 + s_x^2) to
 L(u) = int Xi(u), Xi(u) = sqrt(1 + (u_x + s_x)^2), and the cable answers with
 the nodal force density
@@ -39,12 +41,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Basis, QuadratureGrid
+from .spectral import Basis, QuadratureGrid, check_grid
 
 __all__ = [
     "CableGeometry",
     "make_geometry",
-    "big_xi",
     "length_and_energy",
     "arc_length",
     "force_law",
@@ -88,7 +89,9 @@ def make_geometry(
     basis: Basis,
     grid: QuadratureGrid,
 ) -> CableGeometry:
-    """Build a CableGeometry on a grid; a straight cable (a = 0) must be slack (b = c = 0)."""
+    """Build a CableGeometry on a grid that fits the basis (``spectral.check_grid``); a
+    straight cable (a = 0) must be slack (b = c = 0)."""
+    check_grid(basis, grid)
     for name, value in (("a", a), ("s0", s0), ("b", b), ("c", c)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -123,12 +126,6 @@ def make_geometry(
         max_xi0=float(np.sqrt(1.0 + (0.5 * a * basis.L) ** 2)),
         int_xi0_sq=float(grid.weights @ (xi0 * xi0)),
     )
-
-
-def big_xi(u_x_nodal: np.ndarray, geometry: CableGeometry) -> np.ndarray:
-    """Stretched-element length Xi(u) = sqrt(1 + (u_x + s_x)^2) at the nodes."""
-    total = np.asarray(u_x_nodal, dtype=float) + geometry.sx
-    return np.sqrt(1.0 + total * total)
 
 
 def force_law(geometry: CableGeometry, shape: tuple[int, ...]):
@@ -170,8 +167,9 @@ def _slope(u: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
 
 def length_and_energy(u_x: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> tuple:
     """L(u) = int Xi(u) and Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi(u) - xi0), one of each
-    per row of nodal slopes u_x, from one Xi pass."""
-    xi = big_xi(u_x, geometry)
+    per row of nodal slopes u_x, from one pass of Xi(u) = sqrt(1 + (u_x + s_x)^2)."""
+    total = u_x + geometry.sx
+    xi = np.sqrt(1.0 + total * total)
     length = np.vecdot(xi, grid.weights)
     tension_term = geometry.c * np.vecdot(geometry.xi0 * (xi - geometry.xi0), grid.weights)
     return length, 0.5 * geometry.b * (length - geometry.L0) ** 2 + tension_term

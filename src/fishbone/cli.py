@@ -74,7 +74,6 @@ __all__ = [
     "WIND_SPEED",
     "ConfigError",
     "SimConfig",
-    "OutputBundle",
     "default_timestep",
     "load_config",
     "load_preset",
@@ -177,15 +176,6 @@ def _tension(H: float, M: float, g: float) -> float:
     return M * g / (2.0 * H)
 
 
-def _cable_stiffness(Ac: float, Ec: float, L0: float | None, a: float, basis: Basis, grid) -> float:
-    """b = Ac Ec / L0, with L0 the arc length of the rest shape when cable.L0 is unset."""
-    if L0 is None:
-        if not a > 0.0:
-            raise ValueError("cable.L0 or cable.a > 0")
-        L0 = make_geometry(a, _HANGER_DATUM, 0.0, 0.0, basis, grid).L0
-    return Ac * Ec / L0
-
-
 def default_timestep(params: ModelParams, basis: Basis) -> float:
     """One two-hundredth of the shortest undamped linear period retained.
 
@@ -202,11 +192,10 @@ def default_timestep(params: ModelParams, basis: Basis) -> float:
     return 2.0 * np.pi / max(omega_w, omega_t) / 200.0
 
 
-# key = derive: (keys the rule reads, rule), applied in this order, so cable.b
-# reads the cable.a derived above it. "model" and "basis" read the resolved
-# section, "grid" the config's quadrature grid. Every mechanical-table key a
-# rule reads must be set, and a rule raises ValueError naming any other
-# condition it needs.
+# key = derive: (keys the rule reads, rule), applied in this order, so
+# integrator.dt reads the model derived above it. "model" and "basis" read the
+# resolved section. Every mechanical-table key and cable.L0 a rule reads must be
+# set, and a rule raises ValueError naming any other condition it needs.
 _DERIVE = {
     "model.D": (("model.E", "model.I"), operator.mul),
     "model.eps": (("model.E", "model.J"), operator.mul),
@@ -214,7 +203,7 @@ _DERIVE = {
     "model.S": (("model.A", "model.E", "basis.L"), lambda A, E, L: A * E / (2.0 * L)),
     "cable.a": (("model.H", "model.M", "model.g"), _tension),
     "cable.c": (("model.H",), float),
-    "cable.b": (("model.Ac", "model.Ec", "cable.L0", "cable.a", "basis", "grid"), _cable_stiffness),
+    "cable.b": (("model.Ac", "model.Ec", "cable.L0"), lambda Ac, Ec, L0: Ac * Ec / L0),
     "integrator.dt": (("model", "basis"), default_timestep),
 }
 
@@ -316,7 +305,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
 
     values["model.L"] = values["basis.L"]  # the span has one key, basis.L
     basis = _build("basis", values)
-    values["grid"] = grid = make_grid(basis)  # the config's one grid: L0, geometry and runs
+    grid = make_grid(basis)  # the config's one grid: geometry, runs and energies
     # A run without a sweep classifies no mode, so n_t = 1 stays valid.
     if (values["sweep.beta"] or values["sweep.U"]) and basis.n_t < SWEEP_MODE:
         raise ConfigError("basis.n_t", f"must be at least {SWEEP_MODE}, the swept torsional mode")
@@ -328,7 +317,7 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
             continue
         args = [_build(name, values) if name in _SECTIONS else values[name] for name in reads]
         try:
-            missing = [name for name in reads if name in _TABLE_KEYS and values[name] is None]
+            missing = [name for name in reads if name in _UNRECORDED and values[name] is None]
             if missing:
                 raise ValueError(", ".join(missing))
             values[key] = rule(*args)
@@ -438,37 +427,25 @@ def write_energy_csv(path: Path, traj: Trajectory) -> None:
     _write_table(path, ["t", *names], np.column_stack(columns))
 
 
-@dataclass(frozen=True)
-class OutputBundle:
-    directory: Path
-    trajectory: Path
-    energy: Path
-    manifest: Path
-
-
 # ---------------------------------------------------------------- subcommands
 
 
-def run_simulate(config_path: str | Path) -> OutputBundle:
-    """Integrate one scenario and persist trajectory, energies, and manifest."""
+def run_simulate(config_path: str | Path) -> Path:
+    """Integrate one scenario and write trajectory.csv, energy.csv and manifest.cfg to the
+    output directory, which it returns."""
     cfg = load_config(config_path)
     scenario = cfg.scenario
     traj = scenario.run()  # on the config's grid, as are its energies
     attach_energies(traj, scenario.params, scenario.geometry, scenario.basis, scenario.grid)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    bundle = OutputBundle(
-        directory=cfg.output_dir,
-        trajectory=cfg.output_dir / "trajectory.csv",
-        energy=cfg.output_dir / "energy.csv",
-        manifest=cfg.output_dir / "manifest.cfg",
-    )
-    write_trajectory_csv(bundle.trajectory, traj, scenario.basis)
-    write_energy_csv(bundle.energy, traj)
-    bundle.manifest.write_text(manifest_text(cfg))
-    print(f"wrote {bundle.trajectory} ({len(traj)} samples)")
-    print(f"wrote {bundle.energy}")
-    print(f"wrote {bundle.manifest}")
-    return bundle
+    out = cfg.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(out / "trajectory.csv", traj, scenario.basis)
+    write_energy_csv(out / "energy.csv", traj)
+    (out / "manifest.cfg").write_text(manifest_text(cfg))
+    print(f"wrote {out / 'trajectory.csv'} ({len(traj)} samples)")
+    print(f"wrote {out / 'energy.csv'}")
+    print(f"wrote {out / 'manifest.cfg'}")
+    return out
 
 
 def run_linear(
@@ -616,7 +593,11 @@ def run_sweep(config_path: str | Path) -> Path:
         )
     print(f"wrote {path} ({len(rows)} rows)")
     if all(row.classification == "failed" for row in rows):
-        raise IntegrationError("every sweep cell failed", time=math.nan)
+        first = rows[0]
+        raise IntegrationError(
+            f"every sweep cell failed; the first, beta={first.beta:g} U={first.U:g}: {first.note}",
+            time=math.nan,
+        )
     return path
 
 
@@ -773,7 +754,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"linear analysis failed: {exc}", file=sys.stderr)
         return 3
     except IntegrationError as exc:
-        print(f"integration failed at t = {exc.time:.6g}: {exc}", file=sys.stderr)
+        print(f"integration failed: {exc}", file=sys.stderr)  # every message names its time
         return 3
     return 0
 

@@ -302,7 +302,7 @@ def random_states(
     n = basis.max_modes
     raw = rng.standard_normal((count, n)) * np.arange(1, n + 1) ** -3.0
     targets = radius * rng.uniform(0.0, 1.0, size=count)
-    norms = np.sqrt(np.vecdot(raw * raw, basis.wavenumbers(n) ** 4))  # row bits independent of count
+    norms = np.sqrt(np.vecdot(raw * raw, basis.wavenumbers() ** 4))  # row bits independent of count
     return raw * (targets / np.where(norms > 0.0, norms, 1.0))[:, None]
 
 
@@ -344,10 +344,12 @@ def lemma_suite(
     (``cable.length_and_energy``) and h(v) from ``cable.h_of``: three Xi passes in all.
     v and z come from two ``random_states`` calls per draw of DRAW_BLOCK pairs, so no
     call holds more than one draw of samples; up to DRAW_BLOCK samples the stream is
-    that of two whole-sample calls.
+    that of two whole-sample calls. The grid and the geometry must fit the basis's span
+    (``dynamics.check_span``).
     """
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
+    check_span(None, basis, grid, geometry)
     rng = np.random.default_rng(seed)
     span = basis.L
     k2 = basis.wavenumbers() ** 2

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cable import CableGeometry, force_law
-from .spectral import Basis, QuadratureGrid
+from .spectral import Basis, QuadratureGrid, check_grid
 
 __all__ = [
     "CHANNELS",
@@ -46,7 +46,6 @@ __all__ = [
     "check_span",
     "linear_operator",
     "make_packed_rhs",
-    "g_load_projection",
     "mode_coefficients",
 ]
 
@@ -147,12 +146,6 @@ class ModalState:
         return cls(*(y[where] for where in channel_slices(n_w, n_t)))
 
 
-def g_load_projection(params: ModelParams, n: int) -> np.ndarray:
-    """(Mg, e_j)_0 = M g sqrt(2L) (1 - (-1)^j) / (j pi) for j = 1..n."""
-    j = np.arange(1, n + 1)
-    return params.M * params.g * np.sqrt(2.0 * params.L) * (1.0 - (-1.0) ** j) / (j * np.pi)
-
-
 class _ModeCoefficients(NamedTuple):
     inv_m: float  # 1/M, the vertical inverse inertia
     inv_it: float  # 3/(M l^2), the torsional inverse inertia
@@ -161,7 +154,7 @@ class _ModeCoefficients(NamedTuple):
     prestress: np.ndarray  # P (j pi/L)^2, j <= n_w
     warping: np.ndarray  # eps (j pi/L)^4, j <= n_t
     torsion: np.ndarray  # kappa (j pi/L)^2, j <= n_t
-    load: np.ndarray  # (Mg, e_j)_0, j <= n_w
+    load: np.ndarray  # (Mg, e_j)_0 = M g sqrt(2L) (1 - (-1)^j) / (j pi), j <= n_w
 
 
 def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficients:
@@ -173,6 +166,7 @@ def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficie
     """
     k2 = (np.arange(1, max(n_w, n_t) + 1) * (np.pi / params.L)) ** 2
     k2w, k2t = k2[:n_w], k2[:n_t]
+    j = np.arange(1, n_w + 1)
     return _ModeCoefficients(
         inv_m=1.0 / params.M,
         inv_it=3.0 / (params.M * params.ell**2),
@@ -181,33 +175,27 @@ def mode_coefficients(params: ModelParams, n_w: int, n_t: int) -> _ModeCoefficie
         prestress=params.P * k2w,
         warping=params.eps * k2t**2,
         torsion=params.kappa * k2t,
-        load=g_load_projection(params, n_w),
+        load=params.M * params.g * np.sqrt(2.0 * params.L) * (1.0 - (-1.0) ** j) / (j * np.pi),
     )
 
 
 def check_span(
-    params: ModelParams,
+    params: ModelParams | None,
     basis: Basis,
     grid: QuadratureGrid | None = None,
     geometry: CableGeometry | None = None,
 ) -> None:
     """Refuse a model, basis, grid and cable geometry that do not fit one span.
 
-    The wavenumbers read params.L, the grid and the cables basis.L. The grid must
-    cover that span for every retained mode (a finer grid is accepted), and the
-    geometry must be built on a grid of the same span and nodes.
+    The wavenumbers read params.L (None: no model to check), the grid and the cables
+    basis.L. The grid must fit the basis (``spectral.check_grid``), and the geometry
+    must be built on a grid of the same span and nodes.
     """
-    if params.L != basis.L:
+    if params is not None and params.L != basis.L:
         raise ValueError(f"span mismatch: ModelParams.L = {params.L}, Basis.L = {basis.L}")
     if grid is None:
         return
-    if grid.L != basis.L:
-        raise ValueError(f"span mismatch: QuadratureGrid.L = {grid.L}, Basis.L = {basis.L}")
-    if len(grid.modes) < basis.max_modes:
-        raise ValueError(
-            f"mode capacity mismatch: the grid tabulates {len(grid.modes)} modes, "
-            f"the basis retains {basis.max_modes}"
-        )
+    check_grid(basis, grid)
     if geometry is not None and (geometry.span, geometry.sx.size) != (grid.L, grid.n_nodes):
         raise ValueError(
             f"cable geometry built on {geometry.sx.size} nodes over a span of {geometry.span}, "

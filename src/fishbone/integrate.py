@@ -106,9 +106,14 @@ class IntegratorConfig:
             raise ValueError(f"rtol must be positive, got {self.rtol}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.sample_every is not None and self.sample_every < self.dt:
+        if self.sample_every is not None and not self.dt <= self.sample_every <= self.t_end:
             raise ValueError(
-                f"sample cadence {self.sample_every} must be at least the step {self.dt}"
+                f"sample cadence {self.sample_every} must lie between the step {self.dt} "
+                f"and t_end {self.t_end}"
+            )
+        if self.t_end / self.dt > np.iinfo(np.intp).max:  # the sample table's row count
+            raise ValueError(
+                f"t_end / dt = {self.t_end / self.dt:.3g} steps exceed numpy's index range"
             )
 
 

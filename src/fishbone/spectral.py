@@ -7,7 +7,7 @@ The grid caches every mode's values and first two derivatives at the nodes:
 the nodal values of a modal vector c are ``c @ grid.modes[:len(c)]`` (``dmodes``
 and ``d2modes`` for the derivatives), and the projections (v, e_j)_0 of nodal
 values v are ``grid.modes[:n] @ (grid.weights * v)``. A grid records its span L,
-which ``dynamics.check_span`` compares with the basis's.
+which ``check_grid`` compares with the basis's.
 The quadrature is composite Gauss-Legendre rather than a mode-count-matched
 rule because the cable nonlinearity integrates square roots of trigonometric
 polynomials; panel count scales with the retained mode count so smooth
@@ -42,6 +42,7 @@ __all__ = [
     "Basis",
     "QuadratureGrid",
     "make_grid",
+    "check_grid",
     "displayed_to_modal",
     "modal_to_displayed",
 ]
@@ -82,11 +83,9 @@ class Basis:
     def max_modes(self) -> int:
         return max(self.n_w, self.n_t)
 
-    def wavenumbers(self, n: int | None = None) -> np.ndarray:
-        """k_j = j pi / L for j = 1..n (default: all retained modes)."""
-        if n is None:
-            n = self.max_modes
-        return np.arange(1, n + 1) * (np.pi / self.L)
+    def wavenumbers(self) -> np.ndarray:
+        """k_j = j pi / L for every retained mode, j = 1..max_modes."""
+        return np.arange(1, self.max_modes + 1) * (np.pi / self.L)
 
 
 @dataclass(frozen=True)
@@ -129,6 +128,18 @@ def make_grid(basis: Basis) -> QuadratureGrid:
     for arr in (nodes, weights, modes, dmodes, d2modes):
         arr.setflags(write=False)
     return QuadratureGrid(basis.L, nodes, weights, panels, modes, dmodes, d2modes)
+
+
+def check_grid(basis: Basis, grid: QuadratureGrid) -> None:
+    """Refuse a grid that does not cover the basis's span for every retained mode; a grid
+    for more modes is accepted."""
+    if grid.L != basis.L:
+        raise ValueError(f"span mismatch: QuadratureGrid.L = {grid.L}, Basis.L = {basis.L}")
+    if len(grid.modes) < basis.max_modes:
+        raise ValueError(
+            f"mode capacity mismatch: the grid tabulates {len(grid.modes)} modes, "
+            f"the basis retains {basis.max_modes}"
+        )
 
 
 def displayed_to_modal(amplitude: float | np.ndarray, L: float):

@@ -5,7 +5,6 @@ import pytest
 
 from fishbone.cable import (
     arc_length,
-    big_xi,
     force_law,
     h_of,
     make_geometry,
@@ -107,6 +106,18 @@ class TestGeometry:
                     make_geometry(*args, basis, grid)
 
 
+    def test_grid_of_another_span_rejected(self):
+        """A grid that does not fit the basis is refused, naming both spans: on a basis of
+        span pi with a grid over 2 pi, L0 would be 6.934, not the rest length 3.193."""
+        basis = Basis(L=np.pi, n_w=4, n_t=3)
+        wrong = make_grid(Basis(L=2.0 * np.pi, n_w=4, n_t=3))
+        with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
+            make_geometry(A, S0, B, C, basis, wrong)
+        small = make_grid(Basis(L=np.pi, n_w=2, n_t=1))
+        with pytest.raises(ValueError, match="the grid tabulates 2 modes, the basis retains 4"):
+            make_geometry(A, S0, B, C, basis, small)
+
+
 class TestForceDensity:
     def test_zero_state_force_is_slope_tension(self):
         """h(0) = -c s_x exactly: at rest only the pretension survives."""
@@ -124,13 +135,14 @@ class TestForceDensity:
         np.testing.assert_allclose(fw, exact, rtol=1e-10, atol=1e-12)
 
     def test_xi_lower_bound(self):
-        """Xi(u) >= 1 pointwise for any state."""
-        basis, grid, geo = default_setup()
+        """Xi(u) >= 1 pointwise for any state: with b = 0, h(u) = -c xi0 (u_x + s_x) / Xi(u),
+        so |h| <= c xi0 |u_x + s_x| at every node."""
+        basis, grid, geo = default_setup(b=0.0)
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.standard_normal(basis.n_w)
-            slope = u @ grid.dmodes[: u.size]
-            assert np.all(big_xi(slope, geo) >= 1.0)
+            total = u @ grid.dmodes[: u.size] + geo.sx
+            assert np.all(np.abs(h_of(u, geo, grid)) <= (1.0 + 1e-12) * C * geo.xi0 * np.abs(total))
 
     def test_disabled_cables_return_zeros(self):
         """b = c = 0 produces exact zero forces and projections."""

@@ -217,23 +217,6 @@ class TestDeriveRules:
         assert geo.b == 0.12 * 1.8e11 / 870.0
         assert geo.c == 4.5e7
 
-    def test_cable_b_from_computed_rest_length(self):
-        """Without cable.L0 the derive rule integrates the rest shape."""
-        flat = {
-            "model.M": "7000",
-            "model.g": "9.8",
-            "model.H": "4.5e7",
-            "model.Ec": "1.8e11",
-            "model.Ac": "0.12",
-            "cable.a": "derive",
-            "cable.b": "derive",
-            "cable.c": "derive",
-            "basis.L": "853.44",
-        }
-        cfg = resolve_config(flat)
-        geo = cfg.scenario.geometry
-        np.testing.assert_allclose(geo.b, 0.12 * 1.8e11 / geo.L0, rtol=1e-12)
-
     def test_derive_prerequisites_named(self):
         """Each derive rule reports exactly which table keys it needs."""
         with pytest.raises(ConfigError, match="model.D: derive requires model.E, model.I"):
@@ -284,12 +267,13 @@ class TestSimulateOutputs:
         return rows[0], rows[1:]
 
     def test_bundle_files_and_headers(self, tmp_path):
-        """simulate writes trajectory, energy, and manifest with documented headers."""
+        """simulate writes trajectory, energy, and manifest with documented headers to the
+        output directory it returns."""
         out = tmp_path / "out"
         path = write_cfg(tmp_path, TOY, outdir=out)
-        bundle = run_simulate(path)
-        assert bundle.trajectory.exists() and bundle.energy.exists() and bundle.manifest.exists()
-        header, rows = self.read_csv(bundle.trajectory)
+        assert run_simulate(path) == out
+        assert sorted(p.name for p in out.iterdir()) == ["energy.csv", "manifest.cfg", "trajectory.csv"]
+        header, rows = self.read_csv(out / "trajectory.csv")
         assert header == (
             ["t"]
             + [f"w_{j}" for j in (1, 2, 3)]
@@ -298,7 +282,7 @@ class TestSimulateOutputs:
             + [f"thdot_{j}" for j in (1, 2)]
         )
         assert len(rows) == 21  # t_end 2 at cadence 0.1
-        eheader, erows = self.read_csv(bundle.energy)
+        eheader, erows = self.read_csv(out / "energy.csv")
         assert eheader == ["t", "E", "Eplus", "Efull", "residual"]
         assert len(erows) == 21
         assert all(np.isfinite(float(v)) for v in erows[-1])
@@ -312,14 +296,14 @@ class TestSimulateOutputs:
         run_simulate(write_cfg(tmp_path, TOY))
         assert len(grids) == 2 and grids[0] is grids[1]
 
-    @pytest.mark.parametrize("rest_length", ["tabulated", "derived"])
+    @pytest.mark.parametrize("rest_length", ["tabulated"])
     def test_one_grid_per_config(self, tmp_path, monkeypatch, rest_length):
-        """simulate on tnb builds one quadrature grid, in load_config: the derived L0 (when
-        cable.L0 is unset), the cable geometry, the run and its energies all read it."""
+        """simulate on tnb, whose cable.L0 is the tabulated rest length, builds one
+        quadrature grid, in load_config: the cable geometry, the run and its energies all
+        read it."""
         lines = [
             line for line in preset_text("tnb").splitlines()
             if not line.startswith("output.directory")
-            and not (rest_length == "derived" and line.startswith("cable.L0"))
         ]
         text = "\n".join(lines).replace("integrator.t_end = 120", "integrator.t_end = 1") + "\n"
         built, grids = [], []
@@ -335,8 +319,7 @@ class TestSimulateOutputs:
     def test_displayed_amplitudes_in_csv(self, tmp_path):
         """The t = 0 row reports the displayed initial amplitudes."""
         path = write_cfg(tmp_path, TOY)
-        bundle = run_simulate(path)
-        header, rows = self.read_csv(bundle.trajectory)
+        header, rows = self.read_csv(run_simulate(path) / "trajectory.csv")
         first = dict(zip(header, rows[0]))
         assert float(first["t"]) == 0.0
         np.testing.assert_allclose(float(first["w_1"]), 0.1, rtol=1e-15)
@@ -347,19 +330,18 @@ class TestSimulateOutputs:
         """A zero initial state on the flat deck stays identically zero."""
         text = "integrator.dt = 0.05\nintegrator.t_end = 0.5\n"
         path = write_cfg(tmp_path, text)
-        bundle = run_simulate(path)
-        _, rows = self.read_csv(bundle.trajectory)
+        _, rows = self.read_csv(run_simulate(path) / "trajectory.csv")
         for row in rows:
             assert all(cell == "0" for cell in row[1:])
 
     def test_values_round_trip_through_text(self, tmp_path):
         """CSV cells are full-precision decimal forms of the computed floats."""
         path = write_cfg(tmp_path, TOY)
-        bundle = run_simulate(path)
+        out = run_simulate(path)
         cfg = load_config(path)
         traj = cfg.scenario.run()
         scale = math.sqrt(2.0 / cfg.scenario.basis.L)
-        header, rows = self.read_csv(bundle.trajectory)
+        header, rows = self.read_csv(out / "trajectory.csv")
         np.testing.assert_array_equal(
             np.array([[float(v) for v in row] for row in rows[:5]])[:, 1:4],
             scale * traj.w[:5],
@@ -386,16 +368,16 @@ class TestSimulateOutputs:
         """Re-running from the manifest reproduces the trajectory CSV exactly."""
         out_a = tmp_path / "a"
         path = write_cfg(tmp_path, TOY, outdir=out_a)
-        bundle = run_simulate(path)
-        manifest = bundle.manifest.read_text()
+        run_simulate(path)
+        manifest = (out_a / "manifest.cfg").read_text()
         out_b = tmp_path / "b"
         rerun_cfg = tmp_path / "rerun.cfg"
         rerun_cfg.write_text(
             manifest.replace(f"output.directory = {out_a}", f"output.directory = {out_b}")
         )
-        bundle_b = run_simulate(rerun_cfg)
-        assert bundle_b.trajectory.read_bytes() == bundle.trajectory.read_bytes()
-        assert bundle_b.energy.read_bytes() == bundle.energy.read_bytes()
+        run_simulate(rerun_cfg)
+        for name in ("trajectory.csv", "energy.csv"):
+            assert (out_b / name).read_bytes() == (out_a / name).read_bytes()
 
 
 class TestLinearCommand:
@@ -575,11 +557,15 @@ class TestSweepCommand:
         assert not (tmp_path / "out").exists()
 
     def test_all_failed_cells_exit_three(self, tmp_path, capsys):
-        """A sweep whose every cell blows up reports the failure time."""
+        """A sweep whose every cell blows up names the first cell and its note, which carries
+        the failure time; it reports no t = nan."""
         text = TOY.replace("integrator.t_end = 2", "integrator.t_end = 4") + "model.P = 10000\n"
-        path = write_cfg(tmp_path, text + "sweep.beta = 1e-3\nsweep.U = 1\n")
+        path = write_cfg(tmp_path, text + "sweep.beta = 1e-3,1e-2\nsweep.U = 1\n")
         assert main(["sweep", str(path)]) == 3
-        assert "integration failed at t =" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        first = "integration failed: every sweep cell failed; the first, beta=0.001 U=1: "
+        assert re.search(re.escape(first) + r"state became non-finite at t=\d", err), err
+        assert "nan" not in err
 
     def test_duplicate_grid_values_warn(self, tmp_path):
         """Duplicate grid entries carry the library warning through the CLI."""
@@ -665,6 +651,32 @@ class TestExitCodes:
         assert main(["simulate", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error: initial.w.01: mode 1 is already set by initial.w.1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cable_b_derive_without_rest_length_exits_two(self, tmp_path, capsys):
+        """cable.b = derive reads the tabulated cable.L0: tnb without it exits 2 naming it."""
+        text = "".join(
+            line + "\n" for line in preset_text("tnb").splitlines()
+            if not line.startswith(("cable.L0", "output.directory"))
+        )
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert "config error: cable.b: derive requires cable.L0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "integrator.dt = 1e-3\nintegrator.t_end = 1\nintegrator.sample_every = 5\n",
+            "integrator.dt = 1e-300\n",
+            "integrator.dt = derive\nmodel.M = 1e-300\n",
+        ],
+        ids=["cadence_past_t_end", "tiny_step", "tiny_derived_step"],
+    )
+    def test_unrunnable_sample_clock_exits_two(self, tmp_path, capsys, lines):
+        """A cadence past t_end, or more steps than numpy can index, exits 2 naming
+        integrator before any run, not a shrunken step or a traceback from np.empty."""
+        assert main(["simulate", str(write_cfg(tmp_path, lines))]) == 2
+        assert "config error: integrator: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from fishbone.diagnostics import (
     random_states,
     sandwich_constants,
 )
-from fishbone.dynamics import ModalState, ModelParams, g_load_projection, linear_operator
+from fishbone.dynamics import ModalState, ModelParams, linear_operator, mode_coefficients
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.spectral import Basis, make_grid
 
@@ -128,7 +128,7 @@ class TestEnergyBreakdown:
         np.testing.assert_allclose(e.stretch, 0.25 * 0.8 * h1w**2, rtol=1e-12)
         np.testing.assert_allclose(e.prestress, -0.5 * 0.3 * h1w, rtol=1e-12)
         np.testing.assert_allclose(
-            e.load, -g_load_projection(params, 3) @ w, rtol=1e-12
+            e.load, -mode_coefficients(params, 3, 1).load @ w, rtol=1e-12
         )
         expected_cable = pi_energy(w + 1.2 * th, geo, grid) + pi_energy(
             w - 1.2 * th, geo, grid
@@ -448,7 +448,7 @@ class TestLemmaSuite:
     @pytest.mark.parametrize("samples", [0, ROW_BLOCK, ROW_BLOCK + 1])
     def test_one_xi_pass_per_stack(self, samples, monkeypatch):
         """A block takes Xi once for v and once for z (L and Pi of each) and once inside h(v)."""
-        calls = {"big_xi": 0, "force_law": 0}
+        calls = {"length_and_energy": 0, "force_law": 0}
 
         def counted(name):
             true_fn = getattr(cable, name)
@@ -464,7 +464,7 @@ class TestLemmaSuite:
         _, geo, basis, grid = cable_setup(n_w=6, n_t=4)
         report = lemma_suite(samples, 5.0, geo, basis, grid, seed=2)
         blocks = -(-samples // ROW_BLOCK)
-        assert calls == {"big_xi": 2 * blocks, "force_law": blocks}
+        assert calls == {"length_and_energy": 2 * blocks, "force_law": blocks}
         assert report["samples"] == samples and report["violations"] == 0
 
     def test_negative_samples_rejected(self):
@@ -472,6 +472,16 @@ class TestLemmaSuite:
         _, geo, basis, grid = cable_setup()
         with pytest.raises(ValueError, match="nonnegative"):
             lemma_suite(-1, 5.0, geo, basis, grid)
+
+    def test_grid_and_geometry_of_another_span_rejected(self):
+        """A grid or a cable geometry over 2 pi with a basis on pi is refused, naming the
+        spans, rather than checked on wrong numbers."""
+        _, geo, basis, grid = cable_setup()
+        _, geo_2pi, _, grid_2pi = cable_setup(L=2.0 * np.pi)
+        with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
+            lemma_suite(10, 5.0, geo_2pi, basis, grid_2pi)
+        with pytest.raises(ValueError, match=r"built on 240 nodes over a span of 6.28\d*, the grid has 240"):
+            lemma_suite(10, 5.0, geo_2pi, basis, grid)
 
     def test_spectral_chain_skipped_on_long_spans(self):
         """The norm chain is only asserted when the span keeps it valid."""
@@ -522,7 +532,7 @@ class TestLemmaSuite:
         rng = np.random.default_rng(5)
         vs = random_states(rng, basis, 3.0, 40)
         assert vs.shape == (40, 6)
-        k4 = basis.wavenumbers(6) ** 4
+        k4 = basis.wavenumbers() ** 4
         norms = np.sqrt((vs * vs) @ k4)
         assert np.all(norms <= 3.0 * (1.0 + 1e-12))
         again = random_states(np.random.default_rng(5), basis, 3.0, 40)

@@ -9,7 +9,6 @@ from fishbone.cable import h_of, make_geometry
 from fishbone.dynamics import (
     ModalState,
     ModelParams,
-    g_load_projection,
     linear_operator,
     make_packed_rhs,
     mode_coefficients,
@@ -123,7 +122,7 @@ class TestRhs:
         geo = make_geometry(M * g / (2.0 * H), 1.0, 0.0, H, basis, grid)
         params = ModelParams(M=M, D=3.0e10, eps=1.0e12, kappa=5.0e5, ell=6.0, g=g, L=853.44)
         d = unpacked_rhs(ModalState.zero(basis), params, geo, basis, grid)
-        scale = np.abs(g_load_projection(params, basis.n_w)).max() / M
+        scale = np.abs(mode_coefficients(params, basis.n_w, 1).load).max() / M
         assert np.abs(d.pack()).max() < 1e-9 * scale
 
     def test_single_mode_formula(self):
@@ -157,7 +156,7 @@ class TestRhs:
         )
         d_with = unpacked_rhs(state, params, geo, basis, grid)
         d_without = unpacked_rhs(state, base, geo, basis, grid)
-        k = basis.wavenumbers(5)
+        k = basis.wavenumbers()
         slope = state.w @ grid.dmodes[: basis.n_w]
         norm_sq = float(grid.weights @ slope**2)
         expected = -(params.S * norm_sq - params.P) * k**2 * state.w
@@ -172,7 +171,7 @@ class TestRhs:
         )
         rng = np.random.default_rng(4)
         load = np.zeros(2 * basis.n_w + 2 * basis.n_t)
-        load[basis.n_w : 2 * basis.n_w] = g_load_projection(params, basis.n_w) / params.M
+        load[basis.n_w : 2 * basis.n_w] = mode_coefficients(params, basis.n_w, 1).load / params.M
         for alpha in (2.0, -0.5, 10.0):
             state = random_state(rng, basis)
             scaled = ModalState(
@@ -356,7 +355,7 @@ class TestLinearOperator:
                 np.sort_complex(np.linalg.eigvals(A[block])), np.sort_complex(expected), rtol=1e-10
             )
         assert not A[outside].any()
-        np.testing.assert_allclose(c[n_w : 2 * n_w], g_load_projection(params, n_w) / params.M)
+        np.testing.assert_allclose(c[n_w : 2 * n_w], mode_coefficients(params, n_w, 1).load / params.M)
 
 
     def test_span_mismatch_rejected(self):
@@ -410,13 +409,14 @@ class TestModeCoefficients:
         """Each field of the table is the coefficient its comment names, mode by mode."""
         params = ModelParams(M=2.0, D=1.5, eps=0.8, kappa=0.3, ell=1.2, P=0.7, g=0.4, L=2.5)
         co = mode_coefficients(params, 5, 3)
-        kw, kt = np.arange(1, 6) * np.pi / 2.5, np.arange(1, 4) * np.pi / 2.5
+        j = np.arange(1, 6)
+        kw, kt = j * np.pi / 2.5, np.arange(1, 4) * np.pi / 2.5
         assert co.inv_m == pytest.approx(0.5, rel=1e-15)
         assert co.inv_it == pytest.approx(3.0 / (2.0 * 1.44), rel=1e-15)
         expected = {
             "k2": kw**2, "bending": 1.5 * kw**4, "prestress": 0.7 * kw**2,
             "warping": 0.8 * kt**4, "torsion": 0.3 * kt**2,
-            "load": g_load_projection(params, 5),
+            "load": 2.0 * 0.4 * np.sqrt(5.0) * (1.0 - (-1.0) ** j) / (j * np.pi),
         }
         for name, value in expected.items():
             np.testing.assert_allclose(getattr(co, name), value, rtol=1e-14, err_msg=name)
@@ -424,9 +424,9 @@ class TestModeCoefficients:
 
 class TestGLoadProjection:
     def test_formula(self):
-        """(Mg, e_j)_0 = M g sqrt(2L) (1-(-1)^j)/(j pi), zero for even j."""
+        """The table's load is (Mg, e_j)_0 = M g sqrt(2L) (1-(-1)^j)/(j pi), zero for even j."""
         params = ModelParams(M=3.0, g=2.0, L=5.0)
-        proj = g_load_projection(params, 4)
+        proj = mode_coefficients(params, 4, 1).load
         j = np.arange(1, 5)
         expected = 3.0 * 2.0 * np.sqrt(10.0) * (1.0 - (-1.0) ** j) / (j * np.pi)
         np.testing.assert_allclose(proj, expected, rtol=1e-15)

@@ -61,6 +61,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(dt=1e-2, sample_every=1e-3)
 
+    def test_cadence_within_horizon(self):
+        """sample_every beyond t_end is rejected: it would shrink the step five times and
+        sample only t = 0 and t_end."""
+        with pytest.raises(ValueError, match="between the step 0.001 and t_end 1"):
+            IntegratorConfig(dt=1e-3, t_end=1.0, sample_every=5.0)
+        assert len(sample_times(IntegratorConfig(dt=1e-3, t_end=1.0, sample_every=1.0))) == 2
+
+    def test_step_count_within_index_range(self):
+        """A step count beyond numpy's index range is rejected before any array is sized."""
+        for dt, t_end in ((1e-300, 1.0), (5e-324, 1e300)):
+            with pytest.raises(ValueError, match="exceed numpy's index range"):
+                IntegratorConfig(dt=dt, t_end=t_end)
+
     def test_unknown_method(self):
         """Only rk4 and adaptive45 exist."""
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@
 the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
 name only names, config keys and tests that exist, every config key has a caller, a
 serial run leaves heavy numpy and stdlib modules unloaded, the benchmark's tracer fits
-the package, and the quadrature study runs."""
+the package, every benchmark workload runs a shortened round, and the quadrature study
+runs."""
 
 import ast
 import importlib
@@ -320,3 +321,36 @@ def test_bench_traced_sweep_round_derives_every_layer(monkeypatch, tmp_path):
     names = {layer["name"] for layer in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert not names - set(metrics), f"per-layer metrics not derived: {sorted(names - set(metrics))}"
     assert metrics["integrate.rk4_steps"] > 0 and metrics["dynamics.rhs_calls"] > 0
+
+
+
+@pytest.mark.parametrize("name", ["tacoma", "sweep", "analysis"])
+def test_bench_workload_round_has_no_failed_operation(monkeypatch, tmp_path, name):
+    """Each benchmark workload sets up and runs one shortened, untraced round with pacing
+    off, and no operation fails: tacoma and sweep at 2 s of model time, analysis with 500
+    verify samples and a 5 s ensemble.
+
+    The workloads call the package positionally (``make_geometry`` with ``s0``,
+    ``integrate``, ``energies``, ``random_states``, ``ModelParams(L=...)``, ``run_simulate``
+    and ``run_verify``), so a change of signature fails here, not only in a benchmark run.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from fbbench.pace import Pace
+    from fbbench.workloads import WORKLOADS
+
+    workload = WORKLOADS[name](seed=1, workdir=tmp_path)
+    if name == "analysis":
+        workload.VERIFY_SAMPLES, workload.T_END = 500, 5.0
+    workload.setup()
+    if name == "tacoma":
+        for label, path in workload.configs.items():
+            text = path.read_text()
+            assert "integrator.t_end = 120\n" in text
+            path.write_text(text.replace("integrator.t_end = 120\n", "integrator.t_end = 2\n"))
+            workload.t_end[label] = 2.0
+    if name == "sweep":
+        for attr in ("base", "mirrored"):
+            scenario = getattr(workload, attr)
+            setattr(workload, attr, replace(scenario, integrator=replace(scenario.integrator, t_end=2.0)))
+    rnd = workload.run_round(Pace(enabled=False))
+    assert rnd.attempted > 0 and rnd.failed == 0, rnd.errors
