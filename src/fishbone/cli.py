@@ -34,8 +34,8 @@ sets one entry over it, in any file order. Unknown keys are rejected with their
 full path. Trajectory CSVs hold displayed amplitudes (the modal coefficients
 times sqrt(2/L)), one column per retained mode of each of the four channels.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric/analysis failure,
-4 verification failure.
+Exit codes: 0 ok, 2 configuration error, 3 numeric/analysis failure or out
+of memory, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import csv
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__
 from .cable import make_geometry
 from .diagnostics import attach_energies, format_report, lemma_suite
-from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices, mode_coefficients
+from .dynamics import CHANNELS, ModalState, ModelParams, channel_slices
 from .experiments import SWEEP_MODE, Scenario, wind_sweep
 from .integrate import IntegrationError, IntegratorConfig, Trajectory, integrate, sample_times
 from .linear import (
@@ -62,7 +62,7 @@ from .linear import (
     closed_form,
     decay_rate,
     spectrum_report,
-    undamped_torsional_frequency,
+    undamped_frequencies,
 )
 from .spectral import Basis, displayed_to_modal, make_grid, modal_to_displayed
 
@@ -173,23 +173,31 @@ def _tension(H: float, M: float, g: float) -> float:
     """a = M g / (2H); without gravity there is no sag to derive it from."""
     if not g > 0.0:
         raise ValueError("model.g > 0")
+    if not H > 0.0:
+        raise ValueError("model.H > 0")
     return M * g / (2.0 * H)
+
+
+def _axial_stiffness(Ac: float, Ec: float, L0: float) -> float:
+    """b = Ac Ec / L0; only a positive rest length gives a stiffness."""
+    if not L0 > 0.0:
+        raise ValueError("cable.L0 > 0")
+    return Ac * Ec / L0
 
 
 def default_timestep(params: ModelParams, basis: Basis) -> float:
     """One two-hundredth of the shortest undamped linear period retained.
 
     Resolves the stiffest linear mode: the larger of the highest bending
-    frequency sqrt(D/M) (n_w pi/L)^2 and the highest torsional frequency.
+    frequency sqrt(D/M) (n_w pi/L)^2 and the highest torsional frequency
+    (``linear.undamped_frequencies``).
     Prestress, which softens the vertical modes, and the cables, which stiffen
     them, are left out: at Tacoma Narrows with 10+4 modes the rule resolves
     2.87 rad/s, while the cables linearised at the sagged rest state reach
     4.98 rad/s, which the step still samples about 115 times per period.
     """
-    co = mode_coefficients(params, basis.n_w, 0)
-    omega_w = math.sqrt(co.bending[-1] * co.inv_m)
-    omega_t = float(undamped_torsional_frequency(params, basis.n_t)[-1])
-    return 2.0 * np.pi / max(omega_w, omega_t) / 200.0
+    omega_w, omega_t = undamped_frequencies(params, basis.n_w, basis.n_t)
+    return 2.0 * np.pi / float(max(omega_w[-1], omega_t[-1])) / 200.0
 
 
 # key = derive: (keys the rule reads, rule), applied in this order, so
@@ -203,7 +211,7 @@ _DERIVE = {
     "model.S": (("model.A", "model.E", "basis.L"), lambda A, E, L: A * E / (2.0 * L)),
     "cable.a": (("model.H", "model.M", "model.g"), _tension),
     "cable.c": (("model.H",), float),
-    "cable.b": (("model.Ac", "model.Ec", "cable.L0"), lambda Ac, Ec, L0: Ac * Ec / L0),
+    "cable.b": (("model.Ac", "model.Ec", "cable.L0"), _axial_stiffness),
     "integrator.dt": (("model", "basis"), default_timestep),
 }
 
@@ -462,18 +470,15 @@ def run_linear(
                 "nonlinear configuration (cable b/c, S, or P nonzero); "
                 "pass --linearize to analyze the linearization",
             )
-        # The spectrum and closed form read ModelParams only, so they leave the cables out.
-        params = replace(params, S=0.0, P=0.0)
+        # The spectrum and closed form read neither the cables nor S and P, so they leave them out.
 
     basis = scenario.basis
-    report = spectrum_report(params, basis.max_modes)
+    report = spectrum_report(params, basis.n_w, basis.n_t)
     print(f"modes: n_w = {basis.n_w}, n_t = {basis.n_t}")
     print(f"stability class: {report.classification}")
     print(f"spectral abscissa: {_fmt(report.max_real_part)}")
     print(f"decay rate (j = 1): {_fmt(decay_rate(params))}")
-    # Stiffness grows with j, so the class and abscissa above come from retained j = 1 roots.
-    for branch, pairs in (("vertical", report.roots[: basis.n_w, :2]),
-                          ("torsional", report.roots[: basis.n_t, 2:])):
+    for branch, pairs in (("vertical", report.vertical), ("torsional", report.torsional)):
         print(f"characteristic roots, {branch} pairs:")
         for j, roots in enumerate(pairs, start=1):
             print(f"  j={j}: " + "  ".join(f"{r.real:+.9e}{r.imag:+.9e}j" for r in roots))
@@ -755,6 +760,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)  # every message names its time
+        return 3
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     return 0
 

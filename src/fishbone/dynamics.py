@@ -12,10 +12,10 @@ M = D = 1, L = pi.
 
 The per-mode linear coefficients (inverse inertias, stiffnesses and the
 gravity load) are written once, in ``mode_coefficients``; the RHS, the energy
-weights of ``diagnostics``, the closed form of ``linear`` and the default time
-step ``cli.default_timestep`` all read them from there. The packed row layout
-y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the channels
-in row order and ``channel_slices`` gives their slices. On packed y,
+weights of ``diagnostics``, the closed form and root table of ``linear`` and
+the default step ``cli.default_timestep`` all read them from there. The packed
+row layout y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the
+channels in row order and ``channel_slices`` gives their slices. On packed y,
 ``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
 adds the cubic stretching term and the cable projections on every call, so the
 integrator sees the exact semi-discrete flow. On the internal row [w, th, 1,

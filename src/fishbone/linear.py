@@ -1,9 +1,12 @@
 """Closed-form analysis of the decoupled linear system (b = c = S = P = 0).
 
 Per mode j the characteristic quartic factors into a vertical and a torsional
-quadratic; both are solved exactly. When both oscillators are underdamped and
-away from the resonance condition zeta = l^2 mu / 3 with omega_j = 3 gamma_j / l^2,
-the forced vertical response has the explicit representation
+quadratic, s^2 + damping s + stiffness_j per unit inertia (``_per_unit_inertia``,
+written once). ``characteristic_roots`` solves every retained mode's pair in one
+pass, the table that ``spectrum_report`` and ``decay_rate`` read. When both
+oscillators are underdamped and away from the resonance condition zeta = l^2 mu / 3
+with omega_j = 3 gamma_j / l^2, the forced vertical response has the explicit
+representation
 
     w_j(t) = e^(-mu t/2) [c1_j sin(omega_j t/2) + c2_j cos(omega_j t/2)] + static_j
              + e^(-3 zeta t/(2 l^2)) [A_j sin(3 gamma_j t/(2 l^2)) + B_j cos(...)],
@@ -39,7 +42,7 @@ __all__ = [
     "spectrum_report",
     "closed_form",
     "decay_rate",
-    "undamped_torsional_frequency",
+    "undamped_frequencies",
 ]
 
 RESONANCE_RTOL = 1e-10
@@ -63,35 +66,45 @@ class ConditioningWarning(UserWarning):
     """The particular-solution denominator is nearly singular."""
 
 
-def characteristic_roots(j: int, params: ModelParams) -> np.ndarray:
-    """Four roots of mode j's quartic: vertical pair first, torsional pair second."""
-    if j < 1:
-        raise ValueError(f"mode index must be at least 1, got {j}")
-    co = mode_coefficients(params, j, j)
-    quadratics = (  # s^2 + damping s + stiffness, per unit inertia
-        (params.mu * co.inv_m, co.bending[-1] * co.inv_m),
-        (params.zeta * co.inv_it, (co.warping[-1] + co.torsion[-1]) * co.inv_it),
+def _per_unit_inertia(params: ModelParams, n_w: int, n_t: int):
+    """Each channel's damping and stiffness per unit inertia, the vertical over n_w modes and
+    the torsional over n_t: mode j's quadratic is s^2 + damping s + stiffness_j."""
+    co = mode_coefficients(params, n_w, n_t)
+    return (
+        (params.mu * co.inv_m, co.bending * co.inv_m),
+        (params.zeta * co.inv_it, (co.warping + co.torsion) * co.inv_it),
     )
-    return np.array(
-        [
-            (-damping + sign * np.sqrt(complex(damping**2 - 4.0 * stiffness))) / 2.0
-            for damping, stiffness in quadratics
-            for sign in (1.0, -1.0)
-        ]
-    )
+
+
+def characteristic_roots(params: ModelParams, n_w: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Root pairs of the retained modes' quadratics, + root first: vertical (n_w, 2) and
+    torsional (n_t, 2); row j - 1 is mode j, and mode j's quartic is their product."""
+    pairs = []
+    for damping, stiffness in _per_unit_inertia(params, n_w, n_t):
+        root = np.sqrt((damping**2 - 4.0 * stiffness).astype(complex))
+        pairs.append(np.column_stack((-damping + root, -damping - root)) / 2.0)
+    return tuple(pairs)
+
+
+def undamped_frequencies(params: ModelParams, n_w: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Undamped frequencies sqrt(stiffness_j) of the vertical (n_w) and torsional (n_t) modes:
+    sqrt(D/M) (j pi/L)^2 and (sqrt(3) j pi/(l L)) sqrt(eps j^2 pi^2/L^2 + kappa) / sqrt(M)."""
+    return tuple(np.sqrt(stiffness) for _, stiffness in _per_unit_inertia(params, n_w, n_t))
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
     """Characteristic roots of the retained modes and their stability class."""
 
-    roots: np.ndarray  # (n_modes, 4) complex
+    vertical: np.ndarray  # (n_w, 2) complex, + root first
+    torsional: np.ndarray  # (n_t, 2) complex
     max_real_part: float
     classification: str  # exponentially_stable | lyapunov_stable | unstable | overdamped_branch
 
 
-def spectrum_report(params: ModelParams, n_modes: int) -> SpectrumReport:
-    roots = np.vstack([characteristic_roots(j, params) for j in range(1, n_modes + 1)])
+def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
+    vertical, torsional = characteristic_roots(params, n_w, n_t)
+    roots = np.concatenate((vertical, torsional))
     max_re = float(roots.real.max())
     tol = 1e-12 * max(1.0, float(np.abs(roots).max()))
     has_real_branch = bool(np.any(np.abs(roots.imag) <= tol))
@@ -103,7 +116,7 @@ def spectrum_report(params: ModelParams, n_modes: int) -> SpectrumReport:
         classification = "overdamped_branch"
     else:
         classification = "exponentially_stable"
-    return SpectrumReport(roots=roots, max_real_part=max_re, classification=classification)
+    return SpectrumReport(vertical, torsional, max_re, classification)
 
 
 def decay_rate(params: ModelParams) -> float:
@@ -112,13 +125,7 @@ def decay_rate(params: ModelParams) -> float:
     Equals min(mu/(2M), 3 zeta/(2 M l^2)) when both branches are underdamped;
     returns 0.0 for zero damping (the Lyapunov-stable pure-imaginary case).
     """
-    return -float(characteristic_roots(1, params).real.max())
-
-
-def undamped_torsional_frequency(params: ModelParams, n: int) -> np.ndarray:
-    """Undamped torsional frequencies (sqrt(3) j pi/(l L)) sqrt(eps j^2 pi^2/L^2 + kappa) / sqrt(M)."""
-    co = mode_coefficients(params, 1, n)
-    return np.sqrt((co.warping + co.torsion) * co.inv_it)
+    return -float(np.concatenate(characteristic_roots(params, 1, 1)).real.max())
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from fishbone.diagnostics import (
 )
 from fishbone import spectral
 from fishbone.dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
-from fishbone.cli import GRAVITY, TNB_N_W, TNB_TABLE, load_preset
+from fishbone.cli import GRAVITY, TNB_TABLE, load_preset
 from fishbone.experiments import envelope_ratio
 from fishbone.integrate import IntegratorConfig, integrate, sample_times
 from fishbone.linear import (
@@ -34,7 +34,7 @@ from fishbone.linear import (
     closed_form,
     decay_rate,
     spectrum_report,
-    undamped_torsional_frequency,
+    undamped_frequencies,
 )
 from fishbone.spectral import Basis, make_grid
 
@@ -147,7 +147,7 @@ class TestClosedFormOracle:
             # and the representation's excluded cases.
             omega_max = max(
                 (n_w * math.pi / L) ** 2 * math.sqrt(D / M),
-                float(undamped_torsional_frequency(params, n_t).max()),
+                float(undamped_frequencies(params, n_w, n_t)[1].max()),
             )
             if omega_max > 25.0:
                 continue
@@ -297,8 +297,8 @@ class TestLinearStability:
 
     def test_spectrum_strictly_stable(self):
         """All retained modes of the damped bridge have negative abscissa."""
-        params, _ = self.linear_bridge()
-        report = spectrum_report(params, TNB_N_W)
+        params, scenario = self.linear_bridge()
+        report = spectrum_report(params, scenario.basis.n_w, scenario.basis.n_t)
         assert report.max_real_part < 0.0
         assert report.classification == "exponentially_stable"
         np.testing.assert_allclose(decay_rate(params), TNB_DECAY, rtol=1e-12)
@@ -317,7 +317,7 @@ class TestLinearStability:
         )
         traj = integrate(y0, params, flat, basis, scenario.integrator, grid)
         sigma = 3.0 * (params.zeta / params.M) / (2.0 * params.ell**2)
-        gamma = undamped_torsional_frequency(params, basis.n_t)
+        gamma = undamped_frequencies(params, basis.n_w, basis.n_t)[1]
         omega = np.sqrt(gamma**2 - sigma**2)
         for mode in (2, 4):
             th = traj.th[:, mode - 1]

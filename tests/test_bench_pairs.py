@@ -66,6 +66,29 @@ def test_nine_of_ten_rule(change, met):
     assert summary["claims"][0]["met"] is met
 
 
+WIDE = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0, 150.0]  # IQR 45 on 105
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        (PARENT, PARENT, "none"),
+        (PARENT, [r * 0.85 for r in PARENT], "none"),  # 15% slower: inside the 0.25 bound
+        (PARENT, [r * 0.7 for r in PARENT], "worse"),  # 30% slower: beyond it
+        (WIDE, WIDE, "unresolved"),  # the parent's spread alone exceeds the bound
+        (WIDE, [r * 0.5 for r in WIDE], "unresolved"),
+        (WIDE, [r + 100.0 for r in WIDE], "none"),  # every change run beats every parent run
+    ],
+    ids=["equal", "inside_bound", "beyond_bound", "wide_parent", "wide_parent_slower",
+         "wide_parent_beaten"],
+)
+def test_regression_verdict(parent, change, verdict):
+    """Each end-to-end metric carries its no-regression verdict, read against its bound."""
+    tacoma = bench_pairs.summarise(records(parent, change), METRICS, [])["end_to_end"]["tacoma"]
+    assert tacoma["sim_rate"]["regression"] == verdict
+    assert tacoma["wall_s"]["regression"] == verdict  # 600 / rate: lower is better, same verdict
+
+
 def test_unpaired_and_failed_runs():
     """A seed only one side ran is no pair; a failed run clears all_correct and counts its failures."""
     recs = records(PARENT[:3], PARENT[:3])

@@ -70,6 +70,10 @@ initial.th.1 = 0.1
 """
 
 
+# cable.b = derive on a hand-set cable, its rest length cable.L0 to follow
+CABLE_B_DERIVED = "model.Ac = 0.1\nmodel.Ec = 1e11\ncable.a = 0.2\ncable.b = derive\n"
+
+
 def write_cfg(tmp_path, text, name="run.cfg", outdir=None):
     if outdir is None:
         outdir = tmp_path / "out"
@@ -677,6 +681,39 @@ class TestExitCodes:
         integrator before any run, not a shrunken step or a traceback from np.empty."""
         assert main(["simulate", str(write_cfg(tmp_path, lines))]) == 2
         assert "config error: integrator: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, text, code, message",
+        [
+            (["simulate"], "model.g = 9.8\nmodel.H = 0\ncable.a = derive\n", 2,
+             "config error: cable.a: derive requires model.H > 0"),
+            (["simulate"], CABLE_B_DERIVED + "cable.L0 = 0\n", 2,
+             "config error: cable.b: derive requires cable.L0 > 0"),
+            (["simulate"], CABLE_B_DERIVED + "cable.L0 = -5\n", 2,
+             "config error: cable.b: derive requires cable.L0 > 0"),
+            # 1e13 steps of 28 entries: 1.99 PiB, beyond any address space, so never granted
+            (["simulate"], "integrator.dt = 1e-12\n", 3,
+             "out of memory: Unable to allocate 1.99 PiB"),
+            (["simulate"], "modle.M = 7198\n", 2,
+             "config error: modle.M: unknown configuration key"),
+            (["linear"], TOY, 2, "pass --linearize"),
+            (["linear", "--csv", "out/closed.csv"], "model.delta = 50\nmodel.zeta = 0.05\n", 3,
+             "linear analysis failed: vertical branch overdamped"),
+            (["sweep"], "sweep.beta = 1e-3\n", 2, "config error: sweep.U: missing required key"),
+        ],
+        ids=["H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
+             "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
+    )
+    def test_typed_failure_exits_without_traceback(
+        self, tmp_path, capsys, monkeypatch, argv, text, code, message
+    ):
+        """Each failure exits with its code and one stderr line naming its cause, and writes
+        nothing."""
+        monkeypatch.chdir(tmp_path)  # the --csv path is relative
+        assert main([*argv, str(write_cfg(tmp_path, text))]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_two(self, tmp_path, capsys):

@@ -344,13 +344,14 @@ class TestLinearOperator:
         n_w, n_t = 5, 3
         A, c = linear_operator(params, Basis(L=np.pi, n_w=n_w, n_t=n_t))
         outside = np.ones(A.shape, dtype=bool)
+        vertical, torsional = characteristic_roots(params, n_w, n_t)
         for j in range(1, n_w + 1):
-            idx = [j - 1, n_w + j - 1]
+            idx, expected = [j - 1, n_w + j - 1], [*vertical[j - 1]]
             if j <= n_t:
                 idx += [2 * n_w + j - 1, 2 * n_w + n_t + j - 1]
+                expected += [*torsional[j - 1]]
             block = np.ix_(idx, idx)
             outside[block] = False
-            expected = characteristic_roots(j, params)[: len(idx)]
             np.testing.assert_allclose(
                 np.sort_complex(np.linalg.eigvals(A[block])), np.sort_complex(expected), rtol=1e-10
             )

@@ -1,5 +1,6 @@
 """Tests for the bridge preset, canonical scenarios, and the wind sweep."""
 
+import concurrent.futures
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from fishbone.cli import (
 from fishbone.dynamics import ModalState, ModelParams
 from fishbone.experiments import Scenario, classify_ratio, envelope_ratio, wind_sweep
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
-from fishbone.linear import undamped_torsional_frequency
+from fishbone.linear import undamped_frequencies
 from fishbone.spectral import Basis, displayed_to_modal, make_grid
 
 
@@ -110,7 +111,7 @@ class TestPreset:
         tnb = load_preset("tnb").scenario
         params, basis = tnb.params, tnb.basis
         omega_w = np.sqrt(params.D / params.M) * (basis.n_w * np.pi / params.L) ** 2
-        omega_t = undamped_torsional_frequency(params, basis.n_t)[-1]
+        omega_t = undamped_frequencies(params, basis.n_w, basis.n_t)[1][-1]
         expected = 2.0 * np.pi / max(omega_w, omega_t) / 200.0
         np.testing.assert_allclose(default_timestep(params, basis), expected, rtol=1e-12)
         np.testing.assert_allclose(default_timestep(params, basis), 0.010938, rtol=1e-3)
@@ -203,7 +204,7 @@ class TestScenarios:
             sample_every=sc.integrator.sample_every,
         )
         traj = integrate(sc.initial, sc.params, bare, sc.basis, cfg)
-        gam = undamped_torsional_frequency(sc.params, sc.basis.n_t)
+        gam = undamped_frequencies(sc.params, sc.basis.n_w, sc.basis.n_t)[1]
         for j in range(sc.basis.n_t):
             th0, th1 = sc.initial.th[j], sc.initial.thdot[j]
             exact = (th1 / gam[j]) * np.sin(gam[j] * traj.times) + th0 * np.cos(
@@ -360,6 +361,19 @@ class TestWindSweep:
         serial = wind_sweep([1e-3, 2e-3], [1.0, 2.0], base, workers=1)
         parallel = wind_sweep([1e-3, 2e-3], [1.0, 2.0], base, workers=2)
         assert serial == parallel
+
+    def test_pool_unavailable_runs_serially(self, monkeypatch):
+        """A host that cannot start worker processes gets a warning and the serial rows."""
+        base = toy_scenario()
+        serial = wind_sweep([1e-3, 2e-3], [1.0], base, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no subprocess support")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.warns(UserWarning, match="parallel sweep unavailable"):
+            fallback = wind_sweep([1e-3, 2e-3], [1.0], base, workers=2)
+        assert fallback == serial
 
     def test_reference_cell_grows(self):
         """The reference cell (beta = 1e-2, U = 30) outgrows the unforced beta = 0 cell.

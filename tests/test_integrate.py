@@ -22,7 +22,7 @@ from fishbone.integrate import (
     integrate,
     sample_times,
 )
-from fishbone.linear import undamped_torsional_frequency
+from fishbone.linear import undamped_frequencies
 from fishbone.spectral import Basis, make_grid
 
 
@@ -150,7 +150,7 @@ class TestAgainstClosedForms:
         params, geo, basis, grid = flat_setup(
             n_w=2, n_t=3, eps=0.7, kappa=0.4, ell=1.2, M=1.5
         )
-        gam = undamped_torsional_frequency(params, 3)
+        gam = undamped_frequencies(params, 2, 3)[1]
         for j, th0, th1 in ((1, 0.3, -0.1), (3, -0.2, 0.25)):
             period = 2.0 * np.pi / gam[j - 1]
             cfg = IntegratorConfig(method="rk4", dt=period / 200.0, t_end=10.0 * period)
@@ -167,7 +167,7 @@ class TestAgainstClosedForms:
     def test_time_reversibility(self):
         """Flipping velocities and integrating one period returns the state."""
         params, geo, basis, grid = flat_setup(eps=0.5, kappa=0.3, ell=1.0)
-        gam = undamped_torsional_frequency(params, 2)
+        gam = undamped_frequencies(params, 3, 2)[1]
         period = 2.0 * np.pi / gam[0]
         cfg = IntegratorConfig(method="rk4", dt=period / 1000.0, t_end=period)
         y0 = ModalState(

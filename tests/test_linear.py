@@ -9,7 +9,7 @@ so the transcribed formulas never grade their own homework.
 import numpy as np
 import pytest
 
-from fishbone.dynamics import ModalState, ModelParams
+from fishbone.dynamics import ModalState, ModelParams, linear_operator
 from fishbone.integrate import IntegratorConfig, integrate
 from fishbone.linear import (
     ConditioningWarning,
@@ -19,7 +19,7 @@ from fishbone.linear import (
     closed_form,
     decay_rate,
     spectrum_report,
-    undamped_torsional_frequency,
+    undamped_frequencies,
 )
 from fishbone.spectral import Basis
 from fishbone.cable import make_geometry
@@ -88,14 +88,27 @@ def random_state(rng, n_w, n_t, amp=0.5):
     )
 
 
+def per_mode_pair(params: ModelParams, j: int, channel: int) -> np.ndarray:
+    """Mode j's vertical (0) or torsional (1) root pair, + root first, solved one mode at a
+    time from scalar coefficients."""
+    inv_m, inv_it = 1.0 / params.M, 3.0 / (params.M * params.ell**2)
+    k2 = (j * (np.pi / params.L)) ** 2
+    damping, stiffness = (
+        (params.mu * inv_m, params.D * k2**2 * inv_m),
+        (params.zeta * inv_it, (params.eps * k2**2 + params.kappa * k2) * inv_it),
+    )[channel]
+    root = np.sqrt(complex(damping**2 - 4.0 * stiffness))
+    return np.array([(-damping + root) / 2.0, (-damping - root) / 2.0])
+
+
 class TestCharacteristicRoots:
     def test_undamped_vertical_pair(self):
         """With no damping the vertical roots are +/- i j^2 at L = pi."""
         params = make_params(delta=0.0, zeta=0.0, beta=0.0)
+        vertical, _ = characteristic_roots(params, 5, 1)
         for j in (1, 2, 5):
-            roots = characteristic_roots(j, params)
             np.testing.assert_allclose(
-                sorted(roots[:2], key=lambda z: z.imag),
+                sorted(vertical[j - 1], key=lambda z: z.imag),
                 [-1j * j**2, 1j * j**2],
                 atol=1e-12,
             )
@@ -105,9 +118,9 @@ class TestCharacteristicRoots:
         params = make_params(
             delta=0.0, zeta=0.0, beta=0.0, ell=np.sqrt(3.0), eps=1.0, kappa=0.0
         )
-        roots = characteristic_roots(1, params)
+        _, torsional = characteristic_roots(params, 1, 1)
         np.testing.assert_allclose(
-            sorted(roots[2:], key=lambda z: z.imag), [-1j, 1j], atol=1e-12
+            sorted(torsional[0], key=lambda z: z.imag), [-1j, 1j], atol=1e-12
         )
 
     def test_quartic_residual(self):
@@ -125,57 +138,76 @@ class TestCharacteristicRoots:
                 beta=float(rng.uniform(0.0, 0.1)),
                 Upsilon=0.0,
             )
-            j = int(rng.integers(1, 6))
-            c = normalized_coefficients(params, j)
+            n = int(rng.integers(1, 6))
+            c = normalized_coefficients(params, n)
             about = params.ell**2 / 3.0
-            for lam in characteristic_roots(j, params):
-                quartic = (about * lam**2 + c["zeta"] * lam + c["k4t"][-1]) * (
-                    lam**2 + c["mu"] * lam + c["k4v"][-1]
+            vertical, torsional = characteristic_roots(params, n, n)
+            for lam in np.hstack((vertical, torsional)).T:  # one of the four roots, every mode
+                quartic = (about * lam**2 + c["zeta"] * lam + c["k4t"]) * (
+                    lam**2 + c["mu"] * lam + c["k4v"]
                 )
-                scale = max(abs(lam) ** 4, 1.0)
-                assert abs(quartic) <= 1e-9 * scale
+                scale = np.maximum(np.abs(lam) ** 4, 1.0)
+                assert np.all(np.abs(quartic) <= 1e-9 * scale)
 
-    def test_mode_index_validated(self):
-        """Mode indices below one are rejected."""
-        with pytest.raises(ValueError, match="mode index"):
-            characteristic_roots(0, make_params())
+    @pytest.mark.parametrize("n_w, n_t", [(5, 2), (2, 5), (3, 3)])
+    def test_table_equals_each_modes_quadratic(self, n_w, n_t):
+        """Row j - 1 of each table is mode j's quadratic solved on its own, bit for bit."""
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            params = make_params(
+                M=float(rng.uniform(0.5, 5.0)),
+                D=float(rng.uniform(0.5, 3.0)),
+                eps=float(rng.uniform(0.1, 2.0)),
+                kappa=float(rng.uniform(0.0, 1.0)),
+                ell=float(rng.uniform(0.8, 2.0)),
+                delta=float(rng.choice([0.0, 0.3, 40.0])),
+                zeta=float(rng.choice([0.0, 0.2, 40.0])),
+            )
+            vertical, torsional = characteristic_roots(params, n_w, n_t)
+            assert vertical.shape == (n_w, 2) and torsional.shape == (n_t, 2)
+            for table, channel in ((vertical, 0), (torsional, 1)):
+                rows = [per_mode_pair(params, j, channel) for j in range(1, len(table) + 1)]
+                np.testing.assert_array_equal(table, rows)
+
+    @pytest.mark.parametrize("n_w, n_t", [(6, 3), (3, 6)])
+    def test_whole_matrix_eigenvalues(self, n_w, n_t):
+        """With wind coupling, the eigenvalues of the linear operator A are the table's roots."""
+        params = make_params(M=1.7, D=1.3, delta=0.3, zeta=0.25, beta=0.4, Upsilon=0.9, Ustream=3.0)
+        A = linear_operator(params, Basis(L=np.pi, n_w=n_w, n_t=n_t))[0]
+        assert A[n_w : 2 * n_w, 2 * n_w :].any()  # the wind couples w to th
+        eigenvalues = np.linalg.eigvals(A)
+        table = np.concatenate(characteristic_roots(params, n_w, n_t)).ravel()
+        np.testing.assert_allclose(
+            eigenvalues[np.argsort(eigenvalues.imag)], table[np.argsort(table.imag)], rtol=1e-9
+        )
 
 
 class TestSpectrumReport:
     def test_zero_damping_is_lyapunov_stable(self):
         """Pure imaginary roots classify as lyapunov_stable with zero abscissa."""
-        report = spectrum_report(make_params(delta=0.0, zeta=0.0, beta=0.0), 4)
+        report = spectrum_report(make_params(delta=0.0, zeta=0.0, beta=0.0), 4, 3)
         assert report.classification == "lyapunov_stable"
         assert report.max_real_part == 0.0
-        assert report.roots.shape == (4, 4)
+        assert report.vertical.shape == (4, 2) and report.torsional.shape == (3, 2)
 
     def test_underdamped_is_exponentially_stable(self):
         """Light damping yields a strictly negative abscissa."""
-        report = spectrum_report(make_params(), 6)
+        report = spectrum_report(make_params(), 6, 6)
         assert report.classification == "exponentially_stable"
         assert report.max_real_part < 0.0
 
     def test_overdamped_branch_detected(self):
         """A heavily damped vertical branch is flagged as overdamped."""
-        report = spectrum_report(make_params(delta=50.0), 2)
+        report = spectrum_report(make_params(delta=50.0), 2, 2)
         assert report.classification == "overdamped_branch"
         assert report.max_real_part < 0.0
-        assert np.any(np.abs(report.roots.imag) < 1e-12)
-
-    def test_rows_match_per_mode_roots(self):
-        """Row j of the report equals characteristic_roots(j, params)."""
-        params = make_params()
-        report = spectrum_report(params, 5)
-        for j in range(1, 6):
-            np.testing.assert_array_equal(
-                report.roots[j - 1], characteristic_roots(j, params)
-            )
+        assert np.any(np.abs(report.vertical.imag) < 1e-12)
 
     def test_tnb_spectrum_is_exponentially_stable(self):
         """The dimensional benchmark deck has all ten modes strictly decaying."""
-        report = spectrum_report(tnb_params(), 10)
+        report = spectrum_report(tnb_params(), 10, 10)
         assert report.classification == "exponentially_stable"
-        assert np.all(report.roots.real < 0.0)
+        assert np.all(report.vertical.real < 0.0) and np.all(report.torsional.real < 0.0)
 
 
 class TestDecayRate:
@@ -203,7 +235,7 @@ class TestTorsionalFrequency:
     def test_formula(self):
         """gamma_j = (sqrt(3) j pi / (l L)) sqrt(eps (j pi/L)^2 + kappa) / sqrt(M)."""
         params = make_params(M=2.5, eps=0.7, kappa=0.4, ell=1.5, L=2.0)
-        got = undamped_torsional_frequency(params, 3)
+        got = undamped_frequencies(params, 1, 3)[1]
         j = np.arange(1, 4)
         k = j * np.pi / params.L
         expected = (

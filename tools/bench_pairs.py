@@ -11,9 +11,10 @@ seeds, and appends one JSON line per run (its side, seed and the run's last
 output line) to the raw file, so a cut session keeps the pairs it finished.
 ``summarise`` reads every line of the raw file and writes, per workload and per
 end-to-end metric of ``BENCHMARK.json``, the quartiles of each side, the median
-ratio change / parent and the pairs the change wins; for a claimed metric also
-whether it is met: the change wins at least nine pairs in ten, and its median
-gain exceeds the spread between the parent's quartiles.
+ratio change / parent, the pairs the change wins and the no-regression verdict
+(``regression_verdict``); for a claimed metric also whether it is met: the change
+wins at least nine pairs in ten, and its median gain exceeds the spread between
+the parent's quartiles.
 """
 
 from __future__ import annotations
@@ -74,6 +75,20 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, median, q3]
 
 
+def regression_verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """'none', 'worse' or 'unresolved': whether the change median is worse than the parent
+    median by more than the metric's relative bound. 'unresolved' when the parent's quartile
+    spread exceeds the bound relative to its median, unless every change run beats every
+    parent run."""
+    parent_q1, parent_median, parent_q3 = quartiles(parent)
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if parent_q3 - parent_q1 > bound * abs(parent_median) and not beats_all:
+        return "unresolved"
+    change_median = statistics.median(change)
+    worsening = change_median - parent_median if lower else parent_median - change_median
+    return "worse" if worsening > bound * abs(parent_median) else "none"
+
+
 def summarise_workload(records: list[dict], metrics: list[dict]) -> dict:
     """Paired summary of one workload's records: pairs are seeds both sides ran."""
     by_seed = {}
@@ -102,6 +117,8 @@ def summarise_workload(records: list[dict], metrics: list[dict]) -> dict:
             "change_over_parent_median": round(change_q[1] / parent_q[1], 4),
             "change_wins": sum((c < p) if lower else (c > p)
                                for p, c in zip(values["parent"], values["change"])),
+            "regression": regression_verdict(values["parent"], values["change"], lower,
+                                             metric["bound"]),
         }
     return summary
 
