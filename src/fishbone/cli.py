@@ -22,7 +22,9 @@ kind and default (those of ``ModelParams`` and ``IntegratorConfig`` for
 ``model.*`` and ``integrator.*``; the span is ``basis.L`` alone);
 ``resolve_config`` parses by it and ``manifest_text`` writes in its order.
 ``_DERIVE`` maps each of the eight derivable keys to the keys its rule reads
-and the rule, and is the one place each derive formula is written. A setting
+and the rule, and is the one place each derive formula is written. What a rule
+needs is data too: each ``_UNRECORDED`` key it reads must be set and each
+``_POSITIVE`` one positive, checked before the rule runs. A setting
 that changes no result has no key: the cable hanger datum is fixed, since
 only the slope of the rest shape enters. Every number must be finite, swept
 betas nonnegative, a swept n_t >= ``SWEEP_MODE``. The Tacoma Narrows bridge table
@@ -169,22 +171,6 @@ class ConfigError(Exception):
 _HANGER_DATUM = 1.0
 
 
-def _tension(H: float, M: float, g: float) -> float:
-    """a = M g / (2H); without gravity there is no sag to derive it from."""
-    if not g > 0.0:
-        raise ValueError("model.g > 0")
-    if not H > 0.0:
-        raise ValueError("model.H > 0")
-    return M * g / (2.0 * H)
-
-
-def _axial_stiffness(Ac: float, Ec: float, L0: float) -> float:
-    """b = Ac Ec / L0; only a positive rest length gives a stiffness."""
-    if not L0 > 0.0:
-        raise ValueError("cable.L0 > 0")
-    return Ac * Ec / L0
-
-
 def default_timestep(params: ModelParams, basis: Basis) -> float:
     """One two-hundredth of the shortest undamped linear period retained.
 
@@ -200,18 +186,22 @@ def default_timestep(params: ModelParams, basis: Basis) -> float:
     return 2.0 * np.pi / float(max(omega_w[-1], omega_t[-1])) / 200.0
 
 
+# Derive inputs that must be positive: without gravity there is no sag, and
+# only a positive tension or rest length gives a cable stiffness.
+_POSITIVE = {"model.g", "model.H", "cable.L0"}
+
 # key = derive: (keys the rule reads, rule), applied in this order, so
 # integrator.dt reads the model derived above it. "model" and "basis" read the
-# resolved section. Every mechanical-table key and cable.L0 a rule reads must be
-# set, and a rule raises ValueError naming any other condition it needs.
+# resolved section. Each rule is a bare formula; resolve_config checks its needs
+# first: every _UNRECORDED key it reads is set, every _POSITIVE one positive.
 _DERIVE = {
     "model.D": (("model.E", "model.I"), operator.mul),
     "model.eps": (("model.E", "model.J"), operator.mul),
     "model.kappa": (("model.G", "model.K"), operator.mul),
     "model.S": (("model.A", "model.E", "basis.L"), lambda A, E, L: A * E / (2.0 * L)),
-    "cable.a": (("model.H", "model.M", "model.g"), _tension),
+    "cable.a": (("model.H", "model.M", "model.g"), lambda H, M, g: M * g / (2.0 * H)),
     "cable.c": (("model.H",), float),
-    "cable.b": (("model.Ac", "model.Ec", "cable.L0"), _axial_stiffness),
+    "cable.b": (("model.Ac", "model.Ec", "cable.L0"), lambda Ac, Ec, L0: Ac * Ec / L0),
     "integrator.dt": (("model", "basis"), default_timestep),
 }
 
@@ -323,14 +313,16 @@ def resolve_config(flat: dict[str, str]) -> SimConfig:
     for key, (reads, rule) in _DERIVE.items():
         if flat.get(key) != "derive":
             continue
+        unmet = [
+            name if values[name] is None else f"{name} > 0"
+            for name in reads
+            if name in _UNRECORDED and values[name] is None
+            or name in _POSITIVE and not values[name] > 0.0
+        ]
+        if unmet:
+            raise ConfigError(key, f"derive requires {', '.join(unmet)}")
         args = [_build(name, values) if name in _SECTIONS else values[name] for name in reads]
-        try:
-            missing = [name for name in reads if name in _UNRECORDED and values[name] is None]
-            if missing:
-                raise ValueError(", ".join(missing))
-            values[key] = rule(*args)
-        except ValueError as exc:
-            raise ConfigError(key, f"derive requires {exc}") from None
+        values[key] = rule(*args)
         if not math.isfinite(values[key]):
             raise ConfigError(key, f"derived value {values[key]} is not finite")
 
@@ -630,15 +622,18 @@ def preset_text(name: str) -> str:
     terms are M w_tt and (M l^2/3) th_tt), so the presets multiply each rate
     by M. With the bare values instead, the induced rates beta/M ~ 1e-6 1/s
     would leave every scenario indistinguishable from `free` over 120 s;
-    under the rate reading the scenarios separate (wind grows the 2nd
-    torsional envelope relative to `free`, damping shrinks every torsional
-    envelope), and at M = 1 the two readings agree. At the 10+4 truncation
-    the windy cell's ratio is 1.732, which classifies as "neutral", not
-    "growth": how far the envelope grows depends on which torsional modes are
-    retained (see the README's truncation table). wind_stretch's 120 s ratio
-    (about 1.414 at dt, its later digits set by the host's BLAS kernels, and
-    1.286 at dt/2) is not resolved in dt; its trajectories part at about 0.2/s
-    (README).
+    under the rate reading the scenarios separate, and at M = 1 the two
+    readings agree. The windy mode-2 envelope outgrows `free`'s through
+    beta's vertical damping mu = delta + beta, not the flow: |U| <= 30 moves
+    its ratio by about 1e-4. `damped`'s amplitudes decay at 1.0e-2/s
+    vertically (5e-3/s from delta alone) and 4.17e-4/s torsionally, an
+    e-folding time of 2,400 s: zeta is divided by the inertia M l^2/3. At
+    the 10+4 truncation the windy cell's ratio is 1.732, which classifies as
+    "neutral", not "growth": how far the envelope grows depends on which
+    torsional modes are retained (see the README's truncation table).
+    wind_stretch's 120 s ratio (about 1.414 at dt, its later digits set by
+    the host's BLAS kernels, and 1.286 at dt/2) is not resolved in dt; its
+    trajectories part at about 0.2/s (README).
     """
     if name not in PRESETS:
         raise ConfigError(name, f"unknown preset; choose from {list(PRESETS)}")

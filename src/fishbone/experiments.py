@@ -12,6 +12,8 @@ torsional mode, the historically dangerous one:
 with r < DECAY_BELOW -> "decay", r > GROWTH_ABOVE -> "growth", else "neutral".
 Cells sample on the base cadence, so a cell's ratio is the one ``simulate``
 gives; sampling every step moves a canonical ratio by 2.2e-3 at most (README).
+At 10+4 modes the windy cell's contrast with ``free`` is beta's vertical damping
+mu = delta + beta, not the flow: |U| <= 30 moves its ratio by about 1e-4.
 The thresholds (0.5, 2.0) are classification conventions of this package, not
 measured constants. They and SWEEP_MODE = 2 are written once, here, and no
 keyword or config key sets them: no caller did. ``envelope_ratio`` alone

@@ -24,13 +24,14 @@ from fishbone.diagnostics import (
 )
 from fishbone import spectral
 from fishbone.dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
-from fishbone.cli import GRAVITY, TNB_TABLE, load_preset
+from fishbone.cli import GRAVITY, PRESETS, TNB_TABLE, load_preset
 from fishbone.experiments import envelope_ratio
 from fishbone.integrate import IntegratorConfig, integrate, sample_times
 from fishbone.linear import (
     ConditioningWarning,
     OverdampedBranch,
     ResonantCase,
+    characteristic_roots,
     closed_form,
     decay_rate,
     spectrum_report,
@@ -289,6 +290,59 @@ class TestScenarioReproduction:
             assert envelope_ratio(traj, mode=j) < 1.0
 
 
+class TestWindyCellControl:
+    """What the windy cell's mode-2 ratio measures: beta's vertical damping, not the flow.
+
+    Two controls give the ``wind`` preset's 120 s ratio (1.732287) to 1e-3 relative,
+    far from ``free``'s 0.9945: the preset's beta with U = 0 (measured 1.732265) and
+    no wind at all with delta = beta (measured 1.732574), so mu = delta + beta is the
+    same vertical damping. The flow moves the ratio by about 1e-4 for |U| <= 30.
+    """
+
+    @pytest.mark.parametrize("control", ["no_flow", "delta_for_beta"])
+    def test_control_gives_the_windy_ratio(self, scenario_runs, control):
+        scenario = load_preset("wind").scenario
+        p = scenario.params
+        params = {
+            "no_flow": replace(p, Ustream=0.0),
+            "delta_for_beta": replace(p, delta=p.beta, beta=0.0, Ustream=0.0, Upsilon=0.0),
+        }[control]
+        ratio = envelope_ratio(replace(scenario, params=params).run(), mode=2)
+        assert ratio == pytest.approx(envelope_ratio(scenario_runs["wind"][0], mode=2), rel=1e-3)
+        assert ratio - envelope_ratio(scenario_runs["free"][0], mode=2) > 0.5
+
+
+def torsion_free(scenario, t_end=5.0):
+    """The scenario from its datum with th = thdot = 0, cut to t_end seconds."""
+    zero = np.zeros(scenario.basis.n_t)
+    return replace(
+        scenario,
+        initial=replace(scenario.initial, th=zero, thdot=zero),
+        integrator=replace(scenario.integrator, t_end=t_end),
+    )
+
+
+class TestTorsionFreeSubspace:
+    """th = 0 is invariant to the bit: with th = 0 the two hanger lines are equal, so
+    f-bar is exactly 0, and no torsion row of the linear part reads w or the flow."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_torsion_stays_exactly_zero(self, name):
+        """From the canonical datum with th = thdot = 0, th and thdot stay 0.0 over 5 s."""
+        traj = torsion_free(load_preset(name).scenario).run()
+        assert not traj.th.any() and not traj.thdot.any()
+
+    def test_flow_speed_leaves_the_bits(self):
+        """On ``wind`` from that datum, U = 0, 30, -30 and 300 give the same trajectory bit
+        for bit: U enters only through beta U th, which is 0 on the subspace."""
+        scenario = torsion_free(load_preset("wind").scenario)
+        first, *others = (
+            replace(scenario, params=replace(scenario.params, Ustream=U)).run().data
+            for U in (0.0, 30.0, -30.0, 300.0)
+        )
+        assert all(np.array_equal(first, data) for data in others)
+
+
 class TestLinearStability:
     def linear_bridge(self):
         scenario = load_preset("damped").scenario
@@ -302,6 +356,20 @@ class TestLinearStability:
         assert report.max_real_part < 0.0
         assert report.classification == "exponentially_stable"
         np.testing.assert_allclose(decay_rate(params), TNB_DECAY, rtol=1e-12)
+
+    def test_damped_preset_channel_rates(self):
+        """``damped``'s amplitude decay rates: 1.0e-2/s vertical, 5e-3/s of it from delta
+        and the rest from beta, and 4.17e-4/s torsional, an e-folding time of 2,400 s,
+        20 times the 120 s horizon: zeta = 0.01 M is divided by the torsional inertia
+        M l^2/3 where delta is divided by M."""
+        scenario = load_preset("damped").scenario
+        params, n_w, n_t = scenario.params, scenario.basis.n_w, scenario.basis.n_t
+        vertical, torsional = characteristic_roots(params, n_w, n_t)
+        np.testing.assert_allclose(-vertical.real, 1.0e-2, rtol=1e-12)
+        np.testing.assert_allclose(-torsional.real, TNB_DECAY, rtol=1e-12)
+        delta_alone = characteristic_roots(replace(params, beta=0.0), n_w, n_t)[0]
+        np.testing.assert_allclose(-delta_alone.real, 5.0e-3, rtol=1e-12)
+        assert round(1.0 / TNB_DECAY) == 2400
 
     def test_fitted_decay_matches_analytic_rate(self):
         """Log-slope fits of simulated torsional envelopes match to 10%."""

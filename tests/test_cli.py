@@ -688,6 +688,10 @@ class TestExitCodes:
         [
             (["simulate"], "model.g = 9.8\nmodel.H = 0\ncable.a = derive\n", 2,
              "config error: cable.a: derive requires model.H > 0"),
+            (["simulate"], "model.H = -5\ncable.a = 0.2\ncable.c = derive\n", 2,
+             "config error: cable.c: derive requires model.H > 0"),
+            (["simulate"], "model.H = 0\ncable.a = 0.2\ncable.c = derive\n", 2,
+             "config error: cable.c: derive requires model.H > 0"),
             (["simulate"], CABLE_B_DERIVED + "cable.L0 = 0\n", 2,
              "config error: cable.b: derive requires cable.L0 > 0"),
             (["simulate"], CABLE_B_DERIVED + "cable.L0 = -5\n", 2,
@@ -702,7 +706,7 @@ class TestExitCodes:
              "linear analysis failed: vertical branch overdamped"),
             (["sweep"], "sweep.beta = 1e-3\n", 2, "config error: sweep.U: missing required key"),
         ],
-        ids=["H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
+        ids=["H_zero", "c_H_negative", "c_H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
              "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
     )
     def test_typed_failure_exits_without_traceback(

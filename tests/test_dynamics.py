@@ -1,6 +1,7 @@
 """Tests for the modal right-hand side, the parameters and the coefficient table."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,6 +358,18 @@ class TestLinearOperator:
             )
         assert not A[outside].any()
         np.testing.assert_allclose(c[n_w : 2 * n_w], mode_coefficients(params, n_w, 1).load / params.M)
+
+    def test_wind_enters_the_vertical_rows_only(self):
+        """On ``damped`` the th and thdot rows of A and c are the same bits with the wind on
+        and with beta = Ustream = Upsilon = 0, while the wdot rows differ: no torsion row
+        reads the flow, so at linear order the wind cannot act on torsion."""
+        scenario = load_preset("damped").scenario
+        still = replace(scenario.params, beta=0.0, Ustream=0.0, Upsilon=0.0)
+        (A, c), (A0, c0) = (linear_operator(p, scenario.basis) for p in (scenario.params, still))
+        n_w, n_t = scenario.basis.n_w, scenario.basis.n_t
+        torsion = slice(2 * n_w, 2 * n_w + 2 * n_t)
+        assert np.array_equal(A[torsion], A0[torsion]) and np.array_equal(c[torsion], c0[torsion])
+        assert not np.array_equal(A[n_w : 2 * n_w], A0[n_w : 2 * n_w])
 
 
     def test_span_mismatch_rejected(self):

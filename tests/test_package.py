@@ -1,9 +1,9 @@
 """Package tooling: every module's exports resolve, test files import only what they read,
 the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
-name only names, config keys and tests that exist, every config key has a caller, a
-serial run leaves heavy numpy and stdlib modules unloaded, the benchmark's tracer fits
-the package, every benchmark workload runs a shortened round, and the quadrature study
-runs."""
+name only names, config keys and tests that exist, README's derive table matches the rules,
+every config key has a caller, a serial run leaves heavy numpy and stdlib modules unloaded,
+the benchmark's tracer fits the package, every benchmark workload runs a shortened round,
+and the quadrature study and the line count run."""
 
 import ast
 import importlib
@@ -154,6 +154,24 @@ def test_doc_config_keys_resolve():
     assert not stale, f"docs name config keys that do not exist: {stale}"
 
 
+def test_readme_derive_table_matches_the_rules():
+    """README's derive table lists ``cli._DERIVE``'s keys in order, and each row's needs are
+    the rule's reads that must be set (``_UNRECORDED``) or positive (``_POSITIVE``, written
+    ``name > 0``), in reads order, so a rule's needs are documented as they are checked."""
+    from fishbone.cli import _DERIVE, _POSITIVE, _UNRECORDED
+
+    readme = (ROOT / "README.md").read_text()
+    table = readme[readme.index("| key | rule | needs |"):].split("\n\n")[0].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+    assert [key for key, _, _ in rows] == [f"`{key}`" for key in _DERIVE]
+    for (key, _, needs), (reads, _) in zip(rows, _DERIVE.values()):
+        expected = [
+            f"`{name} > 0`" if name in _POSITIVE else f"`{name}`"
+            for name in reads if name in _UNRECORDED or name in _POSITIVE
+        ]
+        assert needs == (", ".join(expected) or "—"), key
+
+
 # Config keys no preset writes, each with the caller that sets it.
 KEYS_WITHOUT_PRESET = {
     "meta.version": "written by every manifest",
@@ -219,6 +237,25 @@ def test_quadrature_study_prints_the_rule_row():
     label, *errors = row.strip("| ").split(" | ")
     assert label == "12 x 20 (240 nodes)" and len(errors) == 5
     assert all(0.0 <= float(error) < 1e-3 for error in errors), row
+
+
+def test_src_lines_totals_match_the_files():
+    """tools/src_lines.py prints a row per src/fishbone module with its line count, fewer code
+    lines than lines, and a total row that sums them."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, _, *rows, total = proc.stdout.strip().splitlines()
+    assert header == "| module | lines | code lines |"
+    cells = [row.strip("| ").split(" | ") for row in rows]
+    files = sorted((ROOT / "src" / "fishbone").glob("*.py"))
+    assert [name for name, _, _ in cells] == [path.name for path in files]
+    counts = [(int(lines), int(code)) for _, lines, code in cells]
+    assert [lines for lines, _ in counts] == [len(path.read_text().splitlines()) for path in files]
+    assert all(0 < code < lines for lines, code in counts)
+    assert total == f"| total | {sum(c[0] for c in counts)} | {sum(c[1] for c in counts)} |"
 
 
 def test_hot_loop_times_prints_a_row_per_model():
