@@ -13,7 +13,7 @@ spectral     basis, quadrature grid with mode-shape tables, displayed amplitudes
 cable        cable-hanger nonlinearity h, f, f-bar and the cable energy Pi
 dynamics     model parameters, per-mode coefficient table, the ODE right-hand side
 integrate    fixed-step RK4 and adaptive embedded RK45 integration
-linear       characteristic roots, closed-form solution, decay rates
+linear       characteristic roots and their abscissa, closed-form solution
 diagnostics  energy channels, identity residual, Lyapunov and lemma checks
 experiments  the Scenario record, envelope classification, wind sweeps
 cli          config schema, TNB presets, commands simulate/linear/verify/sweep/preset

@@ -172,16 +172,15 @@ def attach_energies(
     The residual is that of the energy identity,
     R(t) = Efull(t) - Efull(0) + mu int ||w_t||^2 + zeta int ||th_t||^2
            + beta Upsilon int (th_t, w_t) + eta int (th, w_t),
-    time integrals by composite trapezoid on the samples, as the series
-    R(t) / max(|Efull(0)|, 1); it needs at least 3 samples and is left out
-    with fewer. Every series is computed from the arguments, so a second call
-    with another model replaces the first call's.
+    time integrals by composite trapezoid on the samples (one interval for two
+    samples), as the series R(t) / max(|Efull(0)|, 1); on a model with no
+    damping or wind nothing drains, and max |R| is Efull's relative drift.
+    Every series is computed from the arguments, so a second call with another
+    model replaces the first call's.
     """
     check_span(params, basis, grid, geometry)
     rows = _energy_rows(traj.data, traj.n_w, traj.n_t, params, geometry, grid)
     traj.diagnostics.update(E=rows.E, Eplus=rows.Eplus, Efull=rows.Efull)
-    if len(traj) < 3:
-        return traj
     efull, nc = rows.Efull, min(traj.n_w, traj.n_t)
     wdot, thdot, th = traj.wdot, traj.thdot, traj.th
     power = (  # the rate at which damping and wind drain Efull
@@ -223,6 +222,15 @@ def lyapunov_value(
     return float(value[0]) if isinstance(state, ModalState) else value
 
 
+def _require_normalization(params: ModelParams, name: str) -> None:
+    """Refuse a model off the nondimensional normalization M = D = 1, L = pi."""
+    if (params.M, params.D, params.L) != (1.0, 1.0, math.pi):
+        raise ValueError(
+            f"{name} holds in the normalization M = D = 1, L = pi only, got "
+            f"M={params.M:g}, D={params.D:g}, L={params.L:g}"
+        )
+
+
 def sandwich_constants(
     params: ModelParams, geometry: CableGeometry, nu: float
 ) -> tuple[float, float, float]:
@@ -230,10 +238,11 @@ def sandwich_constants(
 
     Young-inequality bookkeeping of the Lyapunov cross terms against the energy
     channels, valid in the nondimensional normalization (M = D = 1, L = pi)
-    where ||.||_0 <= ||.||_1 <= ||.||_2. Each cross term is charged to the
-    channels it touches; cmax is the worst per-channel load, and the cable
-    floor 2c int xi0^2 plus the prestress/load Young remainders form c2.
+    where ||.||_0 <= ||.||_1 <= ||.||_2, and a ValueError off it. Each cross term
+    is charged to the channels it touches; cmax is the worst per-channel load, and
+    the cable floor 2c int xi0^2 plus the prestress/load Young remainders form c2.
     """
+    _require_normalization(params, "sandwich_constants")
     mu, zeta, eta = params.mu, params.zeta, abs(params.eta)
     bu = abs(params.beta * params.Upsilon)
     coef_kin_w = nu
@@ -274,8 +283,10 @@ def absorbing_params(params: ModelParams, nu: float | None = None) -> LyapunovPa
 
     The returned nu defaults to nubar/2 so 0 < nu < nubar holds strictly;
     epsbar is the supremal threshold (evaluated at nubar), against which the
-    model's warping stiffness eps is tested.
+    model's warping stiffness eps is tested. A model off the normalization
+    M = D = 1, L = pi raises a ValueError.
     """
+    _require_normalization(params, "absorbing_params")
     mu, zeta = params.mu, params.zeta
     if mu <= 0.0 or zeta <= 0.0:
         reason = f"zero damping (mu={mu:g}, zeta={zeta:g}) admits no absorbing set"

@@ -3,10 +3,11 @@
 Per mode j the characteristic quartic factors into a vertical and a torsional
 quadratic, s^2 + damping s + stiffness_j per unit inertia (``_per_unit_inertia``,
 written once). ``characteristic_roots`` solves every retained mode's pair in one
-pass, the table that ``spectrum_report`` and ``decay_rate`` read. When both
-oscillators are underdamped and away from the resonance condition zeta = l^2 mu / 3
-with omega_j = 3 gamma_j / l^2, the forced vertical response has the explicit
-representation
+pass, the table that ``spectrum_report`` reads. Each stiffness grows strictly with j
+(D > 0, eps > 0), so mode 1 holds the abscissa ``max_real_part``, the slowest decay
+rate negated. When both oscillators are underdamped and away from the resonance
+condition zeta = l^2 mu / 3 with omega_j = 3 gamma_j / l^2, the forced vertical
+response has the explicit representation
 
     w_j(t) = e^(-mu t/2) [c1_j sin(omega_j t/2) + c2_j cos(omega_j t/2)] + static_j
              + e^(-3 zeta t/(2 l^2)) [A_j sin(3 gamma_j t/(2 l^2)) + B_j cos(...)],
@@ -41,7 +42,6 @@ __all__ = [
     "characteristic_roots",
     "spectrum_report",
     "closed_form",
-    "decay_rate",
     "undamped_frequencies",
 ]
 
@@ -117,15 +117,6 @@ def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
     else:
         classification = "exponentially_stable"
     return SpectrumReport(vertical, torsional, max_re, classification)
-
-
-def decay_rate(params: ModelParams) -> float:
-    """Spectral abscissa magnitude of the slowest (j = 1) mode.
-
-    Equals min(mu/(2M), 3 zeta/(2 M l^2)) when both branches are underdamped;
-    returns 0.0 for zero damping (the Lyapunov-stable pure-imaginary case).
-    """
-    return -float(np.concatenate(characteristic_roots(params, 1, 1)).real.max())
 
 
 @dataclass(frozen=True)

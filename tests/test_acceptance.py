@@ -10,6 +10,7 @@ import math
 import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,6 @@ from fishbone.linear import (
     ResonantCase,
     characteristic_roots,
     closed_form,
-    decay_rate,
     spectrum_report,
     undamped_frequencies,
 )
@@ -284,10 +284,15 @@ class TestScenarioReproduction:
         assert tail(scenario_runs["wind_stretch"][0]) < tail(scenario_runs["wind"][0])
 
     def test_damping_decays_all_torsional_modes(self, scenario_runs):
-        """With structural damping every torsional envelope ratio drops below 1."""
+        """With structural damping every torsional envelope ratio drops below 1, and zeta
+        is what lowers it: each is below 0.97 of the same run's at zeta = 0 (measured
+        0.954-0.960, against e^(-4.17e-4/s * 100 s) = 0.959 between the windows)."""
         traj, _ = scenario_runs["damped"]
+        scenario = load_preset("damped").scenario
+        undamped = replace(scenario, params=replace(scenario.params, zeta=0.0)).run()
         for j in range(1, traj.n_t + 1):
             assert envelope_ratio(traj, mode=j) < 1.0
+            assert envelope_ratio(traj, mode=j) < 0.97 * envelope_ratio(undamped, mode=j)
 
 
 class TestWindyCellControl:
@@ -343,6 +348,46 @@ class TestTorsionFreeSubspace:
         assert all(np.array_equal(first, data) for data in others)
 
 
+def mirror_class_leak(scenario, th_parity, t_end):
+    """Largest |entry| off the span-mirror class {w odd, th_j with j % 2 == th_parity}, and
+    on it, over a run from the canonical datum restricted to the class, velocities included."""
+    y = scenario.initial
+    keep_w = np.arange(1, y.n_w + 1) % 2 == 1
+    keep_th = np.arange(1, y.n_t + 1) % 2 == th_parity
+    traj = replace(
+        scenario,
+        initial=ModalState(y.w * keep_w, y.wdot * keep_w, y.th * keep_th, y.thdot * keep_th),
+        integrator=replace(scenario.integrator, t_end=t_end),
+    ).run()
+    keep = np.concatenate((keep_w, keep_w, keep_th, keep_th))
+    return np.abs(traj.data[:, ~keep]).max(), np.abs(traj.data[:, keep]).max()
+
+
+class TestMirrorClasses:
+    """The span mirror x -> L - x sends e_j to (-1)^(j+1) e_j. The cables are symmetric and
+    the Gauss nodes mirror, so {w odd, th odd} is invariant to rounding on every preset;
+    {w odd, th even} only without wind, since the piston terms couple th_j into w_j."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_odd_class_holds(self, name):
+        """From {w odd, th odd}, the off-class entries stay under 1e-9 over 2 s (4.8e-12
+        measured), while the on-class ones are O(100)."""
+        off, on = mirror_class_leak(load_preset(name).scenario, 1, 2.0)
+        assert off <= 1e-9 and on > 1.0
+
+    @pytest.mark.parametrize("name", ["tnb", "free"])
+    def test_odd_even_class_holds_without_wind(self, name):
+        """From {w odd, th even}, the windless presets stay under 1e-9 over 2 s (4.7e-12)."""
+        off, on = mirror_class_leak(load_preset(name).scenario, 0, 2.0)
+        assert off <= 1e-9 and on > 1.0
+
+    def test_wind_leaks_out_of_the_odd_even_class(self):
+        """On ``wind``, {w odd, th even} leaks to 0.050 within 10 s: the test tells the
+        classes apart."""
+        off, _ = mirror_class_leak(load_preset("wind").scenario, 0, 10.0)
+        assert off > 1e-2
+
+
 class TestLinearStability:
     def linear_bridge(self):
         scenario = load_preset("damped").scenario
@@ -355,7 +400,7 @@ class TestLinearStability:
         report = spectrum_report(params, scenario.basis.n_w, scenario.basis.n_t)
         assert report.max_real_part < 0.0
         assert report.classification == "exponentially_stable"
-        np.testing.assert_allclose(decay_rate(params), TNB_DECAY, rtol=1e-12)
+        np.testing.assert_allclose(-report.max_real_part, TNB_DECAY, rtol=1e-12)
 
     def test_damped_preset_channel_rates(self):
         """``damped``'s amplitude decay rates: 1.0e-2/s vertical, 5e-3/s of it from delta
@@ -484,6 +529,47 @@ class TestStepConvergence:
         assert adaptive.counters["accepted"] + adaptive.counters["rejected"] <= 9300
 
 
+SHELLS = (1.0, 10.0, 100.0, 1e3, 1e4)  # initial energies Eplus of the quadrature study
+
+
+def shell_errors(seed):
+    """make_grid's rule against 16 times its panels on the damped 4+3 model.
+
+    Six random states per shell of initial energy Eplus in SHELLS, drawn from one seed in
+    that order. Returns each shell's worst error over the two acceleration blocks, each
+    scaled by its largest reference entry, as the benchmark's RHS check does. This is the
+    protocol ``tools/quadrature_study.py`` runs over many seeds.
+    """
+    params, geometry, basis, grid = cable_setup(**ABSORBING_MODEL)
+    where = channel_slices(basis.n_w, basis.n_t)
+
+    def eplus(state):
+        return energies(state, params, geometry, basis, grid).Eplus
+
+    rng = np.random.default_rng(seed)
+    shells = {
+        target: np.array([state_in_shell(rng, basis, target, eplus).pack() for _ in range(6)])
+        for target in SHELLS
+    }
+    with mock.patch.multiple(
+        spectral, MIN_PANELS=16 * spectral.MIN_PANELS, PANELS_PER_MODE=16 * spectral.PANELS_PER_MODE
+    ):
+        fine = make_grid(basis)
+    assert fine.panels == 16 * grid.panels
+    rhs = make_packed_rhs(params, geometry, basis, grid)
+    fine_geometry = make_geometry(geometry.a, geometry.s0, geometry.b, geometry.c, basis, fine)
+    fine_rhs = make_packed_rhs(params, fine_geometry, basis, fine)
+    errors = {}
+    for target, states in shells.items():
+        got = np.array([rhs(0.0, y) for y in states])
+        want = np.array([fine_rhs(0.0, y) for y in states])
+        errors[target] = max(
+            np.abs(got[:, block] - want[:, block]).max() / np.abs(want[:, block]).max()
+            for block in (where.wdot, where.thdot)
+        )
+    return errors
+
+
 class TestQuadratureConvergence:
     @pytest.mark.parametrize("n_w, n_t", [(10, 4), (14, 8), (16, 10), (20, 10), (24, 12)])
     def test_rule_matches_a_sixteen_times_finer_one(self, scenario_runs, monkeypatch, n_w, n_t):
@@ -524,7 +610,7 @@ class TestQuadratureConvergence:
             scale = np.abs(want[:, block]).max()
             assert np.abs(got[:, block] - want[:, block]).max() <= 1e-10 * scale
 
-    def test_rule_error_grows_with_amplitude_on_the_analysis_shells(self, monkeypatch):
+    def test_rule_error_grows_with_amplitude_on_the_analysis_shells(self):
         """make_grid's rule on the damped 4+3 model, at initial energies Eplus 1 to 1e4.
 
         Eplus 1 to 1000 are the shells of the benchmark's analysis ensemble (240
@@ -540,30 +626,21 @@ class TestQuadratureConvergence:
         24 of 10 points 9.9e-8, inside it with less margin.
         """
         bounds = {1.0: 1e-13, 10.0: 1e-13, 100.0: 1e-11, 1000.0: 1e-7, 1e4: 1e-3}
-        params, geometry, basis, grid = cable_setup(**ABSORBING_MODEL)
-        where = channel_slices(basis.n_w, basis.n_t)
+        assert cable_setup(**ABSORBING_MODEL)[3].n_nodes == 240
+        errors = shell_errors(seed=0)
+        for target, bound in bounds.items():
+            assert errors[target] <= bound, target
 
-        def eplus(state):
-            return energies(state, params, geometry, basis, grid).Eplus
-
-        rng = np.random.default_rng(0)
-        shells = {
-            target: np.array([state_in_shell(rng, basis, target, eplus).pack() for _ in range(6)])
-            for target in bounds
-        }
-        monkeypatch.setattr(spectral, "MIN_PANELS", 16 * spectral.MIN_PANELS)
-        monkeypatch.setattr(spectral, "PANELS_PER_MODE", 16 * spectral.PANELS_PER_MODE)
-        fine = make_grid(basis)
-        assert grid.n_nodes == 240 and fine.panels == 16 * grid.panels
-        rhs = make_packed_rhs(params, geometry, basis, grid)
-        fine_geometry = make_geometry(geometry.a, geometry.s0, geometry.b, geometry.c, basis, fine)
-        fine_rhs = make_packed_rhs(params, fine_geometry, basis, fine)
-        for target, states in shells.items():
-            got = np.array([rhs(0.0, y) for y in states])
-            want = np.array([fine_rhs(0.0, y) for y in states])
-            for block in (where.wdot, where.thdot):
-                scale = np.abs(want[:, block]).max()
-                assert np.abs(got[:, block] - want[:, block]).max() <= bounds[target] * scale, target
+    def test_rule_error_is_resolved_at_eplus_1e3(self):
+        """A case the rule's own error dominates: seed 0's Eplus 1e3 shell reads 8.5e-10
+        (``tools/quadrature_study.py --seeds 1``), about eighty times the 1e-11 rounding
+        floor of the wind_stretch check above. The bound, twice that value, sees some
+        changes of rule: 12-point panels on 18 panels (216 nodes) read 7.8e-9 here, but
+        10 x 24 and 20 x 10 read 1.3e-9 and 6.5e-10 on this seed (their 20-seed worst is
+        9.9e-8 and 7.1e-7). A rule at the rounding floor fails the lower bound, and then
+        these figures are measured again."""
+        error = shell_errors(seed=0)[1e3]
+        assert 1e-10 < error <= 2.0 * 8.5e-10
 
 
 if __name__ == "__main__":

@@ -291,6 +291,15 @@ class TestSimulateOutputs:
         assert len(erows) == 21
         assert all(np.isfinite(float(v)) for v in erows[-1])
 
+    def test_two_sample_run_writes_its_residual(self, tmp_path):
+        """sample_every = t_end gives two samples, and energy.csv holds their residual, not nan."""
+        out = tmp_path / "out"
+        text = TOY.replace("integrator.sample_every = 0.1", "integrator.sample_every = 2")
+        run_simulate(write_cfg(tmp_path, text, outdir=out))
+        _, erows = self.read_csv(out / "energy.csv")
+        residual = [float(row[4]) for row in erows]
+        assert len(residual) == 2 and residual[0] == 0.0 and np.isfinite(residual[1])
+
     def test_run_and_energies_share_one_grid(self, tmp_path, monkeypatch):
         """simulate builds one quadrature grid and hands it to the run and to attach_energies."""
         grids = []

@@ -8,6 +8,7 @@ import pytest
 import fishbone.diagnostics
 from fishbone import cable
 from fishbone.cable import make_geometry, pi_energy
+from fishbone.cli import load_preset
 from fishbone.diagnostics import (
     DRAW_BLOCK,
     ROW_BLOCK,
@@ -21,7 +22,13 @@ from fishbone.diagnostics import (
     random_states,
     sandwich_constants,
 )
-from fishbone.dynamics import ModalState, ModelParams, linear_operator, mode_coefficients
+from fishbone.dynamics import (
+    ModalState,
+    ModelParams,
+    channel_slices,
+    linear_operator,
+    mode_coefficients,
+)
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.spectral import Basis, make_grid
 
@@ -242,17 +249,28 @@ class TestEnergyIdentity:
         assert residual[0] == 0.0
         assert np.max(np.abs(residual)) <= 1e-5
 
-    def test_needs_three_samples(self):
-        """The trapezoid residual needs 3 samples: with 2, attach_energies writes the energies only."""
-        params, geo, basis, grid = cable_setup()
-        traj = Trajectory(
-            times=np.array([0.0, 1.0]),
-            data=np.zeros((2, 2 * basis.n_w + 2 * basis.n_t)),
-            n_w=basis.n_w,
-            n_t=basis.n_t,
+    def test_two_samples_give_one_trapezoid(self):
+        """Two samples give the residual [0, r], r the identity closed by one trapezoid
+        over the interval, not a missing column."""
+        params, geo, basis, grid = cable_setup(
+            delta=0.1, zeta=0.05, beta=0.02, Upsilon=0.5, Ustream=2.0, S=0.5
         )
-        attach_energies(traj, params, geo, basis, grid)
-        assert sorted(traj.diagnostics) == ["E", "Efull", "Eplus"]
+        rows = np.random.default_rng(3).standard_normal((2, 2 * basis.n_w + 2 * basis.n_t))
+        traj = Trajectory(times=np.array([0.0, 0.25]), data=rows, n_w=basis.n_w, n_t=basis.n_t)
+        residual = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"]
+        efull = energies(rows, params, geo, basis, grid).Efull
+        _, wdot, th, thdot = (rows[:, k] for k in channel_slices(basis.n_w, basis.n_t))
+        nc = min(basis.n_w, basis.n_t)
+        power = [
+            params.mu * wdot[i] @ wdot[i]
+            + params.zeta * thdot[i] @ thdot[i]
+            + params.beta * params.Upsilon * thdot[i, :nc] @ wdot[i, :nc]
+            + params.eta * th[i, :nc] @ wdot[i, :nc]
+            for i in (0, 1)
+        ]
+        r = (efull[1] - efull[0] + 0.125 * (power[0] + power[1])) / max(abs(efull[0]), 1.0)
+        assert residual[0] == 0.0
+        np.testing.assert_allclose(residual[1], r, rtol=1e-12)
 
     def test_residual_reads_its_own_params_not_attached_energies(self):
         """attach_energies under a second model replaces the residual with one from that model's
@@ -413,6 +431,15 @@ class TestLyapunov:
         assert not lp.admissible
         assert "zero damping" in lp.reason
         assert lp.nubar == 0.0
+
+    def test_dimensional_model_refused(self):
+        """On the dimensional ``damped`` preset the constants would read nubar 0.5, nu 0.25
+        and c0 = -2627.02 at that nu; both refuse it, naming the normalization."""
+        scenario = load_preset("damped").scenario
+        with pytest.raises(ValueError, match=r"normalization M = D = 1, L = pi"):
+            sandwich_constants(scenario.params, scenario.geometry, 0.25)
+        with pytest.raises(ValueError, match=r"normalization M = D = 1, L = pi"):
+            absorbing_params(scenario.params)
 
     def test_absorbing_explicit_nu_kept(self):
         """A caller-supplied nu is carried through unchanged."""

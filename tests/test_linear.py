@@ -17,7 +17,6 @@ from fishbone.linear import (
     ResonantCase,
     characteristic_roots,
     closed_form,
-    decay_rate,
     spectrum_report,
     undamped_frequencies,
 )
@@ -211,6 +210,8 @@ class TestSpectrumReport:
 
 
 class TestDecayRate:
+    """The decay rate is the spectral abscissa negated, read from ``spectrum_report``."""
+
     def test_matches_min_of_branch_rates(self):
         """Underdamped decay is min(mu/(2M), 3 zeta/(2 M l^2))."""
         params = make_params()
@@ -218,16 +219,18 @@ class TestDecayRate:
             (params.delta + params.beta) / (2.0 * params.M),
             3.0 * params.zeta / (2.0 * params.M * params.ell**2),
         )
-        np.testing.assert_allclose(decay_rate(params), expected, rtol=1e-12)
+        abscissa = spectrum_report(params, 4, 3).max_real_part
+        np.testing.assert_allclose(-abscissa, expected, rtol=1e-12)
 
     def test_zero_damping_rate_is_zero(self):
         """No damping means no decay."""
-        assert decay_rate(make_params(delta=0.0, zeta=0.0, beta=0.0)) == 0.0
+        report = spectrum_report(make_params(delta=0.0, zeta=0.0, beta=0.0), 4, 3)
+        assert report.max_real_part == 0.0
 
     def test_tnb_rate_frozen_value(self):
         """The benchmark deck decays at 3 zeta/(2 M l^2) = 1/2400 1/s."""
         np.testing.assert_allclose(
-            decay_rate(tnb_params()), 4.166666666666667e-4, rtol=1e-12
+            -spectrum_report(tnb_params(), 10, 10).max_real_part, 4.166666666666667e-4, rtol=1e-12
         )
 
 
