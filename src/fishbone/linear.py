@@ -105,7 +105,7 @@ class SpectrumReport:
 def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
     vertical, torsional = characteristic_roots(params, n_w, n_t)
     roots = np.concatenate((vertical, torsional))
-    max_re = float(roots.real.max())
+    max_re = float(roots.real.max()) + 0.0  # + 0.0: an undamped model's -0.0 reads 0
     tol = 1e-12 * max(1.0, float(np.abs(roots).max()))
     has_real_branch = bool(np.any(np.abs(roots.imag) <= tol))
     if max_re > tol:

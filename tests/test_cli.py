@@ -404,6 +404,13 @@ class TestLinearCommand:
         assert "decay rate (j = 1): 0" in out
         assert "closed form unavailable" in out
 
+    def test_undamped_spectral_abscissa_reads_zero(self, tmp_path, capsys):
+        """Undamped roots have real parts 0.0 and -0.0; the abscissa line reads 0, not -0."""
+        text = "basis.n_w = 3\nbasis.n_t = 2\nmodel.eps = 0.5\nmodel.kappa = 0.3\ninitial.w.1 = 0.1\n"
+        path = write_cfg(tmp_path, text)
+        assert main(["linear", str(path)]) == 0
+        assert "spectral abscissa: 0\n" in capsys.readouterr().out
+
     def test_nonlinear_config_needs_flag(self, tmp_path, capsys):
         """A cable/stretching config is refused without --linearize."""
         path = write_cfg(tmp_path, TOY)

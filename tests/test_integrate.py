@@ -199,6 +199,64 @@ class TestAgainstClosedForms:
         assert drift / max(abs(e0), 1.0) <= 1e-6
 
 
+def grown(tree):
+    """Every rooted tree made by adding one leaf to ``tree``; a tree is the sorted tuple of
+    its subtrees, so equal trees compare equal."""
+    yield tuple(sorted(tree + ((),)))
+    for i, child in enumerate(tree):
+        for bigger in grown(child):
+            yield tuple(sorted(tree[:i] + (bigger,) + tree[i + 1:]))
+
+
+ROOTED_TREES = [{()}]  # by order 1..5: 1, 1, 2, 4 and 9 trees
+for _ in range(4):
+    ROOTED_TREES.append({bigger for tree in ROOTED_TREES[-1] for bigger in grown(tree)})
+
+
+def stage_weights(tree, a, c):
+    """The tree's elementary weight per stage: over its subtrees, the product of a times
+    theirs, with c for a leaf. The order condition of ``tree`` reads b @ this = 1 / density."""
+    out = np.ones(len(c))
+    for child in tree:
+        out = out * (c if child == () else a @ stage_weights(child, a, c))
+    return out
+
+
+def order(tree):
+    return 1 + sum(order(child) for child in tree)
+
+
+def density(tree):
+    return order(tree) * math.prod(density(child) for child in tree)
+
+
+class TestTableau:
+    """The adaptive pair's coefficients meet their order conditions, so a mistyped digit
+    fails here and not only as a costlier or less accurate run."""
+
+    c = fishbone.integrate._RK45_C
+    a = fishbone.integrate._RK45_TABLEAU[:7]
+    b = fishbone.integrate._RK45_TABLEAU[7]
+    b_hat = b - fishbone.integrate._RK45_TABLEAU[8]  # row 8 is the error row b - b_hat
+
+    def test_rows_sum_to_the_stage_times_and_the_last_stage_is_fsal(self):
+        np.testing.assert_allclose(self.a.sum(axis=1), self.c, rtol=0, atol=1e-15)
+        assert self.c[6] == 1.0 and self.b[6] == 0.0
+        assert np.array_equal(self.a[6], self.b)
+
+    def test_b_is_fifth_order_and_b_hat_fourth(self):
+        """b meets all 17 conditions through order 5 and b_hat the 8 through order 4; b_hat
+        misses the order-5 quadrature condition sum b_hat c^4 = 1/5 (by 5.8e-4)."""
+        assert [len(trees) for trees in ROOTED_TREES] == [1, 1, 2, 4, 9]
+        for trees in ROOTED_TREES:
+            for tree in trees:
+                phi = stage_weights(tree, self.a, self.c)
+                assert self.b @ phi == pytest.approx(1 / density(tree), rel=0, abs=1e-14), tree
+                if order(tree) <= 4:
+                    assert self.b_hat @ phi == pytest.approx(1 / density(tree), rel=0, abs=1e-14), tree
+        assert abs(self.b_hat @ self.c**4 - 1 / 5) > 1e-4
+
+
 class TestAdaptive:
     def test_matches_rk4_on_smooth_problem(self):
         """Tight-tolerance adaptive45 agrees with fine RK4."""
@@ -349,7 +407,7 @@ class TestCounters:
 
     def test_dp45_makes_one_call_and_six_per_trial(self, monkeypatch):
         """A large first step makes the run reject some trials. Each trial calls the RHS at
-        t + h/5 first and at t + h last, so the calls give every trial's t and h; a trial is
+        t + c_2 h first and at t + h last, so the calls give every trial's t and h; a trial is
         accepted if the next one starts at its t + h."""
         params, geo, basis, grid = cable_setup(n_w=4, n_t=3, S=1.3, delta=0.1, g=0.4, eps=0.5, kappa=0.3)
         calls = []
@@ -363,7 +421,7 @@ class TestCounters:
         trials = counters["accepted"] + counters["rejected"]
         assert len(calls) == counters["rhs_calls"] == 1 + 6 * trials
         first, last = np.array(calls[1::6]), np.array(calls[6::6])
-        h = 1.25 * (last - first)
+        h = (last - first) / (1 - fishbone.integrate._RK45_C[1])
         starts = last - h
         accepted = np.append(np.isclose(starts[1:], last[:-1], rtol=0, atol=1e-9), True)
         assert counters["rejected"] == np.count_nonzero(~accepted) > 0
@@ -441,11 +499,11 @@ class TestRunLongBuffers:
         while t < cfg.t_end - 0.5 * fi.UNDERFLOW_FRACTION * cfg.t_end:
             h = min(h, cfg.t_end - t)
             tableau = np.zeros((9, 8))  # columns: y, then k0..k6
-            tableau[1:8, 0], tableau[:, 1:] = 1.0, h * fi._DP_TABLEAU
+            tableau[1:8, 0], tableau[:, 1:] = 1.0, h * fi._RK45_TABLEAU
             stack = np.zeros((8, y.size))  # [y, k0, ..., k6]
             stack[0], stack[1] = y, k0
             for i in range(1, 7):
-                stack[i + 1] = f(t + fi._DP_C[i] * h, tableau[i, :7] @ stack[:7])
+                stack[i + 1] = f(t + fi._RK45_C[i] * h, tableau[i, :7] @ stack[:7])
             y5 = tableau[7, :7] @ stack[:7]
             e = (tableau[8, 1:] @ stack[1:]) / (cfg.rtol / 100 + cfg.rtol * np.maximum(np.abs(y), np.abs(y5)))
             err = math.sqrt(float(e @ e) / e.size)
