@@ -517,17 +517,19 @@ def run_verify(seed: int = 0, samples: int = 1000) -> int:
         )
         failures.append(f"{report['violations']} inequality violation(s); worst {worst_key} = {report[worst_key]}")
 
+    # both oracles run on one 3+2 basis and its quadrature grid
+    basis_o = Basis(L=math.pi, n_w=3, n_t=2)
+    grid_o = make_grid(basis_o)
+
     # conservation oracle: undamped unforced nonlinear run must hold Efull flat
     params = ModelParams(eps=0.5, kappa=0.3, S=1.0, P=0.5)
-    basis_c = Basis(L=math.pi, n_w=3, n_t=2)
-    grid_c = make_grid(basis_c)
-    geometry_c = make_geometry(a=0.2, s0=1.0, b=1.0, c=1.0, basis=basis_c, grid=grid_c)
+    geometry_c = make_geometry(a=0.2, s0=1.0, b=1.0, c=1.0, basis=basis_o, grid=grid_o)
     y0 = ModalState(
         w=[0.1, -0.05, 0.02], wdot=[0.0, 0.03, 0.0], th=[0.05, -0.02], thdot=[0.01, 0.0]
     )
     cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=0.05)
-    traj = integrate(y0, params, geometry_c, basis_c, cfg, grid=grid_c)
-    attach_energies(traj, params, geometry_c, basis_c, grid_c)
+    traj = integrate(y0, params, geometry_c, basis_o, cfg, grid=grid_o)
+    attach_energies(traj, params, geometry_c, basis_o, grid_o)
     drift = float(np.max(np.abs(traj.diagnostics["residual"])))  # nothing drains Efull here
     print(f"conservation.drift: {drift:.6e}")
     if drift > 1e-6:
@@ -538,15 +540,13 @@ def run_verify(seed: int = 0, samples: int = 1000) -> int:
         eps=0.3, kappa=0.2, ell=1.2, delta=0.1, zeta=0.05,
         beta=0.02, Upsilon=0.6, Ustream=5.0, g=0.3,
     )
-    basis_l = Basis(L=math.pi, n_w=3, n_t=2)
-    grid_l = make_grid(basis_l)
-    geometry_l = make_geometry(0.0, 1.0, 0.0, 0.0, basis_l, grid_l)
+    geometry_l = make_geometry(0.0, 1.0, 0.0, 0.0, basis_o, grid_o)
     y0_l = ModalState(
         w=[0.2, -0.1, 0.05], wdot=[0.0, 0.05, -0.02], th=[0.1, -0.04], thdot=[0.02, 0.01]
     )
     solution = closed_form(y0_l, params_l)
     cfg_l = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=0.05)
-    traj_l = integrate(y0_l, params_l, geometry_l, basis_l, cfg_l, grid=grid_l)
+    traj_l = integrate(y0_l, params_l, geometry_l, basis_o, cfg_l, grid=grid_o)
     exact = solution.sample(traj_l.times)
     scale = float(np.max(np.abs(exact)))
     err = float(np.max(np.abs(traj_l.data - exact)) / scale)

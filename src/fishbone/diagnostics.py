@@ -204,7 +204,9 @@ def lyapunov_value(
     nu: float,
 ) -> float | np.ndarray:
     """V = Efull + nu (w_t, w) + (nu mu/2)||w||^2 + nu (th_t, th) + (nu zeta/2)||th||^2
-    + beta Upsilon (th_t, w) + eta (th, w): one value per packed row, a float for a ModalState."""
+    + beta Upsilon (th_t, w) + eta (th, w): one value per packed row, a float for a ModalState.
+    A model off the normalization M = D = 1, L = pi raises a ValueError."""
+    _require_normalization(params, "lyapunov_value")
     if not nu > 0.0:
         raise ValueError(f"nu must be positive, got {nu}")
     rows = _as_rows(state, basis)
@@ -362,6 +364,7 @@ def lemma_suite(
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     check_span(None, basis, grid, geometry)
     rng = np.random.default_rng(seed)
+    dmodes = grid.dmodes[: basis.max_modes]  # the grid may tabulate more modes than the basis
     span = basis.L
     k2 = basis.wavenumbers() ** 2
     # ||u_x||_L1 <= sqrt(L) ||u||_1 <= sqrt(L) (L/pi) ||u||_2: the lowest
@@ -385,7 +388,7 @@ def lemma_suite(
         vs, zs = random_states(rng, basis, radius, count), random_states(rng, basis, radius, count)
         for block in _blocks(count):
             v, z = vs[block], zs[block]
-            vx, zx = np.vecmat(v, grid.dmodes), np.vecmat(z, grid.dmodes)
+            vx, zx = np.vecmat(v, dmodes), np.vecmat(z, dmodes)
             l1_diff = np.vecdot(np.abs(vx - zx), grid.weights)
             l1_v = np.vecdot(np.abs(vx), grid.weights)
             arc_v, pi_v = _cable.length_and_energy(vx, geometry, grid)

@@ -3,11 +3,13 @@
 Per mode j the characteristic quartic factors into a vertical and a torsional
 quadratic, s^2 + damping s + stiffness_j per unit inertia (``_per_unit_inertia``,
 written once). ``characteristic_roots`` solves every retained mode's pair in one
-pass, the table that ``spectrum_report`` reads. Each stiffness grows strictly with j
-(D > 0, eps > 0), so mode 1 holds the abscissa ``max_real_part``, the slowest decay
-rate negated. When both oscillators are underdamped and away from the resonance
-condition zeta = l^2 mu / 3 with omega_j = 3 gamma_j / l^2, the forced vertical
-response has the explicit representation
+pass, the table that ``spectrum_report`` and ``closed_form`` read. Each stiffness grows
+strictly with j (D > 0, eps > 0), so mode 1 holds the abscissa ``max_real_part``, the
+slowest decay rate negated, and is the first mode to turn overdamped. A coupled mode
+j <= min(n_w, n_t) is resonant when its vertical and torsional roots coincide, which is
+the condition zeta = l^2 mu / 3 together with omega_j = 3 gamma_j / l^2. When mode 1 of
+both oscillators is damped and underdamped (its + root has Re < 0 and Im > 0) and no
+coupled mode is resonant, the forced vertical response has the explicit representation
 
     w_j(t) = e^(-mu t/2) [c1_j sin(omega_j t/2) + c2_j cos(omega_j t/2)] + static_j
              + e^(-3 zeta t/(2 l^2)) [A_j sin(3 gamma_j t/(2 l^2)) + B_j cos(...)],
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModalState, ModelParams, mode_coefficients
+from .dynamics import CHANNELS, ModalState, ModelParams, mode_coefficients
 
 __all__ = [
     "OverdampedBranch",
@@ -54,7 +56,8 @@ class OverdampedBranch(ValueError):
 
 
 class ResonantCase(ValueError):
-    """zeta = l^2 mu / 3 together with omega_j = 3 gamma_j / l^2.
+    """A coupled mode's vertical and torsional roots coincide: zeta = l^2 mu / 3 together
+    with omega_j = 3 gamma_j / l^2.
 
     The particular solution then grows secularly (the printed representation
     does not apply) and no coefficient formulas are available, so the case is
@@ -107,12 +110,11 @@ def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
     roots = np.concatenate((vertical, torsional))
     max_re = float(roots.real.max()) + 0.0  # + 0.0: an undamped model's -0.0 reads 0
     tol = 1e-12 * max(1.0, float(np.abs(roots).max()))
-    has_real_branch = bool(np.any(np.abs(roots.imag) <= tol))
     if max_re > tol:
         classification = "unstable"
     elif max_re >= -tol:
         classification = "lyapunov_stable"
-    elif has_real_branch:
+    elif np.any(np.abs(roots.imag) <= tol):  # a real root pair
         classification = "overdamped_branch"
     else:
         classification = "exponentially_stable"
@@ -143,9 +145,9 @@ class LinearSolution:
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """Rows [w, wdot, th, thdot] at the given times, Trajectory layout."""
-        t = np.atleast_1d(np.asarray(times, dtype=float))[None, :]
+        t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]  # one row per time
         sigma = 3.0 * self.zeta / (2.0 * self.ell**2)
-        omega_t = 3.0 * self.gamma_j[:, None] / (2.0 * self.ell**2)
+        omega_t = 3.0 * self.gamma_j / (2.0 * self.ell**2)
 
         def osc(decay, freq, ps, pc):
             envelope = np.exp(-decay * t)
@@ -154,18 +156,19 @@ class LinearSolution:
             d1 = envelope * ((-decay * ps - freq * pc) * s + (freq * ps - decay * pc) * c)
             return val, d1
 
-        hom, hom1 = osc(
-            0.5 * self.mu, 0.5 * self.omega_j[:, None], self.c1_j[:, None], self.c2_j[:, None]
-        )
-        par, par1 = osc(sigma, omega_t[: self.n_w], self.A_j[:, None], self.B_j[:, None])
-        w = hom + par + self.static_j[:, None]
-        th, th1 = osc(sigma, omega_t[: self.n_t], self.th_sin[:, None], self.th_cos[:, None])
-        return np.hstack([w.T, (hom1 + par1).T, th.T, th1.T])
+        hom, hom1 = osc(0.5 * self.mu, 0.5 * self.omega_j, self.c1_j, self.c2_j)
+        par, par1 = osc(sigma, omega_t[: self.n_w], self.A_j, self.B_j)
+        th, th1 = osc(sigma, omega_t[: self.n_t], self.th_sin, self.th_cos)
+        rows = dict(w=hom + par + self.static_j, wdot=hom1 + par1, th=th, thdot=th1)
+        return np.hstack([rows[channel] for channel in CHANNELS])
 
 
 def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
-    """Exact solution of the linear system from y0 (hypotheses checked)."""
+    """Exact solution of the linear system from y0, its hypotheses read off the + roots of
+    ``characteristic_roots``: mode 1 of each branch damped (Re < 0) and underdamped (Im > 0),
+    and no coupled mode whose vertical and torsional roots coincide."""
     n_w, n_t = y0.n_w, y0.n_t
+    vertical, torsional = (pairs[:, 0] for pairs in characteristic_roots(params, n_w, n_t))
     # per unit mass below, as in the paper's formulas; gamma for every retained mode
     co = mode_coefficients(params, n_w, max(n_w, n_t))
     mu, zeta, ell = params.mu * co.inv_m, params.zeta * co.inv_m, params.ell
@@ -173,39 +176,33 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     k4v, k4t = co.bending * co.inv_m, (co.warping + co.torsion) * co.inv_m
     static = co.load / co.bending  # static deflection under gravity
 
-    if not (mu > 0.0 and zeta > 0.0):
+    if not (vertical[0].real < 0.0 and torsional[0].real < 0.0):
         raise OverdampedBranch(
             f"the closed form needs strictly positive damping, got mu={mu:g}, zeta={zeta:g}"
         )
-    omega_sq = 4.0 * k4v - mu**2
-    gamma_sq = (4.0 * ell2 / 3.0) * k4t - zeta**2
-    if omega_sq[0] <= 0.0:
+    # mode 1 is the least stiff, so an underdamped mode 1 leaves every mode underdamped
+    if not vertical[0].imag > 0.0:
         raise OverdampedBranch(
             f"vertical branch overdamped: mu={mu:g} >= 2 sqrt(k4) = {2*np.sqrt(k4v[0]):g}"
         )
-    if gamma_sq[0] <= 0.0:
+    if not torsional[0].imag > 0.0:
         raise OverdampedBranch(
-            f"torsional branch overdamped: zeta={zeta:g} >= "
-            f"{2*ell*np.sqrt(k4t[0]/3):g}"
+            f"torsional branch overdamped: zeta={zeta:g} >= {2*ell*np.sqrt(k4t[0]/3):g}"
         )
-    omega = np.sqrt(omega_sq)
-    gamma = np.sqrt(gamma_sq)
     # The wind couples w_j to th_j on the common prefix j <= min(n_w, n_t) only: the
     # particular solution, its resonance and its conditioning live there, and the
     # vertical modes beyond it are unforced (A_j = B_j = 0).
     m = min(n_w, n_t)
-    th0, th1 = y0.th[:m], y0.thdot[:m]
-    gamma_sq, gamma_m, omega_m, k4v_m = gamma_sq[:m], gamma[:m], omega[:m], k4v[:m]
+    if np.any(np.abs(vertical[:m] - torsional[:m]) <= RESONANCE_RTOL * np.abs(vertical[:m])):
+        raise ResonantCase(
+            f"zeta = l^2 mu/3 = {zeta:g} and omega_j = 3 gamma_j / l^2 for a retained "
+            "mode; the representation acquires secular growth and is not provided"
+        )
+    omega = 2.0 * vertical.imag
+    gamma_sq = (4.0 * ell2 / 3.0) * k4t - zeta**2
+    gamma = np.sqrt(gamma_sq)
+    th0, th1, gamma_sq, k4v_m = y0.th[:m], y0.thdot[:m], gamma_sq[:m], k4v[:m]
     bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m
-
-    res_scale = max(zeta, ell2 * mu / 3.0)
-    if abs(zeta - ell2 * mu / 3.0) <= RESONANCE_RTOL * res_scale:
-        freq_scale = np.maximum(omega_m, 3.0 * gamma_m / ell2)
-        if np.any(np.abs(omega_m - 3.0 * gamma_m / ell2) <= RESONANCE_RTOL * freq_scale):
-            raise ResonantCase(
-                f"zeta = l^2 mu/3 = {zeta:g} and omega_j = 3 gamma_j / l^2 for a retained "
-                "mode; the representation acquires secular growth and is not provided"
-            )
 
     # Particular-solution coefficients, Eqs. (A-B), transcribed verbatim.
     p1 = 4.0 * ell2**2 * k4v_m - 9.0 * gamma_sq - 6.0 * ell2 * zeta * mu + 9.0 * zeta**2
@@ -228,7 +225,7 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         (3.0 * zeta * th0 + 2.0 * ell2 * th1) * bu - 3.0 * th0 * zeta * bu + 2.0 * ell2 * th0 * eta
     )
     big_a, big_b = np.zeros(n_w), np.zeros(n_w)
-    big_a[:m] = (2.0 * ell2 / (3.0 * gamma_m * den)) * a_num
+    big_a[:m] = (2.0 * ell2 / (3.0 * gamma[:m] * den)) * a_num
     b_num = p1 * (
         -(2.0 * ell2 * th1 + 3.0 * zeta * th0) * bu
         + 3.0 * th0 * zeta * bu

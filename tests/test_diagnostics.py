@@ -441,6 +441,13 @@ class TestLyapunov:
         with pytest.raises(ValueError, match=r"normalization M = D = 1, L = pi"):
             absorbing_params(scenario.params)
 
+    def test_lyapunov_value_refuses_a_dimensional_model(self):
+        """At M = 5, D = 2 the functional is not the normalized one, so V is refused rather
+        than reported (it would read 0 for the zero state)."""
+        params, geo, basis, grid = cable_setup(M=5.0, D=2.0, delta=0.1, zeta=0.1)
+        with pytest.raises(ValueError, match=r"lyapunov_value holds in the normalization"):
+            lyapunov_value(ModalState.zero(basis), params, geo, basis, grid, 0.02)
+
     def test_absorbing_explicit_nu_kept(self):
         """A caller-supplied nu is carried through unchanged."""
         lp = absorbing_params(ModelParams(delta=0.5, zeta=0.5), nu=0.07)
@@ -463,6 +470,16 @@ class TestLemmaSuite:
         ):
             assert report[f"{name}.violations"] == 0
             assert report[f"{name}.worst_slack"] >= -1e-9
+        assert np.isfinite(report["growth_bound.max_required_C"])
+
+    def test_grid_for_more_modes(self):
+        """A grid that tabulates more modes than the basis (accepted by ``check_span``) gives
+        the slopes of the basis's modes, as ``energies`` takes them."""
+        basis = Basis(L=np.pi, n_w=3, n_t=2)
+        grid = make_grid(Basis(L=np.pi, n_w=25, n_t=25))
+        geo = make_geometry(0.2, 1.0, 1.0, 1.0, basis, grid)
+        report = lemma_suite(200, 5.0, geo, basis, grid, seed=5)
+        assert report["violations"] == 0
         assert np.isfinite(report["growth_bound.max_required_C"])
 
     def test_empty_run(self):

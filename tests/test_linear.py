@@ -479,6 +479,50 @@ class TestClosedFormHypotheses:
         with pytest.raises(ResonantCase, match="secular"):
             closed_form(random_state(np.random.default_rng(6), 2, 1), params)
 
+    def test_resonance_at_the_second_mode_only(self):
+        """At l^2 = 3, eps = 1/2, kappa = 2 and mu = zeta the vertical and torsional roots of
+        mode 2 coincide while mode 1's do not: a 3+2 model raises, and a 1+1 model, which has
+        no second coupled mode, does not."""
+        params = make_params(
+            ell=np.sqrt(3.0), eps=0.5, kappa=2.0, delta=0.1, zeta=0.1, beta=0.0, Upsilon=0.0,
+            Ustream=0.0,
+        )
+        vertical, torsional = characteristic_roots(params, 2, 2)
+        assert abs(vertical[0, 0] - torsional[0, 0]) > 0.1
+        with pytest.raises(ResonantCase, match="secular"):
+            closed_form(random_state(np.random.default_rng(9), 3, 2), params)
+        closed_form(random_state(np.random.default_rng(9), 1, 1), params)
+
+    def test_exact_critical_damping_is_overdamped(self):
+        """mu = 2 sqrt(k4) exactly (delta = 2 at M = D = 1, L = pi): mode 1's vertical roots
+        are a real double root, so the vertical hypothesis fails."""
+        params = make_params(delta=2.0, beta=0.0)
+        assert characteristic_roots(params, 1, 1)[0][0, 0] == -1.0
+        with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
+            closed_form(random_state(np.random.default_rng(10), 2, 1), params)
+
+    def test_hypotheses_agree_with_the_stability_class(self):
+        """Across critical damping on both branches, kept 1e-6 relative away from it, the
+        closed form refuses a model exactly when the root table does not class it
+        exponentially stable."""
+        base = make_params()
+        mu_crit = 2.0  # 2 sqrt(D (pi/L)^4) at D = 1, L = pi
+        zeta_crit = 2.0 * base.ell * np.sqrt((base.eps + base.kappa) / 3.0)
+        factors = [0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.1, 3.0]
+        outcomes = set()
+        for f_mu in factors:
+            for f_zeta in factors:
+                params = make_params(delta=f_mu * mu_crit - base.beta, zeta=f_zeta * zeta_crit)
+                stable = spectrum_report(params, 3, 2).classification == "exponentially_stable"
+                try:
+                    closed_form(random_state(np.random.default_rng(11), 3, 2), params)
+                    refused = False
+                except OverdampedBranch:
+                    refused = True
+                assert refused == (not stable), (f_mu, f_zeta)
+                outcomes.add(refused)
+        assert outcomes == {True, False}
+
     def test_near_resonance_warns(self):
         """A nearly singular particular denominator emits ConditioningWarning."""
         params = make_params(
