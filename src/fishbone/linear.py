@@ -7,9 +7,9 @@ pass, the table that ``spectrum_report`` and ``closed_form`` read. Each stiffnes
 strictly with j (D > 0, eps > 0), so mode 1 holds the abscissa ``max_real_part``, the
 slowest decay rate negated, and is the first mode to turn overdamped. A coupled mode
 j <= min(n_w, n_t) is resonant when its vertical and torsional roots coincide, which is
-the condition zeta = l^2 mu / 3 together with omega_j = 3 gamma_j / l^2. When mode 1 of
-both oscillators is damped and underdamped (its + root has Re < 0 and Im > 0) and no
-coupled mode is resonant, the forced vertical response has the explicit representation
+the condition zeta = l^2 mu / 3 together with omega_j = 3 gamma_j / l^2. When both
+dampings are positive, mode 1 of both oscillators is underdamped and no coupled mode is
+resonant, the forced vertical response has the explicit representation
 
     w_j(t) = e^(-mu t/2) [c1_j sin(omega_j t/2) + c2_j cos(omega_j t/2)] + static_j
              + e^(-3 zeta t/(2 l^2)) [A_j sin(3 gamma_j t/(2 l^2)) + B_j cos(...)],
@@ -110,11 +110,12 @@ def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
     roots = np.concatenate((vertical, torsional))
     max_re = float(roots.real.max()) + 0.0  # + 0.0: an undamped model's -0.0 reads 0
     tol = 1e-12 * max(1.0, float(np.abs(roots).max()))
+    has_real_branch = bool(np.any(np.abs(roots.imag) <= tol))
     if max_re > tol:
         classification = "unstable"
     elif max_re >= -tol:
         classification = "lyapunov_stable"
-    elif np.any(np.abs(roots.imag) <= tol):  # a real root pair
+    elif has_real_branch:
         classification = "overdamped_branch"
     else:
         classification = "exponentially_stable"
@@ -164,9 +165,10 @@ class LinearSolution:
 
 
 def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
-    """Exact solution of the linear system from y0, its hypotheses read off the + roots of
-    ``characteristic_roots``: mode 1 of each branch damped (Re < 0) and underdamped (Im > 0),
-    and no coupled mode whose vertical and torsional roots coincide."""
+    """Exact solution of the linear system from y0. Hypotheses: mu, zeta > 0; mode 1 of
+    each branch underdamped, the vertical read off the + root of ``characteristic_roots``
+    (Im > 0) and the torsional off the gamma_sq the formulas use; and no coupled mode whose
+    vertical and torsional roots in that table coincide."""
     n_w, n_t = y0.n_w, y0.n_t
     vertical, torsional = (pairs[:, 0] for pairs in characteristic_roots(params, n_w, n_t))
     # per unit mass below, as in the paper's formulas; gamma for every retained mode
@@ -176,7 +178,7 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
     k4v, k4t = co.bending * co.inv_m, (co.warping + co.torsion) * co.inv_m
     static = co.load / co.bending  # static deflection under gravity
 
-    if not (vertical[0].real < 0.0 and torsional[0].real < 0.0):
+    if not (mu > 0.0 and zeta > 0.0):
         raise OverdampedBranch(
             f"the closed form needs strictly positive damping, got mu={mu:g}, zeta={zeta:g}"
         )
@@ -185,7 +187,9 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
         raise OverdampedBranch(
             f"vertical branch overdamped: mu={mu:g} >= 2 sqrt(k4) = {2*np.sqrt(k4v[0]):g}"
         )
-    if not torsional[0].imag > 0.0:
+    # gamma is per unit mass and the table per unit inertia, so test the gamma_sq used below
+    gamma_sq = (4.0 * ell2 / 3.0) * k4t - zeta**2
+    if not gamma_sq[0] > 0.0:
         raise OverdampedBranch(
             f"torsional branch overdamped: zeta={zeta:g} >= {2*ell*np.sqrt(k4t[0]/3):g}"
         )
@@ -199,7 +203,6 @@ def closed_form(y0: ModalState, params: ModelParams) -> LinearSolution:
             "mode; the representation acquires secular growth and is not provided"
         )
     omega = 2.0 * vertical.imag
-    gamma_sq = (4.0 * ell2 / 3.0) * k4t - zeta**2
     gamma = np.sqrt(gamma_sq)
     th0, th1, gamma_sq, k4v_m = y0.th[:m], y0.thdot[:m], gamma_sq[:m], k4v[:m]
     bu, eta = params.beta * params.Upsilon * co.inv_m, params.eta * co.inv_m

@@ -501,6 +501,26 @@ class TestClosedFormHypotheses:
         with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
             closed_form(random_state(np.random.default_rng(10), 2, 1), params)
 
+    def test_torsional_damping_within_an_ulp_of_critical_is_overdamped(self):
+        """At zeta = 2 l sqrt((eps + kappa)/3) the root table, per unit inertia, rounds to
+        Im = 3e-8 while the per-mass gamma_sq the formulas divide by rounds to 0: the
+        closed form refuses the model rather than return gamma_j = 0 and A_j = nan."""
+        ell, eps, kappa = 0.7, 0.9, 0.1
+        params = make_params(
+            ell=ell, eps=eps, kappa=kappa, delta=0.1, zeta=2.0 * ell * np.sqrt((eps + kappa) / 3.0)
+        )
+        assert characteristic_roots(params, 1, 1)[1][0, 0].imag > 0.0
+        with pytest.raises(OverdampedBranch, match="torsional branch overdamped"):
+            closed_form(random_state(np.random.default_rng(12), 3, 2), params)
+
+    def test_heavy_vertical_overdamping_is_not_read_as_zero_damping(self):
+        """At mu = 1e9 mode 1's + vertical root rounds to exactly 0; the damping is still
+        positive, so the refusal names the overdamped vertical branch."""
+        params = make_params(delta=1e9)
+        assert characteristic_roots(params, 1, 1)[0][0, 0] == 0.0
+        with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
+            closed_form(random_state(np.random.default_rng(13), 3, 2), params)
+
     def test_hypotheses_agree_with_the_stability_class(self):
         """Across critical damping on both branches, kept 1e-6 relative away from it, the
         closed form refuses a model exactly when the root table does not class it
