@@ -19,8 +19,8 @@ per row, or a ``ModalState``, packed into one row and answered with floats.
 ``attach_energies`` writes a trajectory's E, Eplus and Efull series and the
 identity's residual series, all from one pass over its rows.
 Cable calls there and in ``lemma_suite`` take ROW_BLOCK rows: 60 KB temporaries
-at 240 nodes, where a 1,099-sample trajectory makes 2.1 MB (64-row blocks raised
-the tacoma peak RSS by 0.45 MB at 320 nodes). A row's values do not depend on the block.
+at 240 nodes, where a 1,099-sample trajectory makes 2.1 MB. A row's values do not
+depend on the block.
 ``lemma_suite`` draws its samples DRAW_BLOCK pairs at a time, so it holds one draw,
 not all of them (20,000 pairs: a 0.54 MB traced peak, not 5.4 MB).
 """

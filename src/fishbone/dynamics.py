@@ -18,11 +18,14 @@ row layout y = [w, wdot, th, thdot] is written once too: ``CHANNELS`` names the
 channels in row order and ``channel_slices`` gives their slices. On packed y,
 ``linear_operator`` holds every linear term in A y + c; ``make_packed_rhs``
 adds the cubic stretching term and the cable projections on every call, so the
-integrator sees the exact semi-discrete flow. On the internal row [w, th, 1,
-wdot, thdot, F, stretching], [w, th, 1] @ slopes gives the nodal slopes of both
-hanger lines and k_j^2 w_j; after the force law (``cable.force_law``, bound
-once per run), [f; f-bar / l] @ projection gives F, their projections onto the
-modes, and row @ [A^T; c; picks] (rows in that order) gives f(y).
+integrator sees the exact semi-discrete flow. It works on an internal row of
+blocks w | th | 1 | wdot | thdot | F | stretched, named once by the helper that
+also gives ``channel_slices``; y lands in its w, th, wdot and thdot blocks. The
+head [w, th, 1] @ slopes gives the nodal slopes of both hanger lines and
+k_j^2 w_j; after the force law (``cable.force_law``, bound once per run),
+[f; f-bar / l] @ projection gives F, their projections onto the modes, and
+row @ table gives f(y): the table holds A^T in the rows of the y blocks, c in
+the row of the 1, and ones that pick F and the stretching into wdot and thdot.
 """
 
 from __future__ import annotations
@@ -100,12 +103,15 @@ CHANNELS = ("w", "wdot", "th", "thdot")  # the packed row order
 _ChannelSlices = namedtuple("ChannelSlices", CHANNELS)
 
 
+def _back_to_back(*sizes: int) -> list[slice]:
+    """Slices of consecutive blocks of the given sizes, the first starting at 0."""
+    return [slice(stop - size, stop) for size, stop in zip(sizes, itertools.accumulate(sizes))]
+
+
 @functools.lru_cache(maxsize=32)
 def channel_slices(n_w: int, n_t: int) -> _ChannelSlices:
     """Each channel's slice of a packed row; the row length is ``thdot.stop``."""
-    sizes = (n_w, n_w, n_t, n_t)
-    stops = itertools.accumulate(sizes)
-    return _ChannelSlices(*(slice(stop - size, stop) for size, stop in zip(sizes, stops)))
+    return _ChannelSlices(*_back_to_back(n_w, n_w, n_t, n_t))
 
 
 @dataclass
@@ -236,48 +242,47 @@ def make_packed_rhs(
     """Build f(t, y) on one packed row y, a new array per call; the hot path.
 
     The tables and work arrays are built here, once per run, so a call allocates
-    only the derivative it returns. The table has n + 1 + 2 (n_w + n_t) + n_w rows
-    whatever the node count. The cable term (b = c = 0) and stretching (S = 0)
-    are skipped when off, and the slopes product with them: no 0 * inf. The grid
-    and the geometry must fit the basis's span (``check_span``).
+    only the derivative it returns. The table has a row per slot of the internal
+    row (67 at 10+4 modes) whatever the node count. The cable term (b = c = 0) and
+    stretching (S = 0) are skipped when off, and the slopes product with them: no
+    0 * inf. The grid and the geometry must fit the basis's span (``check_span``).
     """
     check_span(params, basis, grid, geometry)
     n_w, n_t = basis.n_w, basis.n_t
     A, c = linear_operator(params, basis)
     n, nodes, modes = len(c), grid.n_nodes, n_w + n_t
-    w, acc_w, th, acc_t = channel_slices(n_w, n_t)
+    _, acc_w, _, acc_t = channel_slices(n_w, n_t)
     co = mode_coefficients(params, n_w, n_t)
     dw, dt = grid.dmodes[:n_w], grid.dmodes[:n_t]
     multiply = np.multiply  # bound once per run
     stretch = -params.S / params.M  # the factor of ||w_x||^2 k^2 w
     cables_on = geometry.b != 0.0 or geometry.c != 0.0
-    # [y, 1] @ slopes: total slopes of the lines w + l th and w - l th, then k^2 w
-    up, down, k2w = slice(0, nodes), slice(nodes, 2 * nodes), slice(2 * nodes, 2 * nodes + n_w)
-    slopes = np.zeros((n + 1, k2w.stop))
+    # The internal row [w, th, 1, wdot, thdot, F, -(S/M) ||w_x||^2 k^2 w]; y lands in it by one
+    # scatter, and the slopes product reads only its head [w, th, 1].
+    w, th, one, wdot, thdot, F, stretched = _back_to_back(n_w, n_t, 1, n_w, n_t, 2 * modes, n_w)
+    slots = np.r_[w, wdot, th, thdot]  # the slot of each entry of y, in packed order
+    # head @ slopes = nodal: total slopes of the lines w + l th and w - l th, then k^2 w
+    up, down, k2w = _back_to_back(nodes, nodes, n_w)
+    slopes = np.zeros((one.stop, k2w.stop))
     slopes[w, up] = slopes[w, down] = dw
     slopes[th, up] = params.ell * dt
     slopes[th, down] = -slopes[th, up]  # exact: mirroring th swaps the lines bit for bit
-    slopes[n, up] = slopes[n, down] = geometry.sx
+    slopes[one, up] = slopes[one, down] = geometry.sx
     slopes[w, k2w] = np.diag(co.k2)
     # [f; f-bar / l] @ projection = F (2, n_w + n_t): the table picks (f, e_j')_0 / M from row 0
     # and (f-bar, e_j')_0 / I from row 1; one product forms both, the cross blocks unread.
     projection = (np.vstack([co.inv_m * dw, (co.inv_it * params.ell) * dt]) * grid.weights).T
-    # The internal row is [w, th, 1, wdot, thdot, F, -(S/M) ||w_x||^2 k^2 w]; y lands in it by
-    # one scatter, and the slopes product reads only its lead [w, th, 1].
-    order, lead = np.r_[w, th, n, acc_w, acc_t], n_w + n_t + 1  # the [y, 1] entry of each slot
-    slots = np.empty_like(order)
-    slots[order] = np.arange(n + 1)  # the slot of each entry of [y, 1]
-    slopes, slots = slopes[order[:lead]], slots[:n]
-    table = np.zeros((n + 1 + 2 * modes + n_w, n))  # rows: the internal row's slots
-    table[: n + 1] = np.vstack([A.T, c])[order]
-    picks = n + 1 + np.r_[:n_w, modes + n_w : 2 * modes, 2 * modes : 2 * modes + n_w]
-    table[picks, np.r_[acc_w, acc_t, acc_w]] = 1.0  # F[0, :n_w], F[1, n_w:], the stretching
+    table = np.zeros((stretched.stop, n))  # rows: the internal row's slots
+    table[slots], table[one] = A.T, c  # row @ table = A y + c + the picks below
+    # Ones pick F[0, :n_w] and the stretching into wdot, and F[1, n_w:] into thdot.
+    f_slots = np.r_[F].reshape(2, modes)
+    table[np.r_[f_slots[0, :n_w], f_slots[1, n_w:], stretched], np.r_[acc_w, acc_t, acc_w]] = 1.0
 
     row, nodal = np.zeros(len(table)), np.empty(k2w.stop)
-    row[lead - 1] = 1.0
-    head, y_w = row[:lead], row[:n_w]
-    forces, stretch_part = row[n + 1 : n + 1 + 2 * modes].reshape(2, modes), row[-n_w:]
-    lines, k2w_w = nodal[: 2 * nodes].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
+    row[one] = 1.0
+    head, y_w = row[: one.stop], row[w]
+    forces, stretch_part = row[F].reshape(2, modes), row[stretched]
+    lines, k2w_w = nodal[: k2w.start].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
     h = force_law(geometry, (2, nodes))
     mix, mixed = np.array([[1.0, 1.0], [1.0, -1.0]]), np.empty((2, nodes))  # mixed: [f; f-bar/l]
     # Each product's left operand is fixed, so its ndarray.dot is bound here: the C routine of

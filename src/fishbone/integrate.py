@@ -5,9 +5,7 @@ steps over t_end and sample_every to a whole number of those steps, so samples
 are uniform. Runs start at t = 0: the flow is autonomous. The adaptive path
 (DP45 in the counters and the benchmark's metrics) is Tsitouras's 5(4) embedded
 pair (Comput. Math. Appl. 62:770-775, 2011), seven stages with the last one
-reused as the next step's first (FSAL), as in Dormand-Prince's pair, which it
-replaced: at one tolerance it takes 8-12% fewer RHS calls on the canonical runs,
-with a smaller largest sampled-state error. It has the absolute tolerance
+reused as the next step's first (FSAL). It has the absolute tolerance
 rtol / 100, a PI step controller (safety 0.9, growth clamp [0.2, 5.0], plain
 halving on rejection) and cubic Hermite dense output at those times, which do
 not steer its steps; the closed-form export of the CLI samples the same clock.

@@ -85,7 +85,11 @@ def characteristic_roots(params: ModelParams, n_w: int, n_t: int) -> tuple[np.nd
     pairs = []
     for damping, stiffness in _per_unit_inertia(params, n_w, n_t):
         root = np.sqrt((damping**2 - 4.0 * stiffness).astype(complex))
-        pairs.append(np.column_stack((-damping + root, -damping - root)) / 2.0)
+        # A real + root is -2 stiffness / (damping + root), as -damping + root cancels when
+        # damping^2 >> 4 stiffness; damping + |root| > 0 because stiffness > 0.
+        real_plus = -2.0 * stiffness / (damping + abs(root))
+        plus = np.where(root.imag == 0.0, real_plus, (-damping + root) / 2.0)
+        pairs.append(np.column_stack((plus, (-damping - root) / 2.0)))
     return tuple(pairs)
 
 
@@ -102,18 +106,20 @@ class SpectrumReport:
     vertical: np.ndarray  # (n_w, 2) complex, + root first
     torsional: np.ndarray  # (n_t, 2) complex
     max_real_part: float
-    classification: str  # exponentially_stable | lyapunov_stable | unstable | overdamped_branch
+    classification: str  # exponentially_stable | lyapunov_stable | overdamped_branch
 
 
 def spectrum_report(params: ModelParams, n_w: int, n_t: int) -> SpectrumReport:
+    """Damping >= 0 and stiffness > 0 (``ModelParams``) keep every root in Re <= 0, so the
+    class is lyapunov_stable when the abscissa is zero relative to the modulus of the root
+    that sets it, else overdamped_branch when some root is real, else exponentially_stable."""
     vertical, torsional = characteristic_roots(params, n_w, n_t)
-    roots = np.concatenate((vertical, torsional))
-    max_re = float(roots.real.max()) + 0.0  # + 0.0: an undamped model's -0.0 reads 0
+    roots = np.concatenate((vertical, torsional)).ravel()
+    lead = roots[np.argmax(roots.real)]  # the root that sets the abscissa
+    max_re = float(lead.real) + 0.0  # + 0.0: an undamped model's -0.0 reads 0
     tol = 1e-12 * max(1.0, float(np.abs(roots).max()))
     has_real_branch = bool(np.any(np.abs(roots.imag) <= tol))
-    if max_re > tol:
-        classification = "unstable"
-    elif max_re >= -tol:
+    if max_re >= -1e-12 * abs(lead):
         classification = "lyapunov_stable"
     elif has_real_branch:
         classification = "overdamped_branch"

@@ -14,20 +14,17 @@ polynomials; panel count scales with the retained mode count so smooth
 non-polynomial integrands keep uniform accuracy. The rule is 12-point panels,
 one per mode and at least 20: 240 nodes up to 20 modes. For analytic
 integrands a higher-order Gauss rule converges faster per node (Trefethen
-2008, "Is Gauss quadrature better than Clenshaw-Curtis?"), so 240 nodes do what
-320 on 5-point panels did. A convergence test sets the rule: along the
-canonical wind_stretch run at 10+4 to 24+12 modes the RHS is within 1e-10 per
-acceleration block of a 16 times finer rule (1.0e-11 measured, a rounding
-floor). The error grows with amplitude, which the rule does not follow. On the
+2008, "Is Gauss quadrature better than Clenshaw-Curtis?"). A convergence test
+sets the rule: along the canonical wind_stretch run at 10+4 to 24+12 modes the
+RHS is within 1e-10 per acceleration block of a 16 times finer rule (1.0e-11
+measured, a rounding floor). The error grows with amplitude, which the rule does not follow. On the
 damped 4+3 model, worst over 20 seeds of six states (tools/quadrature_study.py):
 
     Eplus            1        10       100      1e3     1e4
     12 x 20 panels   6.7e-16  5.1e-16  6.0e-16  3.7e-9  2.3e-5
-    5 x 64 (before)  7.5e-16  8.2e-16  2.6e-13  6.0e-9  3.1e-6
 
-so at Eplus 1e4 this rule is seven times worse than the 5-point one; no test
-or benchmark workload reaches that energy. It grows as Xi = sqrt(1 + (u_x +
-s_x)^2) steepens. The 12-point reference rule is written out (``GAUSS_NODES``,
+No test or benchmark workload reaches Eplus 1e4. The error grows as
+Xi = sqrt(1 + (u_x + s_x)^2) steepens. The 12-point reference rule is written out (``GAUSS_NODES``,
 ``GAUSS_WEIGHTS``), equal to numpy's ``leggauss(12)`` bit for bit, so building a
 grid never imports numpy.polynomial.
 """

@@ -117,6 +117,15 @@ class TestGeometry:
         with pytest.raises(ValueError, match="the grid tabulates 2 modes, the basis retains 4"):
             make_geometry(A, S0, B, C, basis, small)
 
+    def test_modal_vector_longer_than_the_grid_refused(self):
+        """A modal vector with more modes than the grid tabulates is refused, naming both
+        counts, rather than cut to the grid's modes."""
+        basis, grid, geo = default_setup()
+        tabulated = grid.dmodes.shape[0]
+        message = f"length {tabulated + 1} does not fit a grid built for {tabulated} modes"
+        with pytest.raises(ValueError, match=message):
+            pi_energy(np.zeros(tabulated + 1), geo, grid)
+
 
 class TestForceDensity:
     def test_zero_state_force_is_slope_tension(self):

@@ -717,13 +717,15 @@ class TestExitCodes:
              "out of memory: Unable to allocate 1.99 PiB"),
             (["simulate"], "modle.M = 7198\n", 2,
              "config error: modle.M: unknown configuration key"),
+            (["simulate"], "model.E = 1e200\nmodel.I = 1e200\nmodel.D = derive\n", 2,
+             "config error: model.D: derived value inf is not finite"),
             (["linear"], TOY, 2, "pass --linearize"),
             (["linear", "--csv", "out/closed.csv"], "model.delta = 50\nmodel.zeta = 0.05\n", 3,
              "linear analysis failed: vertical branch overdamped"),
             (["sweep"], "sweep.beta = 1e-3\n", 2, "config error: sweep.U: missing required key"),
         ],
         ids=["H_zero", "c_H_negative", "c_H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
-             "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
+             "D_overflow", "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
     )
     def test_typed_failure_exits_without_traceback(
         self, tmp_path, capsys, monkeypatch, argv, text, code, message

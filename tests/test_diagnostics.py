@@ -359,10 +359,18 @@ class TestEnergyIdentity:
 
 
 class TestLyapunov:
-    def test_sandwich_bounds(self):
-        """c0 Eplus - c2 <= V <= c1 Eplus + c2 on random states (P = g = 0)."""
+    @pytest.mark.parametrize(
+        "P, S, g",
+        [(0.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.0, 1.0, 0.3), (2.0, 0.5, 1.0)],
+        ids=["unloaded", "prestress", "gravity", "both"],
+    )
+    def test_sandwich_bounds(self, P, S, g):
+        """c0 Eplus - c2 <= V <= c1 Eplus + c2 on random states, with the prestress and
+        gravity Young remainders of c2 and their 2 nu in c0 and c1 when P or g is on."""
         params, geo, basis, grid = cable_setup(
-
+            P=P,
+            S=S,
+            g=g,
             n_w=6,
             n_t=6,
             delta=0.3,

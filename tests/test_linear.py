@@ -89,15 +89,20 @@ def random_state(rng, n_w, n_t, amp=0.5):
 
 def per_mode_pair(params: ModelParams, j: int, channel: int) -> np.ndarray:
     """Mode j's vertical (0) or torsional (1) root pair, + root first, solved one mode at a
-    time from scalar coefficients."""
+    time from scalar coefficients; a real + root as -2 stiffness / (damping + root)."""
     inv_m, inv_it = 1.0 / params.M, 3.0 / (params.M * params.ell**2)
     k2 = (j * (np.pi / params.L)) ** 2
     damping, stiffness = (
         (params.mu * inv_m, params.D * k2**2 * inv_m),
         (params.zeta * inv_it, (params.eps * k2**2 + params.kappa * k2) * inv_it),
     )[channel]
-    root = np.sqrt(complex(damping**2 - 4.0 * stiffness))
-    return np.array([(-damping + root) / 2.0, (-damping - root) / 2.0])
+    discriminant = damping**2 - 4.0 * stiffness
+    root = np.sqrt(complex(discriminant))
+    if discriminant >= 0.0:
+        plus = -2.0 * stiffness / (damping + abs(root))
+    else:
+        plus = (-damping + root) / 2.0
+    return np.array([plus, (-damping - root) / 2.0])
 
 
 class TestCharacteristicRoots:
@@ -201,6 +206,23 @@ class TestSpectrumReport:
         assert report.classification == "overdamped_branch"
         assert report.max_real_part < 0.0
         assert np.any(np.abs(report.vertical.imag) < 1e-12)
+
+    @pytest.mark.parametrize(
+        "delta, zeta, branch",
+        [(1e3, 0.1, 0), (1e6, 0.1, 0), (1e7, 0.1, 0), (1e9, 0.1, 0), (0.1, 1e8, 1)],
+    )
+    def test_heavy_overdamping_keeps_the_slow_root(self, delta, zeta, branch):
+        """With damping^2 >> 4 stiffness, mode 1's + root is stiffness / (- root) to 1e-12
+        relative (Vieta; stiffness 1 vertical and 3 torsional at the defaults), not a
+        cancelled -damping + sqrt(damping^2 - 4 stiffness) that reads 0 at delta = 1e9. It
+        sets the abscissa (-1e-7 at delta = 1e7), so the class is overdamped_branch, not
+        lyapunov_stable."""
+        report = spectrum_report(ModelParams(delta=delta, zeta=zeta), 3, 2)
+        slow, fast = (report.vertical, report.torsional)[branch][0]
+        stiffness = (1.0, 3.0)[branch]
+        assert report.classification == "overdamped_branch"
+        assert slow == pytest.approx(stiffness / fast, rel=1e-12, abs=0.0)
+        assert report.max_real_part == slow.real
 
     def test_tnb_spectrum_is_exponentially_stable(self):
         """The dimensional benchmark deck has all ten modes strictly decaying."""
@@ -514,10 +536,12 @@ class TestClosedFormHypotheses:
             closed_form(random_state(np.random.default_rng(12), 3, 2), params)
 
     def test_heavy_vertical_overdamping_is_not_read_as_zero_damping(self):
-        """At mu = 1e9 mode 1's + vertical root rounds to exactly 0; the damping is still
-        positive, so the refusal names the overdamped vertical branch."""
+        """At mu = 1e9 mode 1's + vertical root is 1 / (- root), about -1e-9 and no longer
+        rounded to 0; the damping is positive, so the refusal names the overdamped vertical
+        branch."""
         params = make_params(delta=1e9)
-        assert characteristic_roots(params, 1, 1)[0][0, 0] == 0.0
+        slow, fast = characteristic_roots(params, 1, 1)[0][0]
+        assert slow == pytest.approx(1.0 / fast, rel=1e-12, abs=0.0) and slow.real < 0.0
         with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
             closed_form(random_state(np.random.default_rng(13), 3, 2), params)
 
