@@ -10,7 +10,6 @@ import math
 import time
 import warnings
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from fishbone.diagnostics import (
     lemma_suite,
     random_states,
 )
-from fishbone import spectral
 from fishbone.dynamics import CHANNELS, ModalState, ModelParams, channel_slices, make_packed_rhs
 from fishbone.cli import GRAVITY, PRESETS, TNB_TABLE, load_preset
 from fishbone.experiments import envelope_ratio
@@ -38,16 +36,9 @@ from fishbone.linear import (
     undamped_frequencies,
 )
 from fishbone.spectral import Basis, make_grid
+from models import cable_setup, rebuilt, reference_grid, state_4_3
 
 TNB_DECAY = 4.166666666666667e-4  # 3 zeta / (2 M ell^2) at the 0.01/s rate
-
-
-def cable_setup(n_w=4, n_t=3, L=math.pi, a=0.2, b=1.0, c=1.0, **over):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(a, 1.0, b, c, basis, grid)
-    params = ModelParams(L=L, **over)
-    return params, geometry, basis, grid
 
 
 # Damped nondimensional 4+3 model of the absorbing-ball test and the benchmark's analysis ensemble
@@ -177,12 +168,7 @@ class TestEnergyConservation:
         params, geometry, basis, grid = cable_setup(
             M=1.0, D=1.0, ell=1.0, eps=0.5, kappa=0.3, S=1.0, P=0.5
         )
-        y0 = ModalState(
-            np.array([0.3, -0.1, 0.05, 0.02]),
-            np.array([0.0, 0.1, -0.02, 0.0]),
-            np.array([0.2, -0.05, 0.02]),
-            np.array([0.05, 0.0, -0.01]),
-        )
+        y0 = state_4_3()
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=0.1)
         traj = integrate(y0, params, geometry, basis, cfg, grid)
         efull = energies(traj.data, params, geometry, basis, grid).Efull
@@ -196,12 +182,7 @@ class TestEnergyConservation:
             delta=0.1, zeta=0.05, beta=0.02, Upsilon=0.5, Ustream=2.0, g=0.3,
             S=0.5, P=0.2,
         )
-        y0 = ModalState(
-            np.array([0.3, -0.1, 0.05, 0.02]),
-            np.array([0.0, 0.1, -0.02, 0.0]),
-            np.array([0.2, -0.05, 0.02]),
-            np.array([0.05, 0.0, -0.01]),
-        )
+        y0 = state_4_3()
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=1e-3)
         traj = integrate(y0, params, geometry, basis, cfg, grid)
         residual = attach_energies(traj, params, geometry, basis, grid).diagnostics["residual"]
@@ -551,14 +532,10 @@ def shell_errors(seed):
         target: np.array([state_in_shell(rng, basis, target, eplus).pack() for _ in range(6)])
         for target in SHELLS
     }
-    with mock.patch.multiple(
-        spectral, MIN_PANELS=16 * spectral.MIN_PANELS, PANELS_PER_MODE=16 * spectral.PANELS_PER_MODE
-    ):
-        fine = make_grid(basis)
+    fine = reference_grid(basis)
     assert fine.panels == 16 * grid.panels
     rhs = make_packed_rhs(params, geometry, basis, grid)
-    fine_geometry = make_geometry(geometry.a, geometry.s0, geometry.b, geometry.c, basis, fine)
-    fine_rhs = make_packed_rhs(params, fine_geometry, basis, fine)
+    fine_rhs = make_packed_rhs(params, rebuilt(geometry, basis, fine), basis, fine)
     errors = {}
     for target, states in shells.items():
         got = np.array([rhs(0.0, y) for y in states])
@@ -572,7 +549,7 @@ def shell_errors(seed):
 
 class TestQuadratureConvergence:
     @pytest.mark.parametrize("n_w, n_t", [(10, 4), (14, 8), (16, 10), (20, 10), (24, 12)])
-    def test_rule_matches_a_sixteen_times_finer_one(self, scenario_runs, monkeypatch, n_w, n_t):
+    def test_rule_matches_a_sixteen_times_finer_one(self, scenario_runs, n_w, n_t):
         """make_grid's rule gives the RHS to 1e-10 per acceleration block.
 
         The states are eight samples along the canonical wind_stretch run
@@ -594,16 +571,12 @@ class TestQuadratureConvergence:
             states[:, getattr(where, channel).start + np.arange(sampled.shape[1])] = sampled
 
         def rhs_rows(grid):
-            geo = scenario.geometry
-            geometry = make_geometry(geo.a, geo.s0, geo.b, geo.c, basis, grid)
-            rhs = make_packed_rhs(scenario.params, geometry, basis, grid)
+            rhs = make_packed_rhs(scenario.params, rebuilt(scenario.geometry, basis, grid), basis, grid)
             return np.array([rhs(0.0, y) for y in states])
 
         grid = make_grid(basis)
         got = rhs_rows(grid)
-        monkeypatch.setattr(spectral, "MIN_PANELS", 16 * spectral.MIN_PANELS)
-        monkeypatch.setattr(spectral, "PANELS_PER_MODE", 16 * spectral.PANELS_PER_MODE)
-        fine = make_grid(basis)
+        fine = reference_grid(basis)
         assert fine.panels == 16 * grid.panels
         want = rhs_rows(fine)
         for block in (where.wdot, where.thdot):

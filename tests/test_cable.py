@@ -14,15 +14,9 @@ from fishbone.diagnostics import ROW_BLOCK
 from fishbone.dynamics import ModelParams, channel_slices, make_packed_rhs
 from fishbone.cli import load_preset
 from fishbone.spectral import Basis, make_grid
+from models import cable_setup, rebuilt
 
 A, S0, B, C = 0.2, 1.0, 1.0, 1.0
-
-
-def default_setup(n_w=4, n_t=3, L=np.pi, a=A, b=B, c=C):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(a, S0, b, c, basis, grid)
-    return basis, grid, geometry
 
 
 def pair_projection(geometry, basis, grid, ell, w, th):
@@ -31,7 +25,7 @@ def pair_projection(geometry, basis, grid, ell, w, th):
     The cable part is the RHS minus the RHS of the same rest shape without cable pull.
     """
     params = ModelParams(L=basis.L, ell=ell)
-    bare = make_geometry(geometry.a, geometry.s0, 0.0, 0.0, basis, grid)
+    bare = rebuilt(geometry, basis, grid, b=0.0, c=0.0)
     where = channel_slices(basis.n_w, basis.n_t)
     y = np.zeros(where.thdot.stop)
     y[where.w], y[where.th] = w, th
@@ -43,7 +37,7 @@ def pair_projection(geometry, basis, grid, ell, w, th):
 class TestGeometry:
     def test_rest_shape_derived_quantities(self):
         """Slope, element length, and the summary integrals match closed forms."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         L = basis.L
         np.testing.assert_allclose(geo.sx, A * (L / 2.0 - grid.nodes), rtol=1e-14)
         np.testing.assert_allclose(geo.xi0, np.sqrt(1.0 + geo.sx**2), rtol=1e-14)
@@ -57,13 +51,13 @@ class TestGeometry:
         At 21 modes the grid has 21 panels, so L/2 is the middle of one; a quadrature
         of |s_x| there is off by about 1e-5 relative.
         """
-        basis, grid, geo = default_setup(n_w=21, n_t=3)
+        _, geo, basis, grid = cable_setup(n_w=21, n_t=3)
         assert grid.panels % 2 == 1
         np.testing.assert_allclose(geo.int_abs_sx, A * basis.L**2 / 4.0, rtol=1e-15)
 
     def test_rest_arc_length_analytic(self):
         """L0 matches the closed-form parabola arc length and its frozen value."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         z = A * basis.L / 2.0
         exact = (z * np.sqrt(1.0 + z**2) + np.arcsinh(z)) / A
         np.testing.assert_allclose(geo.L0, exact, rtol=1e-12)
@@ -71,7 +65,7 @@ class TestGeometry:
 
     def test_rest_state_is_reference(self):
         """The undeformed state has L(0) = L0 and Pi(0) = 0."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         zero = np.zeros(basis.n_w)
         np.testing.assert_allclose(arc_length(zero, geo, grid), geo.L0, rtol=1e-14)
         assert abs(pi_energy(zero, geo, grid)) < 1e-12
@@ -120,7 +114,7 @@ class TestGeometry:
     def test_modal_vector_longer_than_the_grid_refused(self):
         """A modal vector with more modes than the grid tabulates is refused, naming both
         counts, rather than cut to the grid's modes."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         tabulated = grid.dmodes.shape[0]
         message = f"length {tabulated + 1} does not fit a grid built for {tabulated} modes"
         with pytest.raises(ValueError, match=message):
@@ -130,13 +124,13 @@ class TestGeometry:
 class TestForceDensity:
     def test_zero_state_force_is_slope_tension(self):
         """h(0) = -c s_x exactly: at rest only the pretension survives."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         h0 = h_of(np.zeros(basis.n_w), geo, grid)
         np.testing.assert_allclose(h0, -C * geo.sx, rtol=1e-12, atol=1e-14)
 
     def test_zero_state_projection_formula(self):
         """(f(0), e_j')_0 = -2 c a sqrt(2L) (1-(-1)^j)/(j pi)."""
-        basis, grid, geo = default_setup(n_w=6, n_t=3)
+        _, geo, basis, grid = cable_setup(n_w=6, n_t=3)
         L = basis.L
         fw, _ = pair_projection(geo, basis, grid, 1.0, np.zeros(6), np.zeros(3))
         j = np.arange(1, 7)
@@ -146,7 +140,7 @@ class TestForceDensity:
     def test_xi_lower_bound(self):
         """Xi(u) >= 1 pointwise for any state: with b = 0, h(u) = -c xi0 (u_x + s_x) / Xi(u),
         so |h| <= c xi0 |u_x + s_x| at every node."""
-        basis, grid, geo = default_setup(b=0.0)
+        _, geo, basis, grid = cable_setup(b=0.0)
         rng = np.random.default_rng(11)
         for _ in range(50):
             u = rng.standard_normal(basis.n_w)
@@ -166,10 +160,10 @@ class TestForceDensity:
 
     def test_fine_grid_projection_oracle(self):
         """Projections agree with a 10x-finer independent quadrature to 1e-6."""
-        basis, grid, geo = default_setup(n_w=5, n_t=3)
+        _, geo, basis, grid = cable_setup(n_w=5, n_t=3)
         fine_basis = Basis(L=basis.L, n_w=50, n_t=3)
         fine_grid = make_grid(fine_basis)
-        fine_geo = make_geometry(A, S0, B, C, fine_basis, fine_grid)
+        fine_geo = rebuilt(geo, fine_basis, fine_grid)
         rng = np.random.default_rng(17)
         for _ in range(5):
             w = 0.4 * rng.standard_normal(5)
@@ -223,7 +217,7 @@ class TestFoldedForceLaw:
     @pytest.mark.parametrize("b, c, bound", [(B, C, 1e-13), (0.0, C, 1e-14), (B, 0.0, 1e-12)])
     @pytest.mark.parametrize("slope_scale", [0.1, 1.0])
     def test_nondimensional_geometry(self, b, c, bound, slope_scale):
-        basis, grid, geo = default_setup(b=b, c=c)
+        _, geo, basis, grid = cable_setup(b=b, c=c)
         assert folded_law_error(geo, grid, slope_scale) < bound
 
     def test_tacoma_slack_stretching(self):
@@ -231,7 +225,7 @@ class TestFoldedForceLaw:
         preset = load_preset("tnb").scenario
         tnb, basis = preset.geometry, preset.basis
         grid = make_grid(basis)
-        geo = make_geometry(tnb.a, tnb.s0, 0.0, tnb.c, basis, grid)
+        geo = rebuilt(tnb, basis, grid, b=0.0)
         assert folded_law_error(geo, grid, 1e-2) < 1e-14
 
 
@@ -251,7 +245,7 @@ def law_geometry(name):
         scenario = load_preset("tnb").scenario
         assert scenario.geometry.b * scenario.geometry.L0 > 2e10
         return scenario.geometry, 1e-2
-    return default_setup(**{"nondimensional": {}, "b = 0": {"b": 0.0}, "c = 0": {"c": 0.0}}[name])[2], 0.5
+    return cable_setup(**{"nondimensional": {}, "b = 0": {"b": 0.0}, "c = 0": {"c": 0.0}}[name])[1], 0.5
 
 
 class TestForceLawBits:
@@ -287,7 +281,7 @@ class TestForceLawBits:
 class TestVariationalIdentity:
     def test_energy_gradient_matches_force(self):
         """d/dtau Pi(u + tau phi) at 0 equals -(h(u), phi_x)_0."""
-        basis, grid, geo = default_setup(n_w=5, n_t=3)
+        _, geo, basis, grid = cable_setup(n_w=5, n_t=3)
         rng = np.random.default_rng(23)
         tau = 1e-5
         for _ in range(10):
@@ -303,7 +297,7 @@ class TestVariationalIdentity:
 
     def test_arc_length_lipschitz(self):
         """|L(u) - L(v)| <= sqrt(L) ||u_x - v_x||_0 (slope is 1-Lipschitz)."""
-        basis, grid, geo = default_setup()
+        _, geo, basis, grid = cable_setup()
         rng = np.random.default_rng(31)
         for _ in range(25):
             u = rng.standard_normal(basis.n_w)
@@ -321,7 +315,7 @@ class TestRowStacks:
         k = ROW_BLOCK + 1 hanger lines w +- l th of a 4+3 basis, th zero-padded,
         so a call of more rows than a diagnostics block sees the same values.
         """
-        basis, grid, geo = default_setup(n_w=4, n_t=3)
+        _, geo, basis, grid = cable_setup(n_w=4, n_t=3)
         rng = np.random.default_rng(41)
         ell, pairs = 1.3, ROW_BLOCK // 2 + 1
         w = rng.standard_normal((pairs, 4))

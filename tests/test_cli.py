@@ -26,6 +26,7 @@ from fishbone.cli import (
     write_energy_csv,
     write_trajectory_csv,
 )
+from fishbone.dynamics import channel_slices
 from fishbone.integrate import Trajectory
 from fishbone.spectral import Basis, displayed_to_modal
 
@@ -510,6 +511,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "verdict: fail" in out
 
+    def test_anti_damped_rhs_fails_both_oracles(self, capsys, monkeypatch):
+        """An RHS that adds 1e-3 wdot to the vertical acceleration fails both oracles: exit
+        code 4, with a worst line each for the energy drift (2.059e-03 measured) and the
+        closed-form mismatch (1.082e-03)."""
+        true_rhs = fishbone.integrate.make_packed_rhs
+
+        def anti_damped(params, geometry, basis, grid):
+            rhs = true_rhs(params, geometry, basis, grid)
+            wdot = channel_slices(basis.n_w, basis.n_t).wdot
+
+            def pushed(t, y):
+                dy = rhs(t, y)
+                dy[wdot] += 1e-3 * y[wdot]
+                return dy
+
+            return pushed
+
+        monkeypatch.setattr(fishbone.integrate, "make_packed_rhs", anti_damped)
+        assert run_verify(seed=0, samples=0) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert "worst: energy drift 2.059e-03 exceeds 1e-6" in lines
+        assert "worst: closed-form mismatch 1.082e-03 exceeds 1e-5" in lines
+        assert "verdict: fail" in lines
+
     def test_cli_wiring(self, capsys):
         """The verify subcommand forwards seed and sample count, and reports each once."""
         assert main(["verify", "--seed", "3", "--samples", "25"]) == 0
@@ -719,13 +744,18 @@ class TestExitCodes:
              "config error: modle.M: unknown configuration key"),
             (["simulate"], "model.E = 1e200\nmodel.I = 1e200\nmodel.D = derive\n", 2,
              "config error: model.D: derived value inf is not finite"),
+            (["simulate"], "cable.a = 0.2\ncable.b = -1\n", 2,
+             "config error: cable: cable stiffnesses must be nonnegative, got b=-1.0, c=0.0"),
+            (["simulate"], "cable.a = -0.2\n", 2,
+             "config error: cable: tension parameter must be positive, got a=-0.2"),
             (["linear"], TOY, 2, "pass --linearize"),
             (["linear", "--csv", "out/closed.csv"], "model.delta = 50\nmodel.zeta = 0.05\n", 3,
              "linear analysis failed: vertical branch overdamped"),
             (["sweep"], "sweep.beta = 1e-3\n", 2, "config error: sweep.U: missing required key"),
         ],
         ids=["H_zero", "c_H_negative", "c_H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
-             "D_overflow", "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
+             "D_overflow", "b_negative", "a_negative", "nonlinear_linear", "overdamped_csv",
+             "sweep_without_speeds"],
     )
     def test_typed_failure_exits_without_traceback(
         self, tmp_path, capsys, monkeypatch, argv, text, code, message

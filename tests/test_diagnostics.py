@@ -31,14 +31,7 @@ from fishbone.dynamics import (
 )
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.spectral import Basis, make_grid
-
-
-def cable_setup(n_w=4, n_t=3, L=np.pi, a=0.2, b=1.0, c=1.0, **over):
-    params = ModelParams(L=L, **over)
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geo = make_geometry(a, 1.0, b, c, basis, grid)
-    return params, geo, basis, grid
+from models import cable_setup, state_3_2
 
 
 def reference_lemma_suite(samples, radius, geo, basis, grid, seed):
@@ -209,12 +202,7 @@ class TestEnergyIdentity:
     def test_conservative_residual_equals_drift(self):
         """With zero damping and wind the residual is the relative energy drift."""
         params, geo, basis, grid = cable_setup(S=0.5, P=0.2, g=0.3, eps=0.5, kappa=0.3)
-        y0 = ModalState(
-            np.array([0.1, -0.05, 0.02, 0.0]),
-            np.array([0.0, 0.03, 0.0, 0.0]),
-            np.array([0.05, -0.02, 0.0]),
-            np.array([0.01, 0.0, 0.0]),
-        )
+        y0 = state_3_2(4, 3)
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0, sample_every=5e-2)
         traj = integrate(y0, params, geo, basis, cfg)
         residual = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"]
@@ -237,12 +225,7 @@ class TestEnergyIdentity:
             eps=0.5,
             kappa=0.3,
         )
-        y0 = ModalState(
-            np.array([0.1, -0.05, 0.02, 0.0]),
-            np.array([0.0, 0.03, 0.0, 0.0]),
-            np.array([0.05, -0.02, 0.0]),
-            np.array([0.01, 0.0, 0.0]),
-        )
+        y0 = state_3_2(4, 3)
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=5.0)
         traj = integrate(y0, params, geo, basis, cfg)
         residual = attach_energies(traj, params, geo, basis, grid).diagnostics["residual"]
@@ -361,12 +344,18 @@ class TestEnergyIdentity:
 class TestLyapunov:
     @pytest.mark.parametrize(
         "P, S, g",
-        [(0.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.0, 1.0, 0.3), (2.0, 0.5, 1.0)],
-        ids=["unloaded", "prestress", "gravity", "both"],
+        [
+            (0.0, 0.0, 0.0), (0.5, 1.0, 0.0), (0.0, 1.0, 0.3), (2.0, 0.5, 1.0),
+            (2.0, 0.5, 0.0), (0.0, 1.0, 1.0),
+        ],
+        ids=["unloaded", "prestress", "gravity", "both", "prestress_binds", "gravity_binds"],
     )
     def test_sandwich_bounds(self, P, S, g):
-        """c0 Eplus - c2 <= V <= c1 Eplus + c2 on random states, with the prestress and
-        gravity Young remainders of c2 and their 2 nu in c0 and c1 when P or g is on."""
+        """c0 Eplus - c2 <= V <= c1 Eplus + c2 on random states and on w = s e_1, |s| from 1e-3
+        to 1e2, with the prestress and gravity Young remainders of c2 and their 2 nu in c0 and
+        c1 when P or g is on. The cable floor of c2 covers ``prestress`` and ``gravity`` alone;
+        in the ``_binds`` cases the bound fails without the remainder, by 6.3 near s = -4.2 at
+        P = 2, S = 0.5 and by 1.2 near s = -1.8 at g = 1. No state here needs the 2 nu."""
         params, geo, basis, grid = cable_setup(
             P=P,
             S=S,
@@ -387,6 +376,9 @@ class TestLyapunov:
         assert c0 > 0.0
         rng = np.random.default_rng(12)
         states = [random_modal_state(rng, basis, radius=3.0) for _ in range(50)]
+        e1, zero = np.eye(basis.n_w)[0], np.zeros(basis.n_t)
+        magnitudes = np.geomspace(1e-3, 1e2, 41)
+        states += [ModalState(s * e1, 0.0 * e1, zero, zero) for s in (*-magnitudes, *magnitudes)]
         values = []
         for state in states:
             v = lyapunov_value(state, params, geo, basis, grid, nu)

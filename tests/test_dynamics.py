@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fishbone.cable import h_of, make_geometry
+from fishbone.cable import h_of
 from fishbone.dynamics import (
     ModalState,
     ModelParams,
@@ -17,35 +17,13 @@ from fishbone.dynamics import (
 from fishbone.cli import load_preset
 from fishbone.linear import characteristic_roots
 from fishbone.spectral import Basis, make_grid
-
-
-def nodeck_setup(n_w=3, n_t=2, L=np.pi, **params):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
-    return ModelParams(L=L, **params), geometry, basis, grid
-
-
-def cable_setup(n_w=3, n_t=2, L=np.pi, a=0.2, b=1.0, c=1.0, **params):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(a, 1.0, b, c, basis, grid)
-    return ModelParams(L=L, **params), geometry, basis, grid
+from models import cable_setup, random_state, rebuilt
 
 
 def unpacked_rhs(state, params, geometry, basis, grid):
     """The packed RHS at one state, unpacked into its four channels."""
     dy = make_packed_rhs(params, geometry, basis, grid)(0.0, state.pack())
     return ModalState.unpack(dy, basis.n_w, basis.n_t)
-
-
-def random_state(rng, basis, scale=1.0):
-    return ModalState(
-        scale * rng.standard_normal(basis.n_w),
-        scale * rng.standard_normal(basis.n_w),
-        scale * rng.standard_normal(basis.n_t),
-        scale * rng.standard_normal(basis.n_t),
-    )
 
 
 class TestModelParams:
@@ -92,7 +70,7 @@ class TestModalState:
         """pack/unpack is the identity on [w, wdot, th, thdot]."""
         rng = np.random.default_rng(0)
         basis = Basis(L=np.pi, n_w=4, n_t=2)
-        state = random_state(rng, basis)
+        state = random_state(rng, basis.n_w, basis.n_t)
         back = ModalState.unpack(state.pack(), 4, 2)
         for field in ("w", "wdot", "th", "thdot"):
             np.testing.assert_array_equal(getattr(back, field), getattr(state, field))
@@ -111,28 +89,29 @@ class TestModalState:
 class TestRhs:
     def test_zero_state_unloaded_equilibrium(self):
         """Zero state with g = 0 and no cables has zero derivative."""
-        params, geo, basis, grid = nodeck_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         d = unpacked_rhs(ModalState.zero(basis), params, geo, basis, grid)
         assert not d.pack().any()
 
     def test_rest_state_balances_gravity(self):
         """a = Mg/(2H), c = H makes the zero state an exact equilibrium."""
         M, g, H = 7198.0, 9.8, 4.5413e7
-        basis = Basis(L=853.44, n_w=6, n_t=3)
-        grid = make_grid(basis)
-        geo = make_geometry(M * g / (2.0 * H), 1.0, 0.0, H, basis, grid)
-        params = ModelParams(M=M, D=3.0e10, eps=1.0e12, kappa=5.0e5, ell=6.0, g=g, L=853.44)
+        params, geo, basis, grid = cable_setup(
+            n_w=6, n_t=3, L=853.44, a=M * g / (2.0 * H), b=0.0, c=H,
+            M=M, D=3.0e10, eps=1.0e12, kappa=5.0e5, ell=6.0, g=g,
+        )
         d = unpacked_rhs(ModalState.zero(basis), params, geo, basis, grid)
         scale = np.abs(mode_coefficients(params, basis.n_w, 1).load).max() / M
         assert np.abs(d.pack()).max() < 1e-9 * scale
 
     def test_single_mode_formula(self):
         """One-mode nondimensional rhs matches the written-out ODE."""
-        params, geo, basis, grid = nodeck_setup(
-            delta=0.1, beta=0.05, Upsilon=0.4, Ustream=2.0, g=0.7, ell=1.0
+        params, geo, basis, grid = cable_setup(
+            n_w=3, n_t=2, a=0.0, b=0.0, c=0.0,
+            delta=0.1, beta=0.05, Upsilon=0.4, Ustream=2.0, g=0.7, ell=1.0,
         )
         rng = np.random.default_rng(1)
-        state = random_state(rng, basis)
+        state = random_state(rng, basis.n_w, basis.n_t)
         d = unpacked_rhs(state, params, geo, basis, grid)
         j = np.arange(1, basis.n_w + 1)
         gravity = params.g * np.sqrt(2.0 * np.pi) * (1.0 - (-1.0) ** j) / (j * np.pi)
@@ -149,8 +128,10 @@ class TestRhs:
 
     def test_stretching_term_quadrature_oracle(self):
         """The Woinowsky-Krieger bracket uses ||w_x||^2 = sum (r pi/L)^2 w_r^2."""
-        params, geo, basis, grid = nodeck_setup(n_w=5, n_t=2, L=2.0, S=1.7, P=0.4)
-        base = ModelParams(L=2.0)
+        params, geo, basis, grid = cable_setup(
+            n_w=5, n_t=2, L=2.0, a=0.0, b=0.0, c=0.0, S=1.7, P=0.4
+        )
+        base = replace(params, S=0.0, P=0.0)
         rng = np.random.default_rng(3)
         state = ModalState(
             rng.standard_normal(5), np.zeros(5), np.zeros(2), np.zeros(2)
@@ -167,14 +148,15 @@ class TestRhs:
 
     def test_linearity_without_cables(self):
         """With b = c = 0, S = 0 the rhs minus the g load is linear."""
-        params, geo, basis, grid = nodeck_setup(
-            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, g=0.5, zeta=0.4, kappa=0.6
+        params, geo, basis, grid = cable_setup(
+            n_w=3, n_t=2, a=0.0, b=0.0, c=0.0,
+            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, g=0.5, zeta=0.4, kappa=0.6,
         )
         rng = np.random.default_rng(4)
         load = np.zeros(2 * basis.n_w + 2 * basis.n_t)
         load[basis.n_w : 2 * basis.n_w] = mode_coefficients(params, basis.n_w, 1).load / params.M
         for alpha in (2.0, -0.5, 10.0):
-            state = random_state(rng, basis)
+            state = random_state(rng, basis.n_w, basis.n_t)
             scaled = ModalState(
                 alpha * state.w, alpha * state.wdot, alpha * state.th, alpha * state.thdot
             )
@@ -184,11 +166,12 @@ class TestRhs:
 
     def test_torsional_block_decouples_without_cables(self):
         """With b = c = 0 the torsional derivatives ignore the w channel."""
-        params, geo, basis, grid = nodeck_setup(
-            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, zeta=0.4, kappa=0.6
+        params, geo, basis, grid = cable_setup(
+            n_w=3, n_t=2, a=0.0, b=0.0, c=0.0,
+            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, zeta=0.4, kappa=0.6,
         )
         rng = np.random.default_rng(5)
-        state = random_state(rng, basis)
+        state = random_state(rng, basis.n_w, basis.n_t)
         perturbed = ModalState(
             state.w + rng.standard_normal(basis.n_w),
             state.wdot + rng.standard_normal(basis.n_w),
@@ -203,15 +186,12 @@ class TestRhs:
     def test_flow_reversal_mirror(self):
         """Reversing the flow and mirroring theta flips exactly the torsional block."""
         params, geo, basis, grid = cable_setup(
-            delta=0.1, beta=0.2, Upsilon=0.5, Ustream=3.0, zeta=0.3, kappa=0.2, g=0.6
+            n_w=3, n_t=2, delta=0.1, beta=0.2, Upsilon=0.5, Ustream=3.0, zeta=0.3, kappa=0.2, g=0.6
         )
-        mirrored_params = ModelParams(
-            L=params.L, delta=0.1, beta=0.2, Upsilon=-0.5, Ustream=-3.0,
-            zeta=0.3, kappa=0.2, g=0.6,
-        )
+        mirrored_params = replace(params, Upsilon=-0.5, Ustream=-3.0)
         rng = np.random.default_rng(6)
         for _ in range(5):
-            state = random_state(rng, basis, scale=0.5)
+            state = random_state(rng, basis.n_w, basis.n_t, 0.5)
             mirrored = ModalState(state.w, state.wdot, -state.th, -state.thdot)
             d = unpacked_rhs(state, params, geo, basis, grid)
             dm = unpacked_rhs(mirrored, mirrored_params, geo, basis, grid)
@@ -224,12 +204,12 @@ class TestRhs:
         """The cable part of the rhs projects h(w + l th) +- h(w - l th), th zero-padded."""
         n_w, n_t, M, ell = 5, 3, 2.5, 0.7
         params, geo, basis, grid = cable_setup(n_w=n_w, n_t=n_t, M=M, ell=ell, delta=0.1)
-        bare = make_geometry(geo.a, geo.s0, 0.0, 0.0, basis, grid)
+        bare = rebuilt(geo, basis, grid, b=0.0, c=0.0)
         with_cables = make_packed_rhs(params, geo, basis, grid)
         without = make_packed_rhs(params, bare, basis, grid)
         rng = np.random.default_rng(9)
         for _ in range(5):
-            state = random_state(rng, basis, scale=0.5)
+            state = random_state(rng, basis.n_w, basis.n_t, 0.5)
             y = state.pack()
             part = with_cables(0.0, y) - without(0.0, y)
             th = np.concatenate([state.th, np.zeros(n_w - n_t)])
@@ -265,7 +245,8 @@ class TestRhs:
         params, geo, basis, grid = cable_setup(n_w=4, n_t=3, S=1.3, P=0.2, delta=0.1, g=0.4)
         rhs = make_packed_rhs(params, geo, basis, grid)
         rng = np.random.default_rng(12)
-        y1, y2 = random_state(rng, basis).pack(), random_state(rng, basis).pack()
+        y1 = random_state(rng, basis.n_w, basis.n_t).pack()
+        y2 = random_state(rng, basis.n_w, basis.n_t).pack()
         first = rhs(0.0, y1)
         kept, y1_kept = first.copy(), y1.copy()
         rhs(0.0, y2)
@@ -303,11 +284,8 @@ class TestRhs:
         At w_1 = 1e200 the cable slopes and ||w_x||^2 overflow, so evaluating
         either term with a zero coefficient would give 0 * inf = NaN.
         """
-        basis = Basis(L=np.pi, n_w=4, n_t=3)
-        grid = make_grid(basis)
-        geo = make_geometry(0.2, 1.0, 0.0, 0.0, basis, grid)
-        params = ModelParams(
-            delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, zeta=0.4, kappa=0.6, g=0.5, P=0.3
+        params, geo, basis, grid = cable_setup(
+            b=0.0, c=0.0, delta=0.2, beta=0.1, Upsilon=0.3, Ustream=1.5, zeta=0.4, kappa=0.6, g=0.5, P=0.3
         )
         rhs = make_packed_rhs(params, geo, basis, grid)
         A, c = linear_operator(params, basis)
@@ -316,15 +294,15 @@ class TestRhs:
         assert np.isfinite(rhs(0.0, huge)).all()
         rng = np.random.default_rng(13)
         for _ in range(10):
-            y = random_state(rng, basis).pack()
+            y = random_state(rng, basis.n_w, basis.n_t).pack()
             expected = A @ y + c
             scale = np.abs(expected).max()
             np.testing.assert_allclose(rhs(0.0, y), expected, rtol=1e-15, atol=1e-15 * scale)
 
     def test_couplings_zero_padded(self):
         """Vertical modes beyond n_t receive no piston coupling."""
-        params, geo, basis, grid = nodeck_setup(
-            n_w=4, n_t=2, beta=0.3, Upsilon=0.7, Ustream=2.0
+        params, geo, basis, grid = cable_setup(
+            n_w=4, n_t=2, a=0.0, b=0.0, c=0.0, beta=0.3, Upsilon=0.7, Ustream=2.0
         )
         rng = np.random.default_rng(7)
         state = ModalState(
@@ -340,7 +318,7 @@ class TestLinearOperator:
         """Each mode's (w_j, w_j', th_j, th_j') block of A has the closed-form roots."""
         params = ModelParams(
             M=2.0, D=1.5, eps=0.8, kappa=0.3, ell=1.2, delta=0.2, zeta=0.15,
-            beta=0.1, Upsilon=0.6, Ustream=3.0, g=0.4, L=np.pi,
+            beta=0.1, Upsilon=0.6, Ustream=3.0, g=0.4,
         )
         n_w, n_t = 5, 3
         A, c = linear_operator(params, Basis(L=np.pi, n_w=n_w, n_t=n_t))
@@ -374,7 +352,7 @@ class TestLinearOperator:
 
     def test_span_mismatch_rejected(self):
         """A basis on another span than the model is refused, not mixed into A."""
-        _, geometry, basis, grid = cable_setup(L=2.0)
+        _, geometry, basis, grid = cable_setup(n_w=3, n_t=2, L=2.0)
         with pytest.raises(ValueError, match="ModelParams.L = 3.14159.*Basis.L = 2.0"):
             make_packed_rhs(ModelParams(), geometry, basis, grid)
 
@@ -383,7 +361,7 @@ class TestGridFit:
     """make_packed_rhs refuses a grid or a cable geometry that does not fit the basis."""
 
     def test_grid_of_another_span(self):
-        params, geo, basis, _ = cable_setup()
+        params, geo, basis, _ = cable_setup(n_w=3, n_t=2)
         wrong = make_grid(Basis(L=2.0 * np.pi, n_w=3, n_t=2))
         with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
             make_packed_rhs(params, geo, basis, wrong)
@@ -396,12 +374,12 @@ class TestGridFit:
 
     def test_geometry_on_another_grid(self):
         """Another node count, or the same count over another span, is refused."""
-        params, _, basis, grid = cable_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2)
         finer = Basis(L=np.pi, n_w=30, n_t=2)  # 30 panels: 360 nodes
-        geo_360 = make_geometry(0.2, 1.0, 1.0, 1.0, finer, make_grid(finer))
+        geo_360 = rebuilt(geo, finer, make_grid(finer))
         with pytest.raises(ValueError, match=r"built on 360 nodes over a span of 3.14\d*, the grid has 240"):
             make_packed_rhs(params, geo_360, basis, grid)
-        geo_2pi = cable_setup(L=2.0 * np.pi)[1]
+        geo_2pi = cable_setup(n_w=3, n_t=2, L=2.0 * np.pi)[1]
         message = r"built on 240 nodes over a span of 6.28\d*, the grid has 240 nodes over 3.14"
         with pytest.raises(ValueError, match=message):
             make_packed_rhs(params, geo_2pi, basis, grid)
@@ -409,10 +387,10 @@ class TestGridFit:
     def test_finer_grid_accepted(self):
         """More modes and nodes on the same span, with a geometry on them, give the same RHS
         to quadrature accuracy."""
-        params, geo, basis, grid = cable_setup(S=1.0)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, S=1.0)
         fine_grid = make_grid(Basis(L=np.pi, n_w=30, n_t=2))
-        fine_geo = make_geometry(0.2, 1.0, 1.0, 1.0, basis, fine_grid)
-        y = random_state(np.random.default_rng(2), basis).pack()
+        fine_geo = rebuilt(geo, basis, fine_grid)
+        y = random_state(np.random.default_rng(2), basis.n_w, basis.n_t).pack()
         want = make_packed_rhs(params, geo, basis, grid)(0.0, y)
         got = make_packed_rhs(params, fine_geo, basis, fine_grid)(0.0, y)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

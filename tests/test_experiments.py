@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from fishbone import experiments
-from fishbone.cable import make_geometry
 from fishbone.cli import (
     DAMPING_RATE,
     GRAVITY,
@@ -26,24 +25,15 @@ from fishbone.experiments import Scenario, classify_ratio, envelope_ratio, wind_
 from fishbone.integrate import IntegratorConfig, Trajectory, integrate
 from fishbone.linear import undamped_frequencies
 from fishbone.spectral import Basis, displayed_to_modal, make_grid
+from models import cable_setup, rebuilt, state_3_2
 
 
 def toy_scenario(name="toy", t_end=6.0, **params_over):
-    base = dict(L=np.pi, delta=0.05, zeta=0.05, Upsilon=0.5, eps=0.5, kappa=0.3)
-    base.update(params_over)
-    params = ModelParams(**base)
-    basis = Basis(L=np.pi, n_w=3, n_t=2)
-    grid = make_grid(basis)
-    geo = make_geometry(0.2, 1.0, 1.0, 1.0, basis, grid)
-    initial = ModalState(
-        np.array([0.1, -0.05, 0.02]),
-        np.array([0.0, 0.03, 0.0]),
-        np.array([0.05, -0.02]),
-        np.array([0.01, 0.0]),
-    )
+    base = dict(delta=0.05, zeta=0.05, Upsilon=0.5, eps=0.5, kappa=0.3)
+    params, geo, basis, _ = cable_setup(n_w=3, n_t=2, **(base | params_over))
     cfg = IntegratorConfig(method="rk4", dt=0.02, t_end=t_end, sample_every=0.1)
     return Scenario(
-        name=name, params=params, geometry=geo, basis=basis, initial=initial, integrator=cfg
+        name=name, params=params, geometry=geo, basis=basis, initial=state_3_2(), integrator=cfg
     )
 
 
@@ -118,7 +108,7 @@ class TestPreset:
 
     def test_default_timestep_hand_case(self):
         """Unit coefficients at L = pi give dt = pi/400 from the 2nd vertical mode."""
-        params = ModelParams(L=np.pi, eps=1.0, kappa=0.0, ell=np.sqrt(3.0))
+        params = ModelParams(eps=1.0, kappa=0.0, ell=np.sqrt(3.0))
         basis = Basis(L=np.pi, n_w=2, n_t=1)
         np.testing.assert_allclose(default_timestep(params, basis), np.pi / 400.0, rtol=1e-12)
 
@@ -193,10 +183,7 @@ class TestScenarios:
     def test_free_torsion_matches_closed_form_without_cables(self):
         """With cables removed the free scenario's twist is the exact oscillator."""
         sc = load_preset("free").scenario
-        grid = make_grid(sc.basis)
-        bare = make_geometry(
-            sc.geometry.a, sc.geometry.s0, 0.0, 0.0, sc.basis, grid
-        )
+        bare = rebuilt(sc.geometry, sc.basis, make_grid(sc.basis), b=0.0, c=0.0)
         cfg = IntegratorConfig(
             method="rk4",
             dt=sc.integrator.dt,

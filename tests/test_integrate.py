@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import fishbone.integrate
-from fishbone.cable import make_geometry
 from fishbone.diagnostics import energies
 from fishbone.dynamics import ModalState, ModelParams, make_packed_rhs
 from fishbone.integrate import (
@@ -24,25 +23,7 @@ from fishbone.integrate import (
 )
 from fishbone.linear import undamped_frequencies
 from fishbone.spectral import Basis, make_grid
-
-
-def flat_setup(n_w=3, n_t=2, L=np.pi, **params):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(0.0, 1.0, 0.0, 0.0, basis, grid)
-    return ModelParams(L=L, **params), geometry, basis, grid
-
-
-def cable_setup(n_w=3, n_t=2, L=np.pi, a=0.2, b=1.0, c=1.0, **params):
-    basis = Basis(L=L, n_w=n_w, n_t=n_t)
-    grid = make_grid(basis)
-    geometry = make_geometry(a, 1.0, b, c, basis, grid)
-    return ModelParams(L=L, **params), geometry, basis, grid
-
-
-BENCH_STATE = dict(
-    w=[0.1, -0.05, 0.02], wdot=[0.0, 0.03, 0.0], th=[0.05, -0.02], thdot=[0.01, 0.0]
-)
+from models import cable_setup, random_state, state_3_2
 
 
 class TestConfigValidation:
@@ -81,7 +62,7 @@ class TestConfigValidation:
 
     def test_dimension_mismatch(self):
         """A state sized for another basis is refused."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         bad = ModalState(np.zeros(4), np.zeros(4), np.zeros(2), np.zeros(2))
         with pytest.raises(ValueError, match=r"\(4, 2\) modes does not match the \(3, 2\)"):
             integrate(bad, params, geo, basis, IntegratorConfig(dt=1e-2, t_end=0.1), grid)
@@ -90,14 +71,14 @@ class TestConfigValidation:
 class TestTrajectoryShape:
     def test_zero_initial_data_stays_zero(self):
         """y0 = 0 with g = 0 and no cables is the identically zero trajectory."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=1.0)
         traj = integrate(ModalState.zero(basis), params, geo, basis, cfg)
         assert not traj.data.any()
 
     def test_uniform_cadence_and_endpoint(self):
         """RK4 sampling is uniform and lands exactly on t_end."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=0.5, sample_every=5e-2)
         traj = integrate(ModalState.zero(basis), params, geo, basis, cfg)
         assert traj.times[0] == 0.0
@@ -116,8 +97,8 @@ class TestTrajectoryShape:
         A cadence of 0.3 over a 0.1 step rounds to three steps, so the ten steps of
         t_end = 1 are nudged to twelve and the samples fall every 0.25.
         """
-        params, geo, basis, grid = cable_setup(g=0.3)
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, g=0.3)
+        y0 = state_3_2()
         times = {}
         for method in ("rk4", "adaptive45"):
             cfg = IntegratorConfig(method=method, dt=dt, t_end=t_end, sample_every=sample_every)
@@ -128,16 +109,16 @@ class TestTrajectoryShape:
 
     def test_step_nudge_lands_on_horizon(self):
         """A dt that does not divide t_end is nudged to an integer step count."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         cfg = IntegratorConfig(method="rk4", dt=3e-3, t_end=1.0)
         traj = integrate(ModalState.zero(basis), params, geo, basis, cfg)
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_state_accessor_round_trip(self):
         """Trajectory.state(i) rebuilds the ModalState at sample i."""
-        params, geo, basis, grid = cable_setup(g=0.3)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, g=0.3)
         cfg = IntegratorConfig(method="rk4", dt=1e-2, t_end=0.2)
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        y0 = state_3_2()
         traj = integrate(y0, params, geo, basis, cfg)
         mid = traj.state(3)
         np.testing.assert_array_equal(mid.w, traj.w[3])
@@ -147,8 +128,8 @@ class TestTrajectoryShape:
 class TestAgainstClosedForms:
     def test_undamped_torsional_mode(self):
         """A single undamped torsional mode follows its sine/cosine solution."""
-        params, geo, basis, grid = flat_setup(
-            n_w=2, n_t=3, eps=0.7, kappa=0.4, ell=1.2, M=1.5
+        params, geo, basis, grid = cable_setup(
+            n_w=2, n_t=3, a=0.0, b=0.0, c=0.0, eps=0.7, kappa=0.4, ell=1.2, M=1.5
         )
         gam = undamped_frequencies(params, 2, 3)[1]
         for j, th0, th1 in ((1, 0.3, -0.1), (3, -0.2, 0.25)):
@@ -166,7 +147,9 @@ class TestAgainstClosedForms:
 
     def test_time_reversibility(self):
         """Flipping velocities and integrating one period returns the state."""
-        params, geo, basis, grid = flat_setup(eps=0.5, kappa=0.3, ell=1.0)
+        params, geo, basis, grid = cable_setup(
+            n_w=3, n_t=2, a=0.0, b=0.0, c=0.0, eps=0.5, kappa=0.3, ell=1.0
+        )
         gam = undamped_frequencies(params, 3, 2)[1]
         period = 2.0 * np.pi / gam[0]
         cfg = IntegratorConfig(method="rk4", dt=period / 1000.0, t_end=period)
@@ -189,10 +172,10 @@ class TestAgainstClosedForms:
     def test_conservative_energy_drift(self):
         """The full nonlinear energy drifts below 1e-6 on a conservative run."""
         params, geo, basis, grid = cable_setup(
-            eps=0.5, kappa=0.3, S=1.0, P=0.5, ell=1.0
+            n_w=3, n_t=2, eps=0.5, kappa=0.3, S=1.0, P=0.5, ell=1.0
         )
         cfg = IntegratorConfig(method="rk4", dt=1e-3, t_end=10.0, sample_every=5e-2)
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        y0 = state_3_2()
         traj = integrate(y0, params, geo, basis, cfg)
         e0 = energies(y0, params, geo, basis, grid).Efull
         drift = np.abs(energies(traj.data, params, geo, basis, grid).Efull - e0).max()
@@ -260,8 +243,8 @@ class TestTableau:
 class TestAdaptive:
     def test_matches_rk4_on_smooth_problem(self):
         """Tight-tolerance adaptive45 agrees with fine RK4."""
-        params, geo, basis, grid = cable_setup(delta=0.05, g=0.3, eps=0.5, kappa=0.3)
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, delta=0.05, g=0.3, eps=0.5, kappa=0.3)
+        y0 = state_3_2()
         fine = IntegratorConfig(method="rk4", dt=2e-4, t_end=2.0, sample_every=0.1)
         loose = IntegratorConfig(method="adaptive45", rtol=1e-10, t_end=2.0, sample_every=0.1)
         ref = integrate(y0, params, geo, basis, fine)
@@ -272,8 +255,8 @@ class TestAdaptive:
 
     def test_tolerance_controls_error(self):
         """Loosening rtol by 1e4, and with it atol = rtol / 100, visibly degrades accuracy."""
-        params, geo, basis, grid = cable_setup(g=0.3, eps=0.5, kappa=0.3)
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, g=0.3, eps=0.5, kappa=0.3)
+        y0 = state_3_2()
         ref_cfg = IntegratorConfig(method="rk4", dt=1e-4, t_end=2.0)
         ref = integrate(y0, params, geo, basis, ref_cfg).data[-1]
         errs = []
@@ -285,8 +268,8 @@ class TestAdaptive:
 
     def test_nonfinite_state_reports_time(self):
         """A blowup aborts with the first bad time and entry named, and no numpy warning."""
-        params, geo, basis, grid = flat_setup(g=1.0)
-        blow = ModelParams(L=np.pi, P=200.0)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0, g=1.0)
+        blow = ModelParams(P=200.0)
         y0 = ModalState(
             np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(2), np.zeros(2)
         )
@@ -301,7 +284,7 @@ class TestAdaptive:
     @pytest.mark.parametrize("index", range(14))
     def test_nonfinite_state_names_the_entry(self, monkeypatch, method, index):
         """The message names the channel and mode of the first non-finite packed entry."""
-        params, geo, basis, grid = flat_setup(n_w=4, n_t=3)
+        params, geo, basis, grid = cable_setup(n_w=4, n_t=3, a=0.0, b=0.0, c=0.0)
         expected = (
             [f"w_{j}" for j in range(1, 5)] + [f"wdot_{j}" for j in range(1, 5)]
             + [f"th_{j}" for j in range(1, 4)] + [f"thdot_{j}" for j in range(1, 4)]
@@ -317,7 +300,7 @@ class TestAdaptive:
 
     def test_step_underflow(self, monkeypatch):
         """A finite-time singularity collapses the step below the floor."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         dim = 2 * basis.n_w + 2 * basis.n_t
         t_blow = 0.4871384727
 
@@ -352,7 +335,7 @@ class TestStepBudget:
         """A fast forcing keeps accepted steps far above the underflow floor but far below dt;
         with the budget lowered the run raises a typed error that names it, after exactly
         that many trials (the first stage plus six RHS calls per trial)."""
-        params, geo, basis, grid = flat_setup()
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0)
         dim = 2 * basis.n_w + 2 * basis.n_t
         calls = []
         monkeypatch.setattr(
@@ -371,7 +354,7 @@ class TestStepBudget:
 
     def test_budget_allows_exactly_its_trials(self, monkeypatch):
         """A one-step clock whose run takes T trials passes with a budget of T and fails with T - 1."""
-        params, geo, basis, grid = flat_setup(g=0.3, delta=0.1)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0, g=0.3, delta=0.1)
         calls = []
         monkeypatch.setattr(
             fishbone.integrate, "make_packed_rhs",
@@ -393,13 +376,13 @@ class TestCounters:
     """The trajectory's counters are the work the run did, as a counting RHS sees it."""
 
     def test_rk4_makes_four_calls_per_step(self, monkeypatch):
-        params, geo, basis, grid = cable_setup(g=0.3)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, g=0.3)
         calls = []
         monkeypatch.setattr(
             fishbone.integrate, "make_packed_rhs",
             TestStepBudget.counted(make_packed_rhs(params, geo, basis, grid), calls),
         )
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        y0 = state_3_2()
         cfg = IntegratorConfig(method="rk4", dt=3e-3, t_end=1.0, sample_every=0.1)  # 333 steps nudged to 11 x 33
         counters = integrate(y0, params, geo, basis, cfg).counters
         assert counters == {"steps": 363, "rhs_calls": 4 * 363, "dt": 1.0 / 363}
@@ -434,7 +417,7 @@ class TestCounters:
     def test_one_step_run_and_a_bare_trajectory(self):
         """A run of one accepted step reports it as its smallest, largest and last;
         a trajectory built by hand has no counters."""
-        params, geo, basis, grid = flat_setup(g=0.3)
+        params, geo, basis, grid = cable_setup(n_w=3, n_t=2, a=0.0, b=0.0, c=0.0, g=0.3)
         cfg = IntegratorConfig(method="adaptive45", dt=0.5, t_end=1e-3)
         counters = integrate(ModalState.zero(basis), params, geo, basis, cfg, grid).counters
         assert counters == {
@@ -455,7 +438,7 @@ class TestRunLongBuffers:
     def setup_method(self):
         self.model = cable_setup(n_w=4, n_t=3, S=1.3, P=0.2, delta=0.1, zeta=0.05, g=0.4, eps=0.5, kappa=0.3)
         rng = np.random.default_rng(5)
-        self.y0 = ModalState(*(0.2 * rng.standard_normal(n) for n in (4, 4, 3, 3)))
+        self.y0 = random_state(rng, 4, 3, 0.2)
 
     def test_rk4_matches_a_fresh_array_loop(self):
         cfg = IntegratorConfig(method="rk4", dt=0.01, t_end=3.0, sample_every=0.05)
@@ -526,8 +509,8 @@ class TestRunLongBuffers:
 def test_grid_of_another_span_is_refused():
     """A 3+2 cable model on a grid built for 2 pi instead of pi would end 0.13 (max entry)
     away from the right run after 1 s; integrate refuses the grid, naming both spans."""
-    params, geo, basis, _ = cable_setup(S=1.0, delta=0.1)
-    y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+    params, geo, basis, _ = cable_setup(n_w=3, n_t=2, S=1.0, delta=0.1)
+    y0 = state_3_2()
     cfg = IntegratorConfig(dt=0.01, t_end=1.0)
     wrong = make_grid(Basis(L=2.0 * np.pi, n_w=3, n_t=2))
     with pytest.raises(ValueError, match=r"QuadratureGrid.L = 6.28\d*, Basis.L = 3.14"):
@@ -592,9 +575,9 @@ class TestOrderOfAccuracy:
     def test_rk4_self_convergence(self):
         """Halving dt shrinks the endpoint error about 16x on a damped run."""
         params, geo, basis, grid = cable_setup(
-            delta=0.1, zeta=0.05, g=0.4, S=1.0, eps=0.5, kappa=0.3
+            n_w=3, n_t=2, delta=0.1, zeta=0.05, g=0.4, S=1.0, eps=0.5, kappa=0.3
         )
-        y0 = ModalState(**{k: np.array(v) for k, v in BENCH_STATE.items()})
+        y0 = state_3_2()
 
         def endpoint(dt):
             cfg = IntegratorConfig(method="rk4", dt=dt, t_end=2.0)

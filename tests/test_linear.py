@@ -20,9 +20,9 @@ from fishbone.linear import (
     spectrum_report,
     undamped_frequencies,
 )
-from fishbone.spectral import Basis
 from fishbone.cable import make_geometry
-from fishbone.spectral import make_grid
+from fishbone.spectral import Basis, make_grid
+from models import random_state
 
 TNB_DAMPING = 0.01 * 7198.0  # per-unit-mass rate 0.01 1/s scaled by the deck mass
 
@@ -34,7 +34,6 @@ def make_params(**over):
         eps=0.5,
         kappa=0.3,
         ell=1.2,
-        L=np.pi,
         delta=0.12,
         zeta=0.08,
         beta=0.02,
@@ -75,15 +74,6 @@ def normalized_coefficients(params: ModelParams, n: int):
         * np.sqrt(2.0 * params.L)
         * (1.0 - (-1.0) ** np.arange(1, n + 1))
         / (np.arange(1, n + 1) * np.pi),
-    )
-
-
-def random_state(rng, n_w, n_t, amp=0.5):
-    return ModalState(
-        amp * rng.standard_normal(n_w),
-        amp * rng.standard_normal(n_w),
-        amp * rng.standard_normal(n_t),
-        amp * rng.standard_normal(n_t),
     )
 
 
@@ -290,7 +280,7 @@ class TestClosedFormCoefficients:
                 Upsilon=float(rng.uniform(-0.8, 0.8)),
                 Ustream=float(rng.uniform(-3.0, 3.0)),
             )
-            y0 = random_state(rng, 3, 2)
+            y0 = random_state(rng, 3, 2, 0.5)
             sol = closed_form(y0, params)
             c = normalized_coefficients(params, 3)
             ell2 = params.ell**2
@@ -314,14 +304,14 @@ class TestClosedFormCoefficients:
 
     def test_untwisted_modes_have_zero_particular_part(self):
         """Vertical modes beyond the torsional truncation carry no forcing."""
-        sol = closed_form(random_state(np.random.default_rng(3), 4, 2), make_params())
+        sol = closed_form(random_state(np.random.default_rng(3), 4, 2, 0.5), make_params())
         np.testing.assert_array_equal(sol.A_j[2:], 0.0)
         np.testing.assert_array_equal(sol.B_j[2:], 0.0)
 
     def test_frequencies_match_glossary_formulas(self):
         """omega_j and gamma_j follow the underdamped frequency formulas."""
         params = make_params(M=1.0, D=1.0)
-        sol = closed_form(random_state(np.random.default_rng(5), 3, 2), params)
+        sol = closed_form(random_state(np.random.default_rng(5), 3, 2, 0.5), params)
         j = np.arange(1, 4)
         mu = params.delta + params.beta
         omega = np.sqrt(4.0 * j**4 * np.pi**4 / params.L**4 - mu**2)
@@ -336,7 +326,7 @@ class TestClosedFormCoefficients:
     def test_static_deflection(self):
         """static_j = g M sqrt(2L) (1-(-1)^j) L^4 / (D j^5 pi^5), zero for even j."""
         params = make_params(M=2.0, D=1.5, g=0.7, L=2.5)
-        sol = closed_form(random_state(np.random.default_rng(9), 4, 2), params)
+        sol = closed_form(random_state(np.random.default_rng(9), 4, 2, 0.5), params)
         j = np.arange(1, 5)
         expected = (
             params.g
@@ -454,13 +444,13 @@ class TestClosedFormEvaluation:
         """Evaluation at t = 0 returns the initial data to 1e-10."""
         rng = np.random.default_rng(17)
         for _ in range(10):
-            y0 = random_state(rng, 4, 3)
+            y0 = random_state(rng, 4, 3, 0.5)
             sol = closed_form(y0, make_params())
             np.testing.assert_allclose(sol.sample(np.array([0.0]))[0], y0.pack(), rtol=0, atol=1e-10)
 
     def test_sample_pointwise_and_vectorized_agree(self):
         """Sampling one time at a time and all times at once coincide."""
-        sol = closed_form(random_state(np.random.default_rng(23), 3, 2), make_params())
+        sol = closed_form(random_state(np.random.default_rng(23), 3, 2, 0.5), make_params())
         times = np.array([0.0, 0.7, 2.3])
         rows = sol.sample(times)
         for k, t in enumerate(times):
@@ -472,19 +462,19 @@ class TestClosedFormHypotheses:
         """The representation needs strictly positive damping on both branches."""
         with pytest.raises(OverdampedBranch, match="strictly positive"):
             closed_form(
-                random_state(np.random.default_rng(1), 2, 1),
+                random_state(np.random.default_rng(1), 2, 1, 0.5),
                 make_params(delta=0.0, zeta=0.0, beta=0.0),
             )
 
     def test_overdamped_vertical_rejected(self):
         """mu at or above 2 sqrt(k4) trips the vertical hypothesis."""
         with pytest.raises(OverdampedBranch, match="vertical"):
-            closed_form(random_state(np.random.default_rng(2), 2, 1), make_params(delta=5.0))
+            closed_form(random_state(np.random.default_rng(2), 2, 1, 0.5), make_params(delta=5.0))
 
     def test_overdamped_torsional_rejected(self):
         """Excess torsional damping trips the torsional hypothesis."""
         with pytest.raises(OverdampedBranch, match="torsional"):
-            closed_form(random_state(np.random.default_rng(4), 2, 1), make_params(zeta=10.0))
+            closed_form(random_state(np.random.default_rng(4), 2, 1, 0.5), make_params(zeta=10.0))
 
     def test_resonant_case_surfaced(self):
         """zeta = l^2 mu / 3 with omega_1 = 3 gamma_1 / l^2 raises ResonantCase."""
@@ -499,7 +489,7 @@ class TestClosedFormHypotheses:
             Ustream=0.0,
         )
         with pytest.raises(ResonantCase, match="secular"):
-            closed_form(random_state(np.random.default_rng(6), 2, 1), params)
+            closed_form(random_state(np.random.default_rng(6), 2, 1, 0.5), params)
 
     def test_resonance_at_the_second_mode_only(self):
         """At l^2 = 3, eps = 1/2, kappa = 2 and mu = zeta the vertical and torsional roots of
@@ -512,8 +502,8 @@ class TestClosedFormHypotheses:
         vertical, torsional = characteristic_roots(params, 2, 2)
         assert abs(vertical[0, 0] - torsional[0, 0]) > 0.1
         with pytest.raises(ResonantCase, match="secular"):
-            closed_form(random_state(np.random.default_rng(9), 3, 2), params)
-        closed_form(random_state(np.random.default_rng(9), 1, 1), params)
+            closed_form(random_state(np.random.default_rng(9), 3, 2, 0.5), params)
+        closed_form(random_state(np.random.default_rng(9), 1, 1, 0.5), params)
 
     def test_exact_critical_damping_is_overdamped(self):
         """mu = 2 sqrt(k4) exactly (delta = 2 at M = D = 1, L = pi): mode 1's vertical roots
@@ -521,7 +511,7 @@ class TestClosedFormHypotheses:
         params = make_params(delta=2.0, beta=0.0)
         assert characteristic_roots(params, 1, 1)[0][0, 0] == -1.0
         with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
-            closed_form(random_state(np.random.default_rng(10), 2, 1), params)
+            closed_form(random_state(np.random.default_rng(10), 2, 1, 0.5), params)
 
     def test_torsional_damping_within_an_ulp_of_critical_is_overdamped(self):
         """At zeta = 2 l sqrt((eps + kappa)/3) the root table, per unit inertia, rounds to
@@ -533,7 +523,7 @@ class TestClosedFormHypotheses:
         )
         assert characteristic_roots(params, 1, 1)[1][0, 0].imag > 0.0
         with pytest.raises(OverdampedBranch, match="torsional branch overdamped"):
-            closed_form(random_state(np.random.default_rng(12), 3, 2), params)
+            closed_form(random_state(np.random.default_rng(12), 3, 2, 0.5), params)
 
     def test_heavy_vertical_overdamping_is_not_read_as_zero_damping(self):
         """At mu = 1e9 mode 1's + vertical root is 1 / (- root), about -1e-9 and no longer
@@ -543,7 +533,7 @@ class TestClosedFormHypotheses:
         slow, fast = characteristic_roots(params, 1, 1)[0][0]
         assert slow == pytest.approx(1.0 / fast, rel=1e-12, abs=0.0) and slow.real < 0.0
         with pytest.raises(OverdampedBranch, match="vertical branch overdamped"):
-            closed_form(random_state(np.random.default_rng(13), 3, 2), params)
+            closed_form(random_state(np.random.default_rng(13), 3, 2, 0.5), params)
 
     def test_hypotheses_agree_with_the_stability_class(self):
         """Across critical damping on both branches, kept 1e-6 relative away from it, the
@@ -559,7 +549,7 @@ class TestClosedFormHypotheses:
                 params = make_params(delta=f_mu * mu_crit - base.beta, zeta=f_zeta * zeta_crit)
                 stable = spectrum_report(params, 3, 2).classification == "exponentially_stable"
                 try:
-                    closed_form(random_state(np.random.default_rng(11), 3, 2), params)
+                    closed_form(random_state(np.random.default_rng(11), 3, 2, 0.5), params)
                     refused = False
                 except OverdampedBranch:
                     refused = True
@@ -580,7 +570,7 @@ class TestClosedFormHypotheses:
             Ustream=0.0,
         )
         with pytest.warns(ConditioningWarning, match="ill-conditioned"):
-            sol = closed_form(random_state(np.random.default_rng(8), 1, 1), params)
+            sol = closed_form(random_state(np.random.default_rng(8), 1, 1, 0.5), params)
         assert np.all(np.isfinite(sol.A_j)) and np.all(np.isfinite(sol.B_j))
 
 

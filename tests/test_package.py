@@ -1,9 +1,9 @@
-"""Package tooling: every module's exports resolve, test files import only what they read,
-the packed layout is written in one module, no module but ``cli`` imports ``cli``, the docs
-name only names, config keys and tests that exist, README's derive table matches the rules,
-every config key has a caller, a serial run leaves heavy numpy and stdlib modules unloaded,
-the benchmark's tracer fits the package, every benchmark workload runs a shortened round,
-and the quadrature study and the line count run."""
+"""Package tooling: every module's exports resolve, test files and tools import only what
+they read, the packed layout is written in one module, no module but ``cli`` imports ``cli``,
+the docs name only names, config keys and tests that exist, README's derive table matches the
+rules, every config key has a caller, a serial run leaves heavy numpy and stdlib modules
+unloaded, the benchmark's tracer fits the package, every benchmark workload runs a shortened
+round, and the quadrature study and the line count run."""
 
 import ast
 import importlib
@@ -34,9 +34,13 @@ def test_all_names_resolve(name):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "tests").glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py")),
+    ids=lambda path: path.name,
+)
 def test_imported_names_are_read(path):
-    """Each name a test file imports is read there, so a deleted API leaves no stale import."""
+    """Each name a test file or tool imports is read there, so a deleted API or a moved helper
+    leaves no stale import."""
     tree = ast.parse(path.read_text())
     imported = set()
     for node in ast.walk(tree):

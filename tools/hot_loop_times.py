@@ -43,12 +43,13 @@ SHOWN = {"rk4": ("steps", "rhs_calls"), "adaptive45": ("accepted", "rejected", "
 def load_tree(root: Path, seconds: float) -> dict:
     """Import the package and test helpers of the source tree at root; build its models.
 
-    Any ``fishbone`` (and ``test_acceptance``) already imported is purged from
+    Any ``fishbone``, ``test_acceptance`` or ``models`` already imported is purged from
     ``sys.modules`` first, so a second tree loads its own modules beside the first.
     Returns {model name: [RHS block, RK4 run, DP45 run]}: each entry times itself and
     returns (seconds, per, counters), per being the calls, steps or trials it made.
     """
-    for name in [name for name in sys.modules if name.split(".")[0] in ("fishbone", "test_acceptance")]:
+    purged = ("fishbone", "test_acceptance", "models")
+    for name in [name for name in sys.modules if name.split(".")[0] in purged]:
         del sys.modules[name]
     paths = [str(root / "src"), str(root / "tests")]
     sys.path[:0] = paths

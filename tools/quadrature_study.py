@@ -27,7 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
 from fishbone import spectral  # noqa: E402
-from test_acceptance import ABSORBING_MODEL, SHELLS, cable_setup, shell_errors  # noqa: E402
+from models import cable_setup  # noqa: E402
+from test_acceptance import ABSORBING_MODEL, SHELLS, shell_errors  # noqa: E402
 
 
 def worst_errors(seeds: int) -> dict[float, float]:
