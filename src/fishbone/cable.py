@@ -19,15 +19,16 @@ torsional channels feel the two cables through
 and the stored cable energy is Pi(u) = (b/2)(L(u) - L0)^2 + c int xi0 (Xi - xi0),
 whose directional derivative is d/dtau Pi(u + tau phi)|_0 = -(h(u), phi_x)_0.
 
-The force law is written once, in ``force_law(geometry, shape)``, which binds
-its work arrays for lines of one shape and returns h(total), writing h over the
-total slopes u_x + s_x: ``h_of`` binds it once per call, and the RHS of
-``dynamics`` (both lines w +- l th at once) once per run. The geometry folds b
-into the quadrature weights and stores the rows [1; -(c xi0 - b L0)], so with
-the pull Xi @ (-b weights) the gap b (L0 - L(u)) - c xi0 is [pull, 1] @ rows:
-two exact products, whose sum rounds once, as one subtraction would. L and Pi are
-written once, in ``length_and_energy``: both from one Xi pass over nodal slopes,
-for ``arc_length``, ``pi_energy`` and ``diagnostics.lemma_suite``. ``arc_length``,
+The force law is written once, in ``force_law(geometry, grid, shape)``, which
+binds its work arrays for lines of one shape and returns h(total), writing h over
+the total slopes u_x + s_x: ``h_of`` binds it once per call, and the RHS of
+``dynamics`` (both lines w +- l th at once) once per run. It owns its constants:
+when it binds, it folds b into the quadrature weights and builds the rows
+[1; -(c xi0 - b L0)], so with the pull Xi @ (-b weights) the gap
+b (L0 - L(u)) - c xi0 is [pull, 1] @ rows: two exact products, whose sum rounds
+once, as one subtraction would. L and Pi are written once, in
+``length_and_energy``: both from one Xi pass over nodal slopes, for
+``arc_length``, ``pi_energy`` and ``diagnostics.lemma_suite``. ``arc_length``,
 ``h_of`` and ``pi_energy`` take a modal vector or a stack of rows (k, n), one
 line per row; slopes and span integrals use ``np.vecmat`` and ``np.vecdot``,
 which reduce each row on its own, so a row of a stack gives the lone-vector
@@ -61,8 +62,8 @@ class CableGeometry:
     The cached L0 is always the quadrature value of int sqrt(1 + s_x^2) on the
     construction grid, so that Xi(0) = xi0 and Pi(0) = 0 hold exactly; a
     tabulated arc length only ever enters the *derivation* of b (see the cli
-    module), never the force law itself. The force law reads b, c and L0 only
-    through ``b_weights`` and ``gap_rows``, so h(0) = -c s_x holds to rounding of b L0.
+    module), never the force law itself. ``force_law`` folds b, c and L0 into its own
+    constants when it binds, so h(0) = -c s_x holds to rounding of b L0.
     """
 
     a: float
@@ -72,9 +73,6 @@ class CableGeometry:
     span: float  # the construction grid's span; the arrays below hold one entry per node
     sx: np.ndarray = field(repr=False)  # s_x at grid nodes
     xi0: np.ndarray = field(repr=False)  # sqrt(1 + s_x^2) at grid nodes
-    b_weights: np.ndarray = field(repr=False)  # -b times the weights: Xi @ b_weights = -b int Xi
-    # [1; -(c xi0 - b L0)]: h = ([Xi @ b_weights, 1] @ gap_rows) (u_x + s_x) / Xi
-    gap_rows: np.ndarray = field(repr=False)
     L0: float = 0.0
     int_abs_sx: float = 0.0  # int |s_x|, used by lemma constants
     max_xi0: float = 1.0
@@ -95,18 +93,16 @@ def make_geometry(
     for name, value in (("a", a), ("s0", s0), ("b", b), ("c", c)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if b < 0.0 or c < 0.0:
+        raise ValueError(f"cable stiffnesses must be nonnegative, got b={b}, c={c}")
     if a < 0.0 or (a == 0.0 and (b != 0.0 or c != 0.0)):
         raise ValueError(f"tension parameter must be positive, got a={a}")
     if not s0 > 0.0:
         raise ValueError(f"hanger length must be positive, got s0={s0}")
-    if b < 0.0 or c < 0.0:
-        raise ValueError(f"cable stiffnesses must be nonnegative, got b={b}, c={c}")
     sx = a * (0.5 * basis.L - grid.nodes)
     xi0 = np.sqrt(1.0 + sx * sx)
     L0 = float(np.vecdot(xi0, grid.weights))  # arc_length(0) bit for bit
-    b_weights = -b * grid.weights
-    gap_rows = np.array([[1.0] * xi0.size, -(c * xi0 - b * L0)])
-    for arr in (sx, xi0, b_weights, gap_rows):
+    for arr in (sx, xi0):
         arr.setflags(write=False)
     return CableGeometry(
         a=a,
@@ -116,8 +112,6 @@ def make_geometry(
         span=grid.L,
         sx=sx,
         xi0=xi0,
-        b_weights=b_weights,
-        gap_rows=gap_rows,
         L0=L0,
         # |s_x| has a kink at L/2, inside a panel when the panel count is odd, and
         # the rest slope peaks at the span ends, which Gauss nodes exclude, so both
@@ -128,20 +122,24 @@ def make_geometry(
     )
 
 
-def force_law(geometry: CableGeometry, shape: tuple[int, ...]):
-    """h(total): h at the nodes, written over the total slopes u_x + s_x of lines of ``shape``.
+def force_law(geometry: CableGeometry, grid: QuadratureGrid, shape: tuple[int, ...]):
+    """h(total): h at the nodes of ``grid``, written over the total slopes u_x + s_x of lines
+    of ``shape``.
 
-    One line per leading index. The work arrays (Xi, the gap and each line's [pull, 1]),
-    the ufuncs, the 1 of 1 + t^2 (a 0-d array, so no call converts a Python float) and the
-    geometry's arrays are bound here, once. A call makes seven numpy calls with positional
-    out: Xi, the pull Xi @ (-b weights) into column 0 of [pull, 1], the gap
-    [pull, 1] @ [1; -(c xi0 - b L0)], then (total / Xi) gap. Both products of the gap are
-    exact, so it is pull - (c xi0 - b L0) rounded once, good to a few ulp of b L0.
+    One line per leading index. The constants -b weights and [1; -(c xi0 - b L0)], the work
+    arrays (Xi, the gap and each line's [pull, 1]), the ufuncs and the 1 of 1 + t^2 (a 0-d
+    array, so no call converts a Python float) are built and bound here, once. A call makes
+    seven numpy calls with positional out: Xi, the pull Xi @ (-b weights) into column 0 of
+    [pull, 1], the gap [pull, 1] @ [1; -(c xi0 - b L0)], then (total / Xi) gap. Both
+    products of the gap are exact, so it is pull - (c xi0 - b L0) rounded once, good to a
+    few ulp of b L0.
     """
+    b, c, xi0 = geometry.b, geometry.c, geometry.xi0
+    b_weights, gap_rows = -b * grid.weights, np.ones((2, xi0.size))
+    gap_rows[1] = -(c * xi0 - b * geometry.L0)
     xi, gap, pull_one = np.empty(shape), np.empty(shape), np.zeros((*shape[:-1], 2))
     pull_one[..., 1] = 1.0
-    pull, one = pull_one[..., 0], np.array(1.0)
-    b_weights, gap_rows, gap_from = geometry.b_weights, geometry.gap_rows, pull_one.dot
+    pull, one, gap_from = pull_one[..., 0], np.array(1.0), pull_one.dot
     multiply, add, sqrt, vecdot, divide = np.multiply, np.add, np.sqrt, np.vecdot, np.divide
 
     def h(total: np.ndarray) -> np.ndarray:
@@ -183,7 +181,7 @@ def arc_length(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> 
 def h_of(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> np.ndarray:
     """Cable force density h(u) at the grid nodes (global pass, then nodal), per row of u."""
     total = _slope(u, grid) + geometry.sx
-    return force_law(geometry, total.shape)(total)
+    return force_law(geometry, grid, total.shape)(total)
 
 
 def pi_energy(u: np.ndarray, geometry: CableGeometry, grid: QuadratureGrid) -> float | np.ndarray:

@@ -353,8 +353,9 @@ def lemma_suite(
       spectral        ||v||_0 <= ||v||_1 <= ||v||_2   (only meaningful for L <= pi)
     plus the empirical constant of ||v||_1^2 <= gamma (||v||_2^2 + ||v||_1^4) + C
     at gamma = 0.1 (an existence check; the max required C is reported). A block of
-    ROW_BLOCK pairs takes the slopes of v and z once, L and Pi of each from one Xi pass
-    (``cable.length_and_energy``) and h(v) from ``cable.h_of``: three Xi passes in all.
+    ROW_BLOCK pairs takes the slopes of v and z once for L and Pi of each, from one Xi pass
+    (``cable.length_and_energy``), and h(v) from ``cable.h_of``, which takes v's slopes
+    again: three Xi passes in all.
     v and z come from two ``random_states`` calls per draw of DRAW_BLOCK pairs, so no
     call holds more than one draw of samples; up to DRAW_BLOCK samples the stream is
     that of two whole-sample calls. The grid and the geometry must fit the basis's span

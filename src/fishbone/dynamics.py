@@ -283,7 +283,7 @@ def make_packed_rhs(
     head, y_w = row[: one.stop], row[w]
     forces, stretch_part = row[F].reshape(2, modes), row[stretched]
     lines, k2w_w = nodal[: k2w.start].reshape(2, nodes), nodal[k2w]  # h lands over the slopes
-    h = force_law(geometry, (2, nodes))
+    h = force_law(geometry, grid, (2, nodes))
     mix, mixed = np.array([[1.0, 1.0], [1.0, -1.0]]), np.empty((2, nodes))  # mixed: [f; f-bar/l]
     # Each product's left operand is fixed, so its ndarray.dot is bound here: the C routine of
     # np.dot (the BLAS call of @) without np.dot's Python-level __array_function__ dispatcher.

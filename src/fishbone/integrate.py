@@ -89,15 +89,15 @@ class NonFiniteState(IntegrationError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    method: str = "rk4"  # "rk4" | "adaptive45"
+    method: str = "rk4"  # a key of _METHODS
     dt: float = 1e-3  # rk4 step; initial step in adaptive mode
     rtol: float = 1e-8  # adaptive45 only; its absolute tolerance is rtol / 100
     t_end: float = 10.0
     sample_every: float | None = None  # output cadence, rounded to whole nudged steps; None: every step
 
     def __post_init__(self) -> None:
-        if self.method not in ("rk4", "adaptive45"):
-            raise ValueError(f"unknown method {self.method!r}; use rk4 or adaptive45")
+        if self.method not in _METHODS:
+            raise ValueError(f"unknown method {self.method!r}; use {' or '.join(_METHODS)}")
         for name in ("dt", "rtol", "t_end", "sample_every"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -306,6 +306,10 @@ def _adaptive_run(f, y0: np.ndarray, cfg: IntegratorConfig, basis: Basis):
     return out_times, data, counters
 
 
+# The one list of methods: IntegratorConfig checks against it and integrate dispatches by it.
+_METHODS = {"rk4": _rk4_run, "adaptive45": _adaptive_run}
+
+
 def integrate(
     y0: ModalState,
     params: ModelParams,
@@ -329,7 +333,6 @@ def integrate(
     if grid is None:
         grid = make_grid(basis)
     f = make_packed_rhs(params, geometry, basis, grid)
-    run = _rk4_run if cfg.method == "rk4" else _adaptive_run
     with np.errstate(over="ignore", invalid="ignore"):
-        times, data, counters = run(f, y0.pack(), cfg, basis)
+        times, data, counters = _METHODS[cfg.method](f, y0.pack(), cfg, basis)
     return Trajectory(times=times, data=data, n_w=basis.n_w, n_t=basis.n_t, counters=counters)

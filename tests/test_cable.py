@@ -87,6 +87,8 @@ class TestGeometry:
             make_geometry(A, S0, -1.0, C, basis, grid)
         with pytest.raises(ValueError):
             make_geometry(A, S0, B, -1.0, basis, grid)
+        with pytest.raises(ValueError, match="cable stiffnesses must be nonnegative"):
+            make_geometry(0.0, S0, -1.0, 0.0, basis, grid)
 
     def test_nonfinite_parameters_rejected(self):
         """NaN or inf in a, s0, b or c is refused, naming the parameter."""
@@ -188,7 +190,7 @@ def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
         xi = np.sqrt(1.0 + total**2)
         pull = geo.b * (geo.L0 - xi @ grid.weights)
         expected = (pull[:, None] - geo.c * geo.xi0) * total / xi
-        h = force_law(geo, total.shape)(total.copy())
+        h = force_law(geo, grid, total.shape)(total.copy())
         worst = max(worst, np.abs(h - expected).max() / np.abs(expected).max())
     return worst
 
@@ -196,7 +198,7 @@ def folded_law_error(geo, grid, slope_scale, seeds=range(20)):
 class TestFoldedForceLaw:
     """The force law with b folded into the weights against the law written out.
 
-    The geometry stores -b weights and c xi0 - b L0, so b L0 cancels against b int Xi
+    ``force_law`` builds -b weights and c xi0 - b L0, so b L0 cancels against b int Xi
     inside one subtraction; the written-out law cancels L0 - int Xi first. Both
     round at a few ulp of b L0, which on the dimensional Tacoma geometry is
     2.3e10 against max |h| of about 1.5e7. Worst measured errors over 20 stacks
@@ -229,23 +231,24 @@ class TestFoldedForceLaw:
         assert folded_law_error(geo, grid, 1e-2) < 1e-14
 
 
-def subtraction_law(total, geo):
+def subtraction_law(total, geo, grid):
     """The force law as it was written before ``force_law``, in seven ufunc calls: Xi, the
     pull Xi @ (-b weights), the gap pull - (c xi0 - b L0) as one subtraction, then
     (total / Xi) gap."""
     xi = np.sqrt(np.add(1.0, np.multiply(total, total)))
-    gap = np.subtract(np.vecdot(xi, geo.b_weights)[..., None], geo.c * geo.xi0 - geo.b * geo.L0)
+    gap = np.subtract(np.vecdot(xi, -geo.b * grid.weights)[..., None], geo.c * geo.xi0 - geo.b * geo.L0)
     return np.multiply(np.divide(total, xi), gap)
 
 
 def law_geometry(name):
-    """A cable geometry and a slope scale of its states: the Tacoma bridge, where b L0 > 2e10,
-    the nondimensional one, and that one without b or without c."""
+    """A cable geometry, its grid and a slope scale of its states: the Tacoma bridge, where
+    b L0 > 2e10, the nondimensional one, and that one without b or without c."""
     if name == "tnb":
         scenario = load_preset("tnb").scenario
         assert scenario.geometry.b * scenario.geometry.L0 > 2e10
-        return scenario.geometry, 1e-2
-    return cable_setup(**{"nondimensional": {}, "b = 0": {"b": 0.0}, "c = 0": {"c": 0.0}}[name])[1], 0.5
+        return scenario.geometry, scenario.grid, 1e-2
+    _, geo, _, grid = cable_setup(**{"nondimensional": {}, "b = 0": {"b": 0.0}, "c = 0": {"c": 0.0}}[name])
+    return geo, grid, 0.5
 
 
 class TestForceLawBits:
@@ -255,23 +258,24 @@ class TestForceLawBits:
     @pytest.mark.parametrize("name", ["tnb", "nondimensional", "b = 0", "c = 0"])
     @pytest.mark.parametrize("lead", [(), (1,), (2,), (7,)], ids=["line", "1 line", "2 lines", "7 lines"])
     def test_lines_and_stacks(self, name, lead):
-        geo, scale = law_geometry(name)
+        geo, grid, scale = law_geometry(name)
         rng = np.random.default_rng(sum(lead))
         total = geo.sx + scale * rng.standard_normal((*lead, geo.sx.size))
-        h = force_law(geo, total.shape)(total.copy())
-        np.testing.assert_array_equal(h.view(np.uint64), subtraction_law(total, geo).view(np.uint64))
+        h = force_law(geo, grid, total.shape)(total.copy())
+        np.testing.assert_array_equal(h.view(np.uint64), subtraction_law(total, geo, grid).view(np.uint64))
 
     @pytest.mark.parametrize("name", ["tnb", "nondimensional", "b = 0", "c = 0"])
     def test_non_finite_lines_stay_where_they_were(self, name):
         """A line with an inf slope and one with a nan slope give the subtraction law's values,
         so a blow-up shows in the same entries; the finite line beside them keeps its bits."""
-        geo, scale = law_geometry(name)
+        geo, grid, scale = law_geometry(name)
         total = geo.sx + scale * np.random.default_rng(3).standard_normal((3, geo.sx.size))
         total[1, 17], total[2, 40] = np.inf, np.nan
         line = total[1].copy()
         with np.errstate(invalid="ignore"):  # as integrate runs the law
-            h, expected = force_law(geo, total.shape)(total.copy()), subtraction_law(total, geo)
-            h_line, expected_line = force_law(geo, line.shape)(line.copy()), subtraction_law(line, geo)
+            h, expected = force_law(geo, grid, total.shape)(total.copy()), subtraction_law(total, geo, grid)
+            h_line = force_law(geo, grid, line.shape)(line.copy())
+            expected_line = subtraction_law(line, geo, grid)
         assert not np.isfinite(h[1]).any() and not np.isfinite(h[2]).any()
         np.testing.assert_array_equal(h, expected)
         np.testing.assert_array_equal(h[0].view(np.uint64), expected[0].view(np.uint64))

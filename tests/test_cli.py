@@ -134,7 +134,7 @@ class TestParsing:
             resolve_config({"basis.n_w": "0"})
         with pytest.raises(ConfigError, match="model"):
             resolve_config({"model.delta": "-1"})
-        with pytest.raises(ConfigError, match="integrator.method"):
+        with pytest.raises(ConfigError, match="integrator: unknown method"):
             resolve_config({"integrator.method": "euler"})
         with pytest.raises(ConfigError, match="integrator"):
             resolve_config({"integrator.dt": "0.1", "integrator.sample_every": "0.01"})
@@ -748,14 +748,18 @@ class TestExitCodes:
              "config error: cable: cable stiffnesses must be nonnegative, got b=-1.0, c=0.0"),
             (["simulate"], "cable.a = -0.2\n", 2,
              "config error: cable: tension parameter must be positive, got a=-0.2"),
+            (["simulate"], "cable.b = -1\n", 2,
+             "config error: cable: cable stiffnesses must be nonnegative, got b=-1.0, c=0.0"),
+            (["simulate"], "integrator.method = euler\n", 2,
+             "config error: integrator: unknown method 'euler'; use rk4 or adaptive45"),
             (["linear"], TOY, 2, "pass --linearize"),
             (["linear", "--csv", "out/closed.csv"], "model.delta = 50\nmodel.zeta = 0.05\n", 3,
              "linear analysis failed: vertical branch overdamped"),
             (["sweep"], "sweep.beta = 1e-3\n", 2, "config error: sweep.U: missing required key"),
         ],
         ids=["H_zero", "c_H_negative", "c_H_zero", "L0_zero", "L0_negative", "out_of_memory", "unknown_key",
-             "D_overflow", "b_negative", "a_negative", "nonlinear_linear", "overdamped_csv",
-             "sweep_without_speeds"],
+             "D_overflow", "b_negative", "a_negative", "b_negative_without_a", "unknown_method",
+             "nonlinear_linear", "overdamped_csv", "sweep_without_speeds"],
     )
     def test_typed_failure_exits_without_traceback(
         self, tmp_path, capsys, monkeypatch, argv, text, code, message

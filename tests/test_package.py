@@ -1,9 +1,10 @@
 """Package tooling: every module's exports resolve, test files and tools import only what
-they read, the packed layout is written in one module, no module but ``cli`` imports ``cli``,
-the docs name only names, config keys and tests that exist, README's derive table matches the
-rules, every config key has a caller, a serial run leaves heavy numpy and stdlib modules
-unloaded, the benchmark's tracer fits the package, every benchmark workload runs a shortened
-round, and the quadrature study and the line count run."""
+they read, the packed layout is written in one module and the integrator methods in one
+table, no module but ``cli`` imports ``cli``, the docs name only names, config keys and
+tests that exist, README's derive table matches the rules, every config key has a caller, a
+serial run leaves heavy numpy and stdlib modules unloaded, the benchmark's tracer fits the
+package, every benchmark workload runs a shortened round, and the quadrature study and the
+line count run."""
 
 import ast
 import importlib
@@ -64,6 +65,42 @@ def test_packed_layout_written_once():
         if re.search(r"\b2 \* (self\.)?n_w\b", line)
     ]
     assert not offenders, f"packed layout spelled out outside dynamics.py: {offenders}"
+
+
+def test_method_names_written_once():
+    """``src/`` code spells the integrator methods only as the keys of ``integrate._METHODS``,
+    the default of ``IntegratorConfig.method`` and ``preset_text``'s ``integrator.method = rk4``
+    line, so the table is the one list of methods; docstrings and comments aside."""
+    spelled = []
+    for path in sorted((ROOT / "src" / "fishbone").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        docstrings = {
+            node.body[0].value for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node not in docstrings and re.search(r"\b(rk4|adaptive45)\b", node.value)
+            ):
+                continue
+            owner, child = [], node
+            while child in parents:
+                parent = parents[child]
+                if isinstance(parent, ast.Dict) and child in parent.keys:
+                    owner.append("key")
+                elif isinstance(parent, (ast.ClassDef, ast.FunctionDef)):
+                    owner.append(parent.name)
+                elif isinstance(parent, (ast.Assign, ast.AnnAssign)):
+                    targets = parent.targets if isinstance(parent, ast.Assign) else [parent.target]
+                    owner += [target.id for target in targets if isinstance(target, ast.Name)]
+                child = parent
+            spelled.append(f"{path.name}:{'.'.join(reversed(owner))}")
+    assert sorted(spelled) == [
+        "cli.py:preset_text", "integrate.py:IntegratorConfig.method",
+        "integrate.py:_METHODS.key", "integrate.py:_METHODS.key",
+    ], f"method names spelled outside the table: {sorted(spelled)}"
 
 
 def test_no_module_imports_cli():
